@@ -1,25 +1,15 @@
-//! Criterion benches for the batched cost-benefit kernels that power the
-//! frontier hot path: per-call model arithmetic vs the batched scalar
-//! reference vs the runtime-dispatched path, across batch sizes.
-//!
-//! Set `KERN_BENCH_JSON=PATH` to also write a machine-readable
-//! `kern-bench/v1` artifact (one record per batch size: Melem/s for each
-//! path plus the dispatched-vs-scalar speedup) — CI uploads it as
-//! `BENCH_PR10.json` and gates the batch ≥ 16 speedup on AVX2 runners.
+//! Criterion benches for the batched cost-benefit pricing loop that powers
+//! the frontier hot path: the model's per-call arithmetic vs
+//! `kernel::net_benefit_batch` over a `DepthTable`, across batch sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use prefetch_core::kernel::{self, DepthTable, KernelImpl};
+use prefetch_core::kernel::{self, DepthTable};
 use prefetch_core::{CostBenefitModel, SystemParams};
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 const BATCH_SIZES: [usize; 5] = [1, 4, 16, 64, 256];
 const MAX_DEPTH: u32 = 8;
 const SEED: u64 = 1999;
-/// Elements evaluated per timing sample: large enough that even the
-/// 1-element batch amortises the `Instant` overhead away.
-const ELEMS_PER_SAMPLE: usize = 1 << 21;
 
 /// Candidate-shaped SoA columns: `p_x ∈ (0, 1]`, `p_b ≤ p_x`,
 /// `d_b ∈ 1..=MAX_DEPTH`.
@@ -37,113 +27,34 @@ fn batch_inputs(n: usize) -> (Vec<f64>, Vec<f64>, Vec<u32>) {
     (p_b, p_x, d_b)
 }
 
-/// Median-of-9 million-elements/sec for `f`, which must evaluate
-/// `elems` elements per call.
-fn melems_per_sec<F: FnMut() -> f64>(elems: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..9)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            elems as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// One timing sample for a batched kernel: repeat the batch call until
-/// ~`ELEMS_PER_SAMPLE` elements have been evaluated.
-fn time_batch(k: &'static KernelImpl, n: usize, dt: &DepthTable, t_driver: f64) -> f64 {
-    let (p_b, p_x, d_b) = batch_inputs(n);
-    let iters = ELEMS_PER_SAMPLE / n;
-    let mut out = Vec::new();
-    melems_per_sec(iters * n, || {
-        let mut acc = 0.0;
-        for _ in 0..iters {
-            k.net_benefit_batch(&p_b, &p_x, &d_b, dt, t_driver, &mut out);
-            acc += out[n - 1];
-        }
-        acc
-    })
-}
-
-/// One timing sample for the pre-batching baseline: the model's per-call
-/// `net_benefit`, one candidate at a time (what `expand()` used to do).
-fn time_per_call(model: &CostBenefitModel, n: usize) -> f64 {
-    let (p_b, p_x, d_b) = batch_inputs(n);
-    let iters = ELEMS_PER_SAMPLE / n;
-    melems_per_sec(iters * n, || {
-        let mut acc = 0.0;
-        for _ in 0..iters {
-            for i in 0..n {
-                acc += model.net_benefit(p_b[i], d_b[i], p_x[i]);
-            }
-        }
-        acc
-    })
-}
-
 fn bench_kernels(c: &mut Criterion) {
     let params = SystemParams::patterson();
     let model = CostBenefitModel::patterson();
     let mut dt = DepthTable::default();
     dt.rebuild(&params, model.s(), MAX_DEPTH);
-    let dispatched = kernel::detect();
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"schema\":\"kern-bench/v1\",\"dispatch_path\":\"{}\",\"seed\":{SEED},\
-         \"elems_per_sample\":{ELEMS_PER_SAMPLE},\"batches\":[",
-        dispatched.name
-    );
 
     let mut g = c.benchmark_group("kernel/net_benefit");
-    for (i, &n) in BATCH_SIZES.iter().enumerate() {
+    for n in BATCH_SIZES {
         let (p_b, p_x, d_b) = batch_inputs(n);
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_function(format!("scalar_{n}"), |b| {
+        g.bench_function(format!("per_call_{n}"), |b| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for i in 0..n {
+                    acc += model.net_benefit(p_b[i], d_b[i], p_x[i]);
+                }
+                black_box(acc)
+            })
+        });
+        g.bench_function(format!("batch_{n}"), |b| {
             let mut out = Vec::new();
             b.iter(|| {
-                kernel::SCALAR.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut out);
+                kernel::net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut out);
                 black_box(out[n - 1])
             })
         });
-        g.bench_function(format!("{}_{n}", dispatched.name), |b| {
-            let mut out = Vec::new();
-            b.iter(|| {
-                dispatched.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut out);
-                black_box(out[n - 1])
-            })
-        });
-
-        let per_call = time_per_call(&model, n);
-        let scalar = time_batch(&kernel::SCALAR, n, &dt, params.t_driver);
-        let dispatch = time_batch(dispatched, n, &dt, params.t_driver);
-        let vs_scalar = dispatch / scalar.max(1e-9);
-        let vs_per_call = dispatch / per_call.max(1e-9);
-        println!(
-            "kernel/net_benefit/batch={n}: per-call {per_call:.1} Melem/s, \
-             batch-scalar {scalar:.1} Melem/s, {} {dispatch:.1} Melem/s \
-             ({vs_per_call:.2}x vs per-call, {vs_scalar:.2}x vs batch-scalar)",
-            dispatched.name
-        );
-        let _ = write!(
-            json,
-            "{}{{\"batch\":{n},\"per_call_melems\":{per_call:.2},\
-             \"scalar_melems\":{scalar:.2},\"dispatch_melems\":{dispatch:.2},\
-             \"speedup_vs_per_call\":{vs_per_call:.4},\
-             \"speedup_dispatch_vs_scalar\":{vs_scalar:.4}}}",
-            if i > 0 { "," } else { "" },
-        );
     }
     g.finish();
-
-    json.push_str("]}\n");
-    if let Ok(path) = std::env::var("KERN_BENCH_JSON") {
-        std::fs::write(&path, &json).expect("cannot write KERN_BENCH_JSON");
-        println!("kernel/net_benefit: wrote {path}");
-    }
 }
 
 criterion_group!(benches, bench_kernels);

@@ -52,11 +52,11 @@ fn bench_candidates(c: &mut Criterion) {
         })
     });
     g.bench_function("pruned_root_children", |b| {
-        let mut out = Vec::new();
+        let mut out = prefetch_tree::CandidateBatch::new();
         b.iter(|| {
             out.clear();
             // The engine's Patterson-constant cutoff.
-            tree.child_candidates_pruned(root, 1.0, 0, 0.0372, &mut out);
+            tree.child_candidates_pruned_soa(root, 1.0, 0, 0.0372, &mut out);
             black_box(out.len())
         })
     });

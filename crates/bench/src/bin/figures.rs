@@ -6,7 +6,7 @@
 //! figures <id>|all [--quick] [--refs N] [--seed S] [--out DIR] [--csv]
 //!         [--checkpoint DIR] [--resume] [--deadline-ms N] [--retries N]
 //!         [--bench-json PATH] [--log-json PATH] [--threads N]
-//!         [--kernel scalar|auto] [--save-tree DIR] [--load-tree DIR]
+//!         [--save-tree DIR] [--load-tree DIR]
 //! ```
 //!
 //! The `snapshot` experiment measures `pftree-snap/v1`: exact bytes/node
@@ -21,11 +21,6 @@
 //! path). Results are bit-identical at any thread count — the pool
 //! collects cells in index order and the checkpoint journal flushes in
 //! fingerprint order, so CSVs and journals never depend on the schedule.
-//!
-//! `--kernel scalar|auto` selects the batched cost-benefit kernel path
-//! (`auto`, the default, dispatches on detected CPU features). Every path
-//! is bit-identical, so this only changes throughput — CI diffs the CSVs
-//! of a `scalar` and an `auto` run byte-for-byte to prove it.
 //!
 //! `--bench-json PATH` profiles every sweep cell and writes a
 //! machine-readable perf artifact (wall time, refs/sec, cell count, and
@@ -128,10 +123,6 @@ fn parse_args() -> Result<Args, String> {
                 let n: usize = v.parse().map_err(|_| format!("bad --threads {v:?}"))?;
                 prefetch_pool::set_threads(n);
             }
-            "--kernel" => {
-                let v = argv.next().ok_or("--kernel needs scalar|auto")?;
-                prefetch_core::kernel::force(v.parse().map_err(|e| format!("bad --kernel: {e}"))?);
-            }
             "--save-tree" => {
                 let v = argv.next().ok_or("--save-tree needs a directory")?;
                 opts.save_tree = Some(PathBuf::from(v));
@@ -167,8 +158,7 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: figures <id>|all [--quick] [--refs N] [--seed S] [--out DIR] [--csv] \
      [--checkpoint DIR] [--resume] [--deadline-ms N] [--retries N] \
-     [--bench-json PATH] [--log-json PATH] [--threads N] [--kernel scalar|auto] \
-     [--save-tree DIR] [--load-tree DIR]"
+     [--bench-json PATH] [--log-json PATH] [--threads N] [--save-tree DIR] [--load-tree DIR]"
         .to_string()
 }
 
@@ -215,7 +205,6 @@ fn main() -> ExitCode {
         .u64("seed", args.opts.seed)
         .bool("profile", args.opts.harness.profile)
         .u64("threads", prefetch_pool::effective_threads() as u64)
-        .str("kernel", prefetch_core::kernel::active().name)
         .emit();
     let t0 = Instant::now();
     let traces = TraceSet::generate(&args.opts);

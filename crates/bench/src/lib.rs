@@ -17,6 +17,8 @@
 //! figures -- all --quick          # scaled-down smoke run
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Re-export so benches and the binary share one entry point.
 pub use prefetch_sim::experiments;
 

@@ -23,6 +23,8 @@
 //! Cost/benefit *decisions* live in `prefetch-core`; this crate only moves
 //! buffers.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer_cache;
 pub mod fenwick;
 pub mod lru;

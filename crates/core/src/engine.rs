@@ -20,17 +20,18 @@
 //!    step 4), realizing "prefetch along multiple paths simultaneously".
 
 use crate::calibration::CalibrationTracker;
-use crate::kernel::{self, DepthTable, KernelImpl};
+use crate::kernel::{self, DepthTable};
 use crate::model::{CostBenefitModel, ModelConfig};
 use crate::params::SystemParams;
 use crate::policy::{PeriodActivity, RefKind, Victim};
 use crate::resilience::Quarantine;
 use prefetch_cache::{BufferCache, PrefetchMeta, StackDistanceEstimator};
+use prefetch_hash::FxHashMap;
 use prefetch_telemetry::{Phase, PhaseTimer, PhaseTimes};
 use prefetch_trace::BlockId;
-use prefetch_tree::{AccessOutcome, Candidate, CandidateBatch, PrefetchTree};
+use prefetch_tree::{AccessOutcome, Candidate, CandidateBatch, NodeId, PrefetchTree};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Bound on the ejected-block tracking map (calibration bookkeeping).
 /// Ejections past the cap still accumulate predicted cost but their
@@ -110,7 +111,7 @@ impl Ord for FrontierEntry {
 }
 
 /// Per-period memo of everything the frontier arithmetic derives from the
-/// dynamic prefetch rate `s`: the `ΔT_pf(d)` table the batch kernels read
+/// dynamic prefetch rate `s`: the `ΔT_pf(d)` table the pricing loop reads
 /// and the frontier-seed probability cutoff. `s` only moves in
 /// [`CostBenefitModel::observe_period`] (end of each prefetch round), so
 /// the memo is refreshed at most once per period — and *only* when `s`'s
@@ -157,14 +158,11 @@ pub struct CostBenefitEngine {
     stack: StackDistanceEstimator,
     cfg: EngineConfig,
     period: u64,
-    /// SoA candidate scratch: enumeration emits kernel-ready columns.
+    /// SoA candidate scratch: enumeration emits the columns
+    /// [`kernel::net_benefit_batch`] reads.
     batch: CandidateBatch,
-    /// Kernel output column, parallel to `batch`.
+    /// Net-benefit output column, parallel to `batch`.
     net: Vec<f64>,
-    /// Batched Eq. 1/14 kernels, resolved at construction from the
-    /// process-wide choice ([`kernel::active`]). Every path is
-    /// bit-identical, so this affects throughput only — never results.
-    kern: &'static KernelImpl,
     /// `s`-derived memo: `ΔT_pf` table + frontier-seed cutoff.
     memo: PeriodMemo,
     quarantine: Quarantine,
@@ -173,7 +171,7 @@ pub struct CostBenefitEngine {
     /// Ejected prefetched blocks awaiting their realized re-fetch cost
     /// (block → Eq. 11 predicted cost at ejection), bounded by
     /// [`EJECT_TRACK_CAP`].
-    ejected: HashMap<BlockId, f64>,
+    ejected: FxHashMap<BlockId, f64>,
 }
 
 impl CostBenefitEngine {
@@ -199,28 +197,12 @@ impl CostBenefitEngine {
             period: 0,
             batch: CandidateBatch::new(),
             net: Vec::new(),
-            kern: kernel::active(),
             memo,
             quarantine: Quarantine::default(),
             timer: PhaseTimer::null(),
             calibration: CalibrationTracker::new(),
-            ejected: HashMap::new(),
+            ejected: FxHashMap::default(),
         }
-    }
-
-    /// Name of the batch-kernel path this engine evaluates Eq. 1/14
-    /// through (`scalar`, `avx2`, `avx512`) — the `kernel=` telemetry
-    /// value.
-    pub fn kernel_name(&self) -> &'static str {
-        self.kern.name
-    }
-
-    /// Override the batch-kernel path for this engine (tests and the
-    /// frontier microbenchmark; CLIs use the process-wide
-    /// [`kernel::force`] instead). All paths are bit-identical, so this
-    /// never changes results.
-    pub fn set_kernel(&mut self, kern: &'static KernelImpl) {
-        self.kern = kern;
     }
 
     /// The memoized frontier-seed probability cutoff
@@ -427,24 +409,23 @@ impl CostBenefitEngine {
     }
 
     /// [`Self::demand_victim`] with the time charged to the cost-benefit
-    /// phase when profiling is on.
+    /// phase when profiling is on, and a prefetch-partition victim's
+    /// Eq. 11 cost entered into the calibration tracking.
     pub fn demand_victim_timed(&mut self, cache: &BufferCache) -> Victim {
         let tok = self.timer.begin();
-        let v = self.demand_victim(cache);
+        let (v, cost) = self.demand_victim(cache);
         self.timer.end(Phase::CostBenefit, tok);
         if let Victim::Prefetch(b) = v {
-            // `demand_victim` chose the cheapest Eq. 11 ejection, so its
-            // cost is exactly the heap winner's.
-            let cost = self.best_prefetch_eject(cache).map_or(0.0, |(_, c)| c);
             self.track_ejection(b, cost);
         }
         v
     }
 
-    /// Victim for a *demand* fetch: same comparison, but the demand LRU is
-    /// always available as a fallback (the incoming block will immediately
-    /// occupy a demand buffer anyway).
-    pub fn demand_victim(&self, cache: &BufferCache) -> Victim {
+    /// Victim for a *demand* fetch and its replacement cost: the same
+    /// Eq. 11 vs Eq. 13 comparison as [`Self::cheapest_victim`], but the
+    /// demand LRU is always available as a fallback (the incoming block
+    /// will immediately occupy a demand buffer anyway).
+    pub fn demand_victim(&self, cache: &BufferCache) -> (Victim, f64) {
         let best_pr = self.best_prefetch_eject(cache);
         let cd = if cache.demand_len() > 0 {
             Some(self.model.demand_eject_cost(self.stack.marginal_hit_rate(cache.demand_len())))
@@ -452,9 +433,9 @@ impl CostBenefitEngine {
             None
         };
         match (best_pr, cd) {
-            (Some((b, cp)), Some(cdv)) if cp <= cdv => Victim::Prefetch(b),
-            (_, Some(_)) => Victim::DemandLru,
-            (Some((b, _)), None) => Victim::Prefetch(b),
+            (Some((b, cp)), Some(cdv)) if cp <= cdv => (Victim::Prefetch(b), cp),
+            (_, Some(cdv)) => (Victim::DemandLru, cdv),
+            (Some((b, cp)), None) => (Victim::Prefetch(b), cp),
             (None, None) => unreachable!("demand_victim called on an empty full cache"),
         }
     }
@@ -482,22 +463,7 @@ impl CostBenefitEngine {
         // Enumerate only children that could possibly have positive net
         // benefit (children are weight-sorted, so this is O(useful), not
         // O(fan-out) — the root can have tens of thousands of children).
-        let tok = self.timer.begin();
-        let cutoff = self.memo.seed_cutoff.max(self.cfg.min_probability);
-        self.batch.clear();
-        self.tree.child_candidates_pruned_soa(anchor, 1.0, 0, cutoff, &mut self.batch);
-        self.kern.net_benefit_batch(
-            &self.batch.p_b,
-            &self.batch.p_x,
-            &self.batch.d_b,
-            &self.memo.dt,
-            self.model.params().t_driver,
-            &mut self.net,
-        );
-        for i in 0..self.batch.len() {
-            frontier.push(FrontierEntry { net: self.net[i], cand: self.batch.candidate(i) });
-        }
-        self.timer.end(Phase::CandidateSelection, tok);
+        self.push_children(anchor, 1.0, 0, self.memo.seed_cutoff, &mut frontier);
 
         let mut issued: u32 = 0;
         let mut considered: u32 = 0;
@@ -578,28 +544,38 @@ impl CostBenefitEngine {
         self.period += 1;
     }
 
+    /// A settled candidate's children join the frontier (Section 7).
     fn expand(&mut self, cand: &Candidate, frontier: &mut BinaryHeap<FrontierEntry>) {
         if cand.depth >= self.cfg.max_depth {
             return;
         }
-        let tok = self.timer.begin();
         // Table-based cutoff: bit-identical to the model's
         // `min_useful_probability` (the memo holds the very ΔT_pf values
         // that formula recomputes).
-        let cutoff = self
-            .memo
-            .dt
-            .min_useful_probability(self.model.params().t_driver, cand.probability, cand.depth + 1)
-            .max(self.cfg.min_probability);
-        self.batch.clear();
-        self.tree.child_candidates_pruned_soa(
-            cand.node,
+        let cutoff = self.memo.dt.min_useful_probability(
+            self.model.params().t_driver,
             cand.probability,
-            cand.depth,
-            cutoff,
-            &mut self.batch,
+            cand.depth + 1,
         );
-        self.kern.net_benefit_batch(
+        self.push_children(cand.node, cand.probability, cand.depth, cutoff, frontier);
+    }
+
+    /// Enumerate `node`'s children whose path probability reaches
+    /// `cutoff` (floored at `min_probability`), price the batch with
+    /// Eq. 1 − Eq. 14 and push it onto the frontier.
+    fn push_children(
+        &mut self,
+        node: NodeId,
+        probability: f64,
+        depth: u32,
+        cutoff: f64,
+        frontier: &mut BinaryHeap<FrontierEntry>,
+    ) {
+        let tok = self.timer.begin();
+        let cutoff = cutoff.max(self.cfg.min_probability);
+        self.batch.clear();
+        self.tree.child_candidates_pruned_soa(node, probability, depth, cutoff, &mut self.batch);
+        kernel::net_benefit_batch(
             &self.batch.p_b,
             &self.batch.p_x,
             &self.batch.d_b,

@@ -1,43 +1,28 @@
-//! Batched cost-benefit kernels with runtime CPU-feature dispatch.
+//! The batched cost-benefit pricing loop and its `ΔT_pf` memo.
 //!
 //! The engine's per-period hot loop scores every frontier candidate with
-//! the paper's arithmetic — benefit `B(b)` (Eq. 1), overhead `T_oh`
-//! (Eq. 14), re-prefetch cost `C_pr` (Eq. 11). This module evaluates those
-//! formulas over struct-of-arrays batches (`p_b[]`, `p_x[]`, `d_b[]` →
-//! `net[]`) instead of one candidate at a time, with the depth-dependent
-//! stall terms `ΔT_pf(d)` pre-tabulated in a [`DepthTable`] (they depend
-//! only on `(params, s)`, which change at most once per access period).
+//! the paper's net desirability — benefit `B(b)` (Eq. 1) minus overhead
+//! `T_oh` (Eq. 14). [`net_benefit_batch`] evaluates that over
+//! struct-of-arrays columns (`p_b[]`, `p_x[]`, `d_b[]` → `net[]`) instead
+//! of one candidate at a time, with the depth-dependent stall terms
+//! `ΔT_pf(d)` pre-tabulated in a [`DepthTable`] (they depend only on
+//! `(params, s)`, which change at most once per access period).
 //!
-//! ## Dispatch
-//!
-//! Three implementations share one element-wise body:
-//!
-//! * `scalar` — a plain per-element loop; the **reference** every other
-//!   path is property-tested against, and the only path compiled on
-//!   non-x86_64 targets (aarch64 autovectorizes it under baseline NEON);
-//! * `avx2` / `avx512f` — the same body instantiated inside
-//!   `#[target_feature]` functions so LLVM may vectorize with wider
-//!   registers, selected at runtime via `is_x86_feature_detected!`.
+//! There is one implementation: a plain safe loop the compiler is free to
+//! auto-vectorise. Hand-dispatched AVX2/AVX-512 instantiations of the same
+//! body measure 0.72–1.11× of it at the batch sizes the frontier produces
+//! (EXPERIMENTS.md, "batched cost-benefit kernels"), so there are none.
 //!
 //! ## Determinism contract
 //!
-//! Every path is element-wise with the *identical* operation order
-//! (multiply, divide, subtract, `max` — each IEEE-754 correctly rounded;
-//! no FMA contraction, no reassociation, no fast-math). Lane `i` of every
-//! batch therefore produces the same bits on every path, on every batch
-//! size, on every CPU — which is what lets `--kernel scalar` vs
-//! `--kernel auto` produce byte-identical simulation output, and what the
-//! proptests in `crates/core/tests/kernels.rs` enforce.
+//! The loop is element-wise with a fixed operation order (multiply,
+//! divide, subtract, `max` — each IEEE-754 correctly rounded; no FMA
+//! contraction, no reassociation, no fast-math), so lane `i` produces the
+//! bits of [`crate::model::CostBenefitModel::net_benefit`] on every batch
+//! size — which the tests in `crates/core/tests/kernels.rs` enforce.
 
 use crate::params::SystemParams;
 use crate::timing;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Fixed inner-loop width: the element count gathered into local arrays
-/// before the arithmetic loop. 8 f64 lanes = one ZMM register / two YMM
-/// registers; small enough that LLVM fully unrolls the gather.
-const LANES: usize = 8;
 
 /// Memo table of `ΔT_pf(d)` (Eq. 2) for `d = 0..=max_depth`, valid for one
 /// `(params, s)` pair. `s` only moves between access periods
@@ -98,119 +83,6 @@ impl DepthTable {
     }
 }
 
-/// CLI-selectable kernel policy (`--kernel scalar|auto`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Force the scalar reference path (debugging, CI byte-diffing).
-    Scalar,
-    /// Best path the running CPU supports (the default).
-    Auto,
-}
-
-impl std::str::FromStr for KernelChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelChoice::Scalar),
-            "auto" => Ok(KernelChoice::Auto),
-            other => Err(format!("unknown kernel '{other}' (expected scalar|auto)")),
-        }
-    }
-}
-
-type NetFn = unsafe fn(&[f64], &[f64], &[u32], &[f64], f64, &mut [f64]);
-type BenefitFn = unsafe fn(&[f64], &[f64], &[u32], &[f64], &mut [f64]);
-type EjectFn = unsafe fn(&[f64], &[u32], u32, f64, &mut [f64]);
-
-/// One dispatchable kernel implementation: a name for telemetry plus the
-/// three batched entry points. The function pointers are `unsafe fn`
-/// because the vector variants carry `#[target_feature]`; instances are
-/// only ever constructed for features the running CPU reported, which is
-/// the safety invariant the public wrapper methods rely on.
-pub struct KernelImpl {
-    /// Path name (`scalar`, `avx2`, `avx512`) — surfaces in run logs,
-    /// pfserve STATS and bench artifacts as `kernel=`.
-    pub name: &'static str,
-    net: NetFn,
-    benefit: BenefitFn,
-    eject: EjectFn,
-}
-
-impl std::fmt::Debug for KernelImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelImpl").field("name", &self.name).finish()
-    }
-}
-
-impl KernelImpl {
-    /// Batched net desirability `B(b) − T_oh(b)` (Eq. 1 minus Eq. 14):
-    /// `out[i] = p_b[i]·ΔT(d_b[i]) − p_x[i]·ΔT(d_b[i]−1)
-    ///           − max(1 − p_b[i]/p_x[i], 0)·T_driver`.
-    /// `out` is cleared and resized to the batch length.
-    pub fn net_benefit_batch(
-        &self,
-        p_b: &[f64],
-        p_x: &[f64],
-        d_b: &[u32],
-        dt: &DepthTable,
-        t_driver: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let n = p_b.len();
-        assert!(p_x.len() == n && d_b.len() == n, "SoA columns must have equal length");
-        debug_assert!(d_b.iter().all(|&d| d >= 1 && (d as usize) < dt.len()));
-        out.clear();
-        out.resize(n, 0.0);
-        // SAFETY: `self` was only constructed for a CPU feature that
-        // `is_x86_feature_detected!` confirmed at dispatch time.
-        unsafe { (self.net)(p_b, p_x, d_b, dt.as_slice(), t_driver, out) }
-    }
-
-    /// Batched `B(b)` alone (Eq. 1), same layout as
-    /// [`Self::net_benefit_batch`].
-    pub fn benefit_batch(
-        &self,
-        p_b: &[f64],
-        p_x: &[f64],
-        d_b: &[u32],
-        dt: &DepthTable,
-        out: &mut Vec<f64>,
-    ) {
-        let n = p_b.len();
-        assert!(p_x.len() == n && d_b.len() == n, "SoA columns must have equal length");
-        debug_assert!(d_b.iter().all(|&d| d >= 1 && (d as usize) < dt.len()));
-        out.clear();
-        out.resize(n, 0.0);
-        // SAFETY: as in `net_benefit_batch`.
-        unsafe { (self.benefit)(p_b, p_x, d_b, dt.as_slice(), out) }
-    }
-
-    /// Batched `C_pr` (Eq. 11) with the scan-invariant factor
-    /// `scale = T_driver + T_stall(x)` precomputed
-    /// ([`crate::model::CostBenefitModel::eject_scale`]):
-    /// `out[i] = 0` when `d_remaining[i] ≤ x`, else
-    /// `p_b[i]·scale / (d_remaining[i] − x)`.
-    pub fn eject_cost_batch(
-        &self,
-        p_b: &[f64],
-        d_remaining: &[u32],
-        x: u32,
-        scale: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let n = p_b.len();
-        assert!(d_remaining.len() == n, "SoA columns must have equal length");
-        out.clear();
-        out.resize(n, 0.0);
-        // SAFETY: as in `net_benefit_batch`.
-        unsafe { (self.eject)(p_b, d_remaining, x, scale, out) }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Element-wise lanes: the single source of truth for operation order.
-// ---------------------------------------------------------------------------
-
 /// One net-benefit lane, operation-for-operation the composition of
 /// `benefit::benefit` and `overhead::t_oh` with `ΔT_pf` pre-read.
 #[inline(always)]
@@ -220,284 +92,53 @@ fn net_lane(p_b: f64, p_x: f64, dt_d: f64, dt_dm1: f64, t_driver: f64) -> f64 {
     b - oh
 }
 
-/// One benefit lane (Eq. 1).
-#[inline(always)]
-fn benefit_lane(p_b: f64, p_x: f64, dt_d: f64, dt_dm1: f64) -> f64 {
-    p_b * dt_d - p_x * dt_dm1
-}
-
-/// One eject-cost lane (Eq. 11 with the shared scale hoisted).
-#[inline(always)]
-fn eject_lane(p_b: f64, d_remaining: u32, x: u32, scale: f64) -> f64 {
-    if d_remaining <= x {
-        return 0.0;
-    }
-    p_b * scale / (d_remaining - x) as f64
-}
-
-// ---------------------------------------------------------------------------
-// Batch bodies. `*_ref` is the plain reference loop; `*_lanes` gathers the
-// depth-indexed ΔT values into fixed-width local arrays first so the
-// arithmetic loop is free of data-dependent indexing and LLVM can
-// vectorize it. Both apply `*_lane` per element, so outputs are
-// bit-identical by construction.
-// ---------------------------------------------------------------------------
-
-/// Reference net-benefit loop (the retained scalar path).
-pub fn net_benefit_batch_ref(
+/// Batched net desirability `B(b) − T_oh(b)` (Eq. 1 minus Eq. 14):
+/// `out[i] = p_b[i]·ΔT(d_b[i]) − p_x[i]·ΔT(d_b[i]−1)
+///           − max(1 − p_b[i]/p_x[i], 0)·T_driver`.
+/// `out` is cleared and resized to the batch length.
+pub fn net_benefit_batch(
     p_b: &[f64],
     p_x: &[f64],
     d_b: &[u32],
-    dt: &[f64],
+    dt: &DepthTable,
     t_driver: f64,
-    out: &mut [f64],
+    out: &mut Vec<f64>,
 ) {
-    for i in 0..out.len() {
+    let n = p_b.len();
+    assert!(p_x.len() == n && d_b.len() == n, "SoA columns must have equal length");
+    debug_assert!(d_b.iter().all(|&d| d >= 1 && (d as usize) < dt.len()));
+    let dt = dt.as_slice();
+    out.clear();
+    out.extend((0..n).map(|i| {
         let d = d_b[i] as usize;
-        out[i] = net_lane(p_b[i], p_x[i], dt[d], dt[d - 1], t_driver);
-    }
+        net_lane(p_b[i], p_x[i], dt[d], dt[d - 1], t_driver)
+    }));
 }
 
-/// Reference benefit loop.
-pub fn benefit_batch_ref(p_b: &[f64], p_x: &[f64], d_b: &[u32], dt: &[f64], out: &mut [f64]) {
-    for i in 0..out.len() {
-        let d = d_b[i] as usize;
-        out[i] = benefit_lane(p_b[i], p_x[i], dt[d], dt[d - 1]);
-    }
-}
+/// Handle through which the `benchmark/` harness reaches
+/// [`net_benefit_batch`]; it compiles against [`active`] and the method,
+/// so both keep their signatures. There is nothing to select.
+#[derive(Debug)]
+pub struct KernelImpl;
 
-/// Reference eject-cost loop.
-pub fn eject_cost_batch_ref(p_b: &[f64], d_remaining: &[u32], x: u32, scale: f64, out: &mut [f64]) {
-    for i in 0..out.len() {
-        out[i] = eject_lane(p_b[i], d_remaining[i], x, scale);
-    }
-}
-
-#[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-fn net_benefit_batch_lanes(
-    p_b: &[f64],
-    p_x: &[f64],
-    d_b: &[u32],
-    dt: &[f64],
-    t_driver: f64,
-    out: &mut [f64],
-) {
-    let n = out.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        let mut dt_d = [0.0; LANES];
-        let mut dt_m = [0.0; LANES];
-        for l in 0..LANES {
-            let d = d_b[i + l] as usize;
-            dt_d[l] = dt[d];
-            dt_m[l] = dt[d - 1];
-        }
-        for l in 0..LANES {
-            out[i + l] = net_lane(p_b[i + l], p_x[i + l], dt_d[l], dt_m[l], t_driver);
-        }
-        i += LANES;
-    }
-    net_benefit_batch_ref(&p_b[i..], &p_x[i..], &d_b[i..], dt, t_driver, &mut out[i..]);
-}
-
-#[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-fn benefit_batch_lanes(p_b: &[f64], p_x: &[f64], d_b: &[u32], dt: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        let mut dt_d = [0.0; LANES];
-        let mut dt_m = [0.0; LANES];
-        for l in 0..LANES {
-            let d = d_b[i + l] as usize;
-            dt_d[l] = dt[d];
-            dt_m[l] = dt[d - 1];
-        }
-        for l in 0..LANES {
-            out[i + l] = benefit_lane(p_b[i + l], p_x[i + l], dt_d[l], dt_m[l]);
-        }
-        i += LANES;
-    }
-    benefit_batch_ref(&p_b[i..], &p_x[i..], &d_b[i..], dt, &mut out[i..]);
-}
-
-#[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-fn eject_cost_batch_lanes(p_b: &[f64], d_remaining: &[u32], x: u32, scale: f64, out: &mut [f64]) {
-    let n = out.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        for l in 0..LANES {
-            out[i + l] = eject_lane(p_b[i + l], d_remaining[i + l], x, scale);
-        }
-        i += LANES;
-    }
-    eject_cost_batch_ref(&p_b[i..], &d_remaining[i..], x, scale, &mut out[i..]);
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch table entries.
-// ---------------------------------------------------------------------------
-
-unsafe fn net_scalar(
-    p_b: &[f64],
-    p_x: &[f64],
-    d_b: &[u32],
-    dt: &[f64],
-    t_driver: f64,
-    out: &mut [f64],
-) {
-    net_benefit_batch_ref(p_b, p_x, d_b, dt, t_driver, out);
-}
-
-unsafe fn benefit_scalar(p_b: &[f64], p_x: &[f64], d_b: &[u32], dt: &[f64], out: &mut [f64]) {
-    benefit_batch_ref(p_b, p_x, d_b, dt, out);
-}
-
-unsafe fn eject_scalar(p_b: &[f64], d_remaining: &[u32], x: u32, scale: f64, out: &mut [f64]) {
-    eject_cost_batch_ref(p_b, d_remaining, x, scale, out);
-}
-
-/// The scalar reference kernel: always available, and the oracle the
-/// vector paths are property-tested against.
-pub static SCALAR: KernelImpl =
-    KernelImpl { name: "scalar", net: net_scalar, benefit: benefit_scalar, eject: eject_scalar };
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::*;
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn net_avx2(
+impl KernelImpl {
+    /// [`net_benefit_batch`].
+    pub fn net_benefit_batch(
+        &self,
         p_b: &[f64],
         p_x: &[f64],
         d_b: &[u32],
-        dt: &[f64],
+        dt: &DepthTable,
         t_driver: f64,
-        out: &mut [f64],
+        out: &mut Vec<f64>,
     ) {
-        net_benefit_batch_lanes(p_b, p_x, d_b, dt, t_driver, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn benefit_avx2(p_b: &[f64], p_x: &[f64], d_b: &[u32], dt: &[f64], out: &mut [f64]) {
-        benefit_batch_lanes(p_b, p_x, d_b, dt, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn eject_avx2(
-        p_b: &[f64],
-        d_remaining: &[u32],
-        x: u32,
-        scale: f64,
-        out: &mut [f64],
-    ) {
-        eject_cost_batch_lanes(p_b, d_remaining, x, scale, out);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn net_avx512(
-        p_b: &[f64],
-        p_x: &[f64],
-        d_b: &[u32],
-        dt: &[f64],
-        t_driver: f64,
-        out: &mut [f64],
-    ) {
-        net_benefit_batch_lanes(p_b, p_x, d_b, dt, t_driver, out);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn benefit_avx512(
-        p_b: &[f64],
-        p_x: &[f64],
-        d_b: &[u32],
-        dt: &[f64],
-        out: &mut [f64],
-    ) {
-        benefit_batch_lanes(p_b, p_x, d_b, dt, out);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn eject_avx512(
-        p_b: &[f64],
-        d_remaining: &[u32],
-        x: u32,
-        scale: f64,
-        out: &mut [f64],
-    ) {
-        eject_cost_batch_lanes(p_b, d_remaining, x, scale, out);
+        net_benefit_batch(p_b, p_x, d_b, dt, t_driver, out);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-static AVX2: KernelImpl = KernelImpl {
-    name: "avx2",
-    net: x86::net_avx2,
-    benefit: x86::benefit_avx2,
-    eject: x86::eject_avx2,
-};
-
-#[cfg(target_arch = "x86_64")]
-static AVX512: KernelImpl = KernelImpl {
-    name: "avx512",
-    net: x86::net_avx512,
-    benefit: x86::benefit_avx512,
-    eject: x86::eject_avx512,
-};
-
-/// The best kernel the running CPU supports (ignores any forced choice).
-pub fn detect() -> &'static KernelImpl {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return &AVX512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return &AVX2;
-        }
-    }
-    &SCALAR
-}
-
-/// Every kernel the running CPU can execute (scalar first). Lets tests
-/// exercise each dispatch path in one process.
-pub fn all_available() -> Vec<&'static KernelImpl> {
-    #[allow(unused_mut)]
-    let mut v = vec![&SCALAR];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            v.push(&AVX2);
-        }
-        if is_x86_feature_detected!("avx512f") {
-            v.push(&AVX512);
-        }
-    }
-    v
-}
-
-/// Process-wide forced choice (0 = auto, 1 = scalar). Set once at CLI
-/// startup; engines read it at construction. Because every path is
-/// bit-identical, the choice affects throughput and the `kernel=`
-/// telemetry field — never results, checkpoints, or fingerprints.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-static DETECTED: OnceLock<&'static KernelImpl> = OnceLock::new();
-
-/// Force the kernel path for every engine constructed afterwards
-/// (`--kernel scalar|auto`).
-pub fn force(choice: KernelChoice) {
-    FORCED.store(matches!(choice, KernelChoice::Scalar) as u8, Ordering::Relaxed);
-}
-
-/// The kernel new engines will use: the scalar reference when forced,
-/// otherwise the detected best path (memoized).
+/// The one [`KernelImpl`].
 pub fn active() -> &'static KernelImpl {
-    if FORCED.load(Ordering::Relaxed) == 1 {
-        return &SCALAR;
-    }
-    DETECTED.get_or_init(detect)
+    &KernelImpl
 }
 
 #[cfg(test)]
@@ -534,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn eject_lane_matches_model_eject_cost() {
-        let m = crate::model::CostBenefitModel::patterson();
-        let x = m.config().x;
-        let scale = m.eject_scale();
-        for (p_b, d) in [(0.5, 5), (0.9, 1), (0.9, 0), (0.1, 40)] {
-            let got = eject_lane(p_b, d, x, scale);
-            assert_eq!(got.to_bits(), m.prefetch_eject_cost(p_b, d).to_bits());
-        }
-    }
-
-    #[test]
     fn table_cutoff_matches_model_cutoff() {
         let m = crate::model::CostBenefitModel::patterson();
         let dt = table(m.s());
@@ -554,59 +184,5 @@ mod tests {
                 assert_eq!(got.to_bits(), m.min_useful_probability(p_x, d).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn choice_parses() {
-        assert_eq!("scalar".parse::<KernelChoice>().unwrap(), KernelChoice::Scalar);
-        assert_eq!("auto".parse::<KernelChoice>().unwrap(), KernelChoice::Auto);
-        assert!("sse9".parse::<KernelChoice>().is_err());
-    }
-
-    #[test]
-    fn force_switches_active_kernel() {
-        force(KernelChoice::Scalar);
-        assert_eq!(active().name, "scalar");
-        force(KernelChoice::Auto);
-        assert_eq!(active().name, detect().name);
-        // Leave the process-wide default as tests found it.
-        force(KernelChoice::Auto);
-    }
-
-    #[test]
-    fn scalar_is_always_available() {
-        let all = all_available();
-        assert_eq!(all[0].name, "scalar");
-        assert!(all.iter().any(|k| std::ptr::eq(*k, detect())));
-    }
-
-    #[test]
-    fn every_path_is_bit_identical_on_a_smoke_batch() {
-        let dt = table(1.3);
-        let n = 37;
-        let p_x: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64 * 0.11)).collect();
-        let p_b: Vec<f64> =
-            p_x.iter().enumerate().map(|(i, &x)| x * (0.9 - 0.02 * i as f64).max(0.05)).collect();
-        let d_b: Vec<u32> = (0..n).map(|i| 1 + (i as u32 % 8)).collect();
-        let d_rem: Vec<u32> = (0..n).map(|i| i as u32 % 12).collect();
-        let mut want = Vec::new();
-        SCALAR.net_benefit_batch(&p_b, &p_x, &d_b, &dt, 0.58, &mut want);
-        let mut want_ben = Vec::new();
-        SCALAR.benefit_batch(&p_b, &p_x, &d_b, &dt, &mut want_ben);
-        let mut want_ej = Vec::new();
-        SCALAR.eject_cost_batch(&p_b, &d_rem, 1, 0.58, &mut want_ej);
-        for k in all_available() {
-            let mut got = Vec::new();
-            k.net_benefit_batch(&p_b, &p_x, &d_b, &dt, 0.58, &mut got);
-            assert_eq!(bits(&got), bits(&want), "net path {}", k.name);
-            k.benefit_batch(&p_b, &p_x, &d_b, &dt, &mut got);
-            assert_eq!(bits(&got), bits(&want_ben), "benefit path {}", k.name);
-            k.eject_cost_batch(&p_b, &d_rem, 1, 0.58, &mut got);
-            assert_eq!(bits(&got), bits(&want_ej), "eject path {}", k.name);
-        }
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
     }
 }

@@ -17,9 +17,8 @@
 //! * [`overhead`] — wasted-initiation overhead `T_oh`, Eq. 14;
 //! * [`model`] — the assembled model with its dynamic `s`/`h` state
 //!   (Figure 4);
-//! * [`kernel`] — batched SoA evaluation of Eq. 1/11/14 with runtime
-//!   CPU-feature dispatch (scalar reference + AVX2/AVX-512 paths,
-//!   bit-identical by contract);
+//! * [`kernel`] — batched SoA evaluation of Eq. 1 − Eq. 14 over a
+//!   per-`s` `ΔT_pf` memo;
 //! * [`engine`] — the Section 7 algorithm: benefit frontier + cheapest
 //!   victim + stopping rule;
 //! * [`policy`] — the eight policies evaluated in the paper;
@@ -29,11 +28,12 @@
 //! ## Quick example
 //!
 //! ```
-//! use prefetch_core::policy::{PrefetchPolicy, RefContext, RefKind, PeriodActivity, TreePolicy};
+//! use prefetch_core::policy::{PrefetchPolicy, RefContext, RefKind, PeriodActivity, EnginePolicy};
 //! use prefetch_cache::BufferCache;
 //! use prefetch_trace::BlockId;
 //!
-//! let mut policy = TreePolicy::patterson();
+//! let mut policy =
+//!     EnginePolicy::tree(prefetch_core::SystemParams::patterson(), Default::default());
 //! let mut cache = BufferCache::new(64);
 //! // Train on a repeating pattern; the tree learns 1 → 2 → 3.
 //! for _ in 0..20 {
@@ -52,6 +52,8 @@
 //! assert!(cache.prefetch_len() + cache.demand_len() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod benefit;
 pub mod calibration;
 pub mod cost;
@@ -66,7 +68,7 @@ pub mod timing;
 
 pub use calibration::CalibrationTracker;
 pub use engine::{CostBenefitEngine, EngineConfig};
-pub use kernel::{DepthTable, KernelChoice, KernelImpl};
+pub use kernel::{DepthTable, KernelImpl};
 pub use model::{CostBenefitModel, ModelConfig};
 pub use params::SystemParams;
 pub use resilience::{Quarantine, RetryPolicy};

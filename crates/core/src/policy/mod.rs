@@ -4,9 +4,9 @@
 //! |---|---|---|
 //! | [`NoPrefetch`] | 9 | demand fetching only, LRU replacement |
 //! | [`NextLimit`] | 9 | one-block-lookahead on every demand fetch, prefetch partition capped at 10% of the cache |
-//! | [`TreePolicy`] | 2-7 | the paper's contribution: prefetch-tree candidates judged by cost-benefit analysis |
-//! | [`TreeNextLimit`] | 9 | `tree` + `next-limit` combined — the paper's best performer |
-//! | [`TreeLvc`] | 9.6 | `tree` + always prefetch the cursor's last-visited child |
+//! | [`EnginePolicy::tree`] | 2-7 | the paper's contribution: prefetch-tree candidates judged by cost-benefit analysis |
+//! | [`EnginePolicy::tree_next_limit`] | 9 | `tree` + `next-limit` combined — the paper's best performer |
+//! | [`EnginePolicy::tree_lvc`] | 9.6 | `tree` + always prefetch the cursor's last-visited child |
 //! | [`TreeThreshold`] | 9.7 | parametric baseline (Curewitz et al.): prefetch all children above a probability threshold |
 //! | [`TreeChildren`] | 9.7 | parametric baseline (Kroeger & Long): prefetch the top-k children |
 //! | [`PerfectSelector`] | 9.5 | oracle: prefetch the actual next access iff the tree predicted it |
@@ -17,22 +17,18 @@
 //! state and issuing prefetches directly into the cache, reporting what it
 //! did through [`PeriodActivity`].
 
+mod engine_policy;
 mod next_limit;
 mod no_prefetch;
 mod perfect_selector;
-mod tree;
 mod tree_children;
-mod tree_lvc;
-mod tree_next_limit;
 mod tree_threshold;
 
+pub use engine_policy::EnginePolicy;
 pub use next_limit::NextLimit;
 pub use no_prefetch::NoPrefetch;
 pub use perfect_selector::PerfectSelector;
-pub use tree::TreePolicy;
 pub use tree_children::TreeChildren;
-pub use tree_lvc::TreeLvc;
-pub use tree_next_limit::TreeNextLimit;
 pub use tree_threshold::TreeThreshold;
 
 use prefetch_cache::BufferCache;

@@ -45,7 +45,7 @@ impl NextLimit {
     }
 
     /// Issue the one-block-lookahead prefetch after a demand fetch of
-    /// `block`. Shared with [`crate::policy::TreeNextLimit`]. The
+    /// `block`. Shared with [`crate::policy::EnginePolicy::tree_next_limit`]. The
     /// `sequential_len` closure-free helper counts capped blocks.
     pub(crate) fn prefetch_next(
         &self,

@@ -12,11 +12,13 @@
 
 use crate::policy::{PeriodActivity, PrefetchPolicy, RefContext, Victim};
 use prefetch_cache::{BufferCache, PrefetchMeta};
-use prefetch_tree::PrefetchTree;
+use prefetch_tree::{CandidateBatch, PrefetchTree};
 
 /// Threshold-based tree prefetching without cost-benefit analysis.
 pub struct TreeThreshold {
     tree: PrefetchTree,
+    /// Per-reference candidate scratch.
+    children: CandidateBatch,
     threshold: f64,
     cap_fraction: f64,
     period: u64,
@@ -30,7 +32,13 @@ impl TreeThreshold {
     /// Panics unless `0 < threshold < 1`.
     pub fn new(threshold: f64) -> Self {
         assert!(threshold > 0.0 && threshold < 1.0, "threshold must be in (0,1), got {threshold}");
-        TreeThreshold { tree: PrefetchTree::new(), threshold, cap_fraction: 0.10, period: 0 }
+        TreeThreshold {
+            tree: PrefetchTree::new(),
+            children: CandidateBatch::new(),
+            threshold,
+            cap_fraction: 0.10,
+            period: 0,
+        }
     }
 
     /// The configured threshold.
@@ -85,33 +93,34 @@ impl PrefetchPolicy for TreeThreshold {
         act.lvc_repeat = outcome.lvc_repeat;
 
         let cursor = self.tree.cursor();
-        let mut children = Vec::new();
         // Children are weight-sorted, so pruned enumeration stops at the
         // threshold instead of scanning the whole fan-out (the root can
         // have tens of thousands of children).
-        self.tree.child_candidates_pruned(cursor, 1.0, 0, self.threshold, &mut children);
-        for cand in children {
-            if cand.probability <= self.threshold {
+        self.children.clear();
+        self.tree.child_candidates_pruned_soa(cursor, 1.0, 0, self.threshold, &mut self.children);
+        for i in 0..self.children.len() {
+            let (block, probability) = (self.children.block[i], self.children.p_b[i]);
+            if probability <= self.threshold {
                 continue;
             }
             act.candidates_considered += 1;
-            if cache.contains(cand.block) {
+            if cache.contains(block) {
                 act.candidates_already_cached += 1;
                 continue;
             }
             self.make_room(cache, act);
             cache.insert_prefetch(
-                cand.block,
+                block,
                 PrefetchMeta {
-                    probability: cand.probability,
+                    probability,
                     distance: 1,
                     issued_at: self.period,
                     sequential: false,
                 },
             );
-            act.prefetched_blocks.push(cand.block);
+            act.prefetched_blocks.push(block);
             act.prefetches_issued += 1;
-            act.prefetch_probability_sum += cand.probability;
+            act.prefetch_probability_sum += probability;
         }
         self.period += 1;
     }

@@ -1,15 +1,14 @@
-//! The batch-kernel determinism contract (PR 10 acceptance):
+//! The batched pricing loop's determinism contract:
 //!
-//! * every dispatch path the running CPU offers is **bit-identical** to
-//!   the retained scalar reference, across batch sizes 0..=257
-//!   (exhaustive) and random inputs (proptest);
-//! * the engine produces identical prefetch decisions under every path;
+//! * [`kernel::net_benefit_batch`] is **bit-identical** to the per-call
+//!   `CostBenefitModel::net_benefit` arithmetic, across batch sizes
+//!   0..=257 (exhaustive) and random inputs (proptest);
 //! * the `s`-derived memo (ΔT_pf table + frontier-seed cutoff) rebuilds
 //!   exactly when `s` changes, and its cutoff always equals the model's
 //!   fresh `min_useful_probability(1.0, 1)`.
 
 use prefetch_cache::BufferCache;
-use prefetch_core::kernel::{self, DepthTable, KernelImpl};
+use prefetch_core::kernel::{self, DepthTable};
 use prefetch_core::policy::PeriodActivity;
 use prefetch_core::{CostBenefitEngine, CostBenefitModel, EngineConfig, ModelConfig, SystemParams};
 use prefetch_trace::BlockId;
@@ -20,152 +19,79 @@ const MAX_DEPTH: u32 = 8;
 
 /// Deterministic candidate-shaped SoA data: `p_x ∈ (0, 1]`,
 /// `p_b = p_x·frac ≤ p_x`, `d_b ∈ 1..=MAX_DEPTH`.
-fn batch_inputs(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<u32>) {
+fn batch_inputs(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<u32>) {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut p_b = Vec::with_capacity(n);
     let mut p_x = Vec::with_capacity(n);
     let mut d_b = Vec::with_capacity(n);
-    let mut d_rem = Vec::with_capacity(n);
     for _ in 0..n {
         let px: f64 = rng.gen_range(1e-6..1.0);
         let frac: f64 = rng.gen_range(1e-6..1.0);
         p_b.push(px * frac);
         p_x.push(px);
         d_b.push(rng.gen_range(1..=MAX_DEPTH));
-        d_rem.push(rng.gen_range(0..24u32));
     }
-    (p_b, p_x, d_b, d_rem)
+    (p_b, p_x, d_b)
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// A fresh model whose prefetch-rate estimate is exactly `s`.
+fn model_at(params: SystemParams, s: f64) -> CostBenefitModel {
+    CostBenefitModel::new(params, ModelConfig { s_initial: s, ..ModelConfig::default() })
 }
 
-/// Acceptance: every dispatch path × every batch size 0..=257,
-/// bit-identical to the scalar reference for all three kernels.
+/// Price one batch through the loop and assert every lane carries the
+/// bits of the model's per-call `net_benefit`.
+fn assert_batch_matches_per_call(model: &CostBenefitModel, n: usize, seed: u64) {
+    let mut dt = DepthTable::default();
+    dt.rebuild(model.params(), model.s(), MAX_DEPTH);
+    let (p_b, p_x, d_b) = batch_inputs(n, seed);
+    let mut out = vec![f64::NAN; 3]; // stale contents must be replaced
+    kernel::net_benefit_batch(&p_b, &p_x, &d_b, &dt, model.params().t_driver, &mut out);
+    assert_eq!(out.len(), n);
+    for i in 0..n {
+        assert_eq!(
+            out[i].to_bits(),
+            model.net_benefit(p_b[i], d_b[i], p_x[i]).to_bits(),
+            "lane {i} of {n}, s {}",
+            model.s()
+        );
+    }
+}
+
+/// Every batch size 0..=257, bit-identical to the per-call arithmetic.
 #[test]
-fn every_path_bit_identical_for_batch_sizes_0_to_257() {
-    let params = SystemParams::patterson();
-    let paths = kernel::all_available();
-    assert!(!paths.is_empty());
+fn batch_bit_identical_for_batch_sizes_0_to_257() {
     for (si, s) in [0.0, 0.92, 4.7].into_iter().enumerate() {
-        let mut dt = DepthTable::default();
-        dt.rebuild(&params, s, MAX_DEPTH);
+        let model = model_at(SystemParams::patterson(), s);
         for n in 0..=257usize {
-            let (p_b, p_x, d_b, d_rem) = batch_inputs(n, (si as u64) << 32 | n as u64);
-            let mut want_net = Vec::new();
-            let mut want_ben = Vec::new();
-            let mut want_ej = Vec::new();
-            kernel::SCALAR.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut want_net);
-            kernel::SCALAR.benefit_batch(&p_b, &p_x, &d_b, &dt, &mut want_ben);
-            kernel::SCALAR.eject_cost_batch(&p_b, &d_rem, 1, 0.58 + s, &mut want_ej);
-            let mut got = Vec::new();
-            for k in &paths {
-                k.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut got);
-                assert_eq!(bits(&got), bits(&want_net), "net: path {} n {n} s {s}", k.name);
-                k.benefit_batch(&p_b, &p_x, &d_b, &dt, &mut got);
-                assert_eq!(bits(&got), bits(&want_ben), "benefit: path {} n {n} s {s}", k.name);
-                k.eject_cost_batch(&p_b, &d_rem, 1, 0.58 + s, &mut got);
-                assert_eq!(bits(&got), bits(&want_ej), "eject: path {} n {n} s {s}", k.name);
-            }
+            assert_batch_matches_per_call(&model, n, (si as u64) << 32 | n as u64);
         }
     }
 }
 
-/// The batched net kernel is bit-identical to the *pre-batching* per-call
-/// arithmetic: `CostBenefitModel::net_benefit` one candidate at a time.
+/// The same pin along an `s` trajectory the model itself produces.
 #[test]
 fn batch_net_matches_per_call_model_arithmetic() {
     let mut model = CostBenefitModel::patterson();
     for round in 0..40u32 {
         model.observe_period(round % 5);
-        let mut dt = DepthTable::default();
-        dt.rebuild(model.params(), model.s(), MAX_DEPTH);
-        let (p_b, p_x, d_b, _) = batch_inputs(97, round as u64);
-        for k in kernel::all_available() {
-            let mut out = Vec::new();
-            k.net_benefit_batch(&p_b, &p_x, &d_b, &dt, model.params().t_driver, &mut out);
-            for i in 0..out.len() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    model.net_benefit(p_b[i], d_b[i], p_x[i]).to_bits(),
-                    "path {} lane {i} round {round}",
-                    k.name
-                );
-            }
-        }
+        assert_batch_matches_per_call(&model, 97, round as u64);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random batches, random `s`, random `T_cpu`: every path agrees
-    /// with the scalar reference bit-for-bit.
+    /// Random batches, random `s`, random `T_cpu`: the loop agrees with
+    /// the per-call arithmetic bit-for-bit.
     #[test]
-    fn random_batches_bit_identical_across_paths(
+    fn random_batches_bit_identical_to_per_call(
         seed in 0u64..1 << 48,
         n in 0usize..300,
         s in 0.0f64..16.0,
         t_cpu in 1.0f64..640.0,
     ) {
-        let params = SystemParams::with_t_cpu(t_cpu);
-        let mut dt = DepthTable::default();
-        dt.rebuild(&params, s, MAX_DEPTH);
-        let (p_b, p_x, d_b, d_rem) = batch_inputs(n, seed);
-        let scale = params.t_driver + s;
-        let mut want_net = Vec::new();
-        let mut want_ej = Vec::new();
-        kernel::SCALAR.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut want_net);
-        kernel::SCALAR.eject_cost_batch(&p_b, &d_rem, 2, scale, &mut want_ej);
-        for k in kernel::all_available() {
-            let mut got = Vec::new();
-            k.net_benefit_batch(&p_b, &p_x, &d_b, &dt, params.t_driver, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want_net));
-            k.eject_cost_batch(&p_b, &d_rem, 2, scale, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want_ej));
-        }
-    }
-}
-
-/// Drive one engine per available kernel path through the same reference
-/// stream and assert identical prefetch decisions, cache contents, and
-/// model state at every period.
-#[test]
-fn engine_rounds_identical_under_every_kernel_path() {
-    let paths = kernel::all_available();
-    let trace: Vec<u64> = {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        (0..4000).map(|_| rng.gen_range(0..40u64)).collect()
-    };
-    let mut engines: Vec<(&'static KernelImpl, CostBenefitEngine, BufferCache)> = paths
-        .iter()
-        .map(|k| {
-            let mut e = CostBenefitEngine::new(SystemParams::patterson(), EngineConfig::default());
-            e.set_kernel(k);
-            assert_eq!(e.kernel_name(), k.name);
-            (*k, e, BufferCache::new(64))
-        })
-        .collect();
-    for &b in &trace {
-        let mut outcomes: Vec<(String, u64, Vec<u64>)> = Vec::new();
-        for (k, e, cache) in engines.iter_mut() {
-            e.record_reference(BlockId(b));
-            let mut act = PeriodActivity::default();
-            e.prefetch_round(BlockId(b), cache, &mut act);
-            if cache.contains(BlockId(b)) {
-                cache.reference(BlockId(b));
-            }
-            let mut resident: Vec<u64> = cache.prefetch_iter().map(|(blk, _)| blk.0).collect();
-            resident.sort_unstable();
-            let _ = k;
-            outcomes.push((format!("{act:?}"), e.model().s().to_bits(), resident));
-        }
-        for o in &outcomes[1..] {
-            assert_eq!(o.0, outcomes[0].0, "period activity diverged across kernel paths");
-            assert_eq!(o.1, outcomes[0].1, "s diverged across kernel paths");
-            assert_eq!(o.2, outcomes[0].2, "prefetch cache diverged across kernel paths");
-        }
+        assert_batch_matches_per_call(&model_at(SystemParams::with_t_cpu(t_cpu), s), n, seed);
     }
 }
 

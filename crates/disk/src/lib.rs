@@ -27,6 +27,8 @@
 //! `resilience` experiment sweeps fault rates to show how gracefully each
 //! policy degrades.
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod fault;
 pub mod stats;

@@ -15,6 +15,8 @@
 //! [`FxHashMap`]/[`FxHashSet`] are drop-in aliases for the std collections
 //! with the Fx hasher plugged in.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -28,6 +28,8 @@
 //! sweep → vendored `rayon` facade) need no plumbing; `0` means "use
 //! [`std::thread::available_parallelism`]".
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

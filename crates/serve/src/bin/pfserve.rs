@@ -54,7 +54,7 @@ fn usage() -> String {
      \x20             [--fsync-interval-ms N] [--checkpoint-every N]\n\
      \x20             [--recover-cap-events N] [--recovery-bench-json PATH]\n\
      \x20             [--metrics-out PATH] [--metrics-every N] [--trace-ring N]\n\
-     \x20             [--log-json PATH] [--bench-json PATH] [--kernel scalar|auto]\n\
+     \x20             [--log-json PATH] [--bench-json PATH]\n\
      \x20             [--no-echo-advice] [--quiet]\n\
      \n\
      Serves the pfserve line protocol on stdin (default) or a unix socket.\n\
@@ -175,10 +175,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--recovery-bench-json" => {
                 args.recovery_bench_json = Some(next_val(&mut it, "--recovery-bench-json")?.into());
-            }
-            "--kernel" => {
-                let v = next_val(&mut it, "--kernel")?;
-                prefetch_core::kernel::force(v.parse().map_err(|e| format!("bad --kernel: {e}"))?);
             }
             "--metrics-out" => {
                 args.opts.metrics_out = Some(next_val(&mut it, "--metrics-out")?.into());

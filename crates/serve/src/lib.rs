@@ -29,6 +29,7 @@
 //! Binaries: `pfserve` (the server, stdin or unix-socket mode) and
 //! `pfserve-loadgen` (script generator, [`loadgen`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

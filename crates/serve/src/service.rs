@@ -407,13 +407,9 @@ impl Service {
                         match line {
                             Some((line, queue_hwm)) => {
                                 let tally = render_reject_tally(&self.tally(i));
-                                let kernel = prefetch_core::kernel::active().name;
                                 out.push((
                                     conn,
-                                    format!(
-                                        "{line} queue_hwm={queue_hwm} rejects={tally} \
-                                         kernel={kernel}"
-                                    ),
+                                    format!("{line} queue_hwm={queue_hwm} rejects={tally}"),
                                 ));
                             }
                             // The inline flush itself quarantined it.

@@ -222,10 +222,6 @@ fn stats_and_final_carry_queue_hwm_and_reject_tally() {
         ),
         "duplicate OPEN must be tallied: {stats}"
     );
-    assert!(
-        stats.contains(" kernel=") && stats.split(" kernel=").nth(1).is_some_and(|k| !k.is_empty()),
-        "STATS must report the active cost-benefit kernel path: {stats}"
-    );
     let finals = service.drain();
     let fin = finals.iter().find(|l| l.starts_with("FINAL t1 ")).unwrap();
     assert!(fin.contains(" queue_hwm=3 "), "drain FINAL keeps the high-water mark: {fin}");

@@ -223,9 +223,6 @@ fn parse_args() -> Result<Args, String> {
                 let n: usize = val()?.parse().map_err(|e| format!("bad --threads: {e}"))?;
                 prefetch_pool::set_threads(n);
             }
-            "--kernel" => prefetch_core::kernel::force(
-                val()?.parse().map_err(|e| format!("bad --kernel: {e}"))?,
-            ),
             "--histograms" => histograms = true,
             "--profile" => profile = true,
             "--events-out" => events_out = Some(std::path::PathBuf::from(val()?)),
@@ -263,8 +260,8 @@ fn usage() -> String {
     "usage: pfsim --trace <cello|snake|cad|sitar> | --trace-file <path> [--lenient] \
      [--refs N] [--seed S] [--cache BLOCKS] [--policy NAME|all] [--t-cpu MS] [--disks N] \
      [--fault-rate P] [--fault-seed S] [--deadline-ms N] [--max-skipped N] [--threads N] \
-     [--kernel scalar|auto] [--histograms] [--profile] [--events-out PATH] [--log-json PATH] \
-     [--save-tree PATH] [--load-tree PATH]"
+     [--histograms] [--profile] [--events-out PATH] [--log-json PATH] [--save-tree PATH] \
+     [--load-tree PATH]"
         .to_string()
 }
 
@@ -372,8 +369,7 @@ fn main() -> ExitCode {
         let mut rec = tlog::info("trace_open")
             .str("trace", source.meta().name.clone())
             .u64("cache_blocks", args.cache as u64)
-            .u64("threads", prefetch_pool::effective_threads() as u64)
-            .str("kernel", prefetch_core::kernel::active().name);
+            .u64("threads", prefetch_pool::effective_threads() as u64);
         if let Some(n) = source.len_hint() {
             rec = rec.u64("refs", n);
         }

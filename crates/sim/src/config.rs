@@ -2,8 +2,8 @@
 //! constants.
 
 use prefetch_core::policy::{
-    NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy, RefContext,
-    TreeChildren, TreeLvc, TreeNextLimit, TreePolicy, TreeThreshold, Victim,
+    EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy,
+    RefContext, TreeChildren, TreeThreshold, Victim,
 };
 use prefetch_core::{EngineConfig, RetryPolicy, SystemParams};
 use prefetch_disk::FaultPlan;
@@ -74,15 +74,15 @@ impl PolicySpec {
         match *self {
             PolicySpec::NoPrefetch => Box::new(NoPrefetch),
             PolicySpec::NextLimit => Box::new(NextLimit::new()),
-            PolicySpec::Tree => Box::new(TreePolicy::new(params, engine)),
-            PolicySpec::TreeNextLimit => Box::new(TreeNextLimit::new(params, engine)),
-            PolicySpec::TreeLvc => Box::new(TreeLvc::new(params, engine)),
+            PolicySpec::Tree => Box::new(EnginePolicy::tree(params, engine)),
+            PolicySpec::TreeNextLimit => Box::new(EnginePolicy::tree_next_limit(params, engine)),
+            PolicySpec::TreeLvc => Box::new(EnginePolicy::tree_lvc(params, engine)),
             PolicySpec::TreeThreshold(t) => Box::new(TreeThreshold::new(t)),
             PolicySpec::TreeChildren(k) => Box::new(TreeChildren::new(k)),
             PolicySpec::PerfectSelector => Box::new(PerfectSelector::new()),
             PolicySpec::TreeReanchor => {
                 let cfg = prefetch_core::EngineConfig { reanchor_after_reset: true, ..engine };
-                Box::new(TreePolicy::new(params, cfg))
+                Box::new(EnginePolicy::tree(params, cfg))
             }
             PolicySpec::PanicProbe { after } => Box::new(PanicProbePolicy { after, seen: 0 }),
         }

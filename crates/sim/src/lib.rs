@@ -19,6 +19,8 @@
 //! assert!(result.metrics.miss_rate() < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod clock;
 pub mod config;

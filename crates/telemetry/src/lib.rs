@@ -22,6 +22,8 @@
 //!   request-lifecycle trace events stamped with sequence numbers (never
 //!   wall clock), dumped on panic/WAL-degrade for post-mortem context.
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod histogram;
 pub mod log;

@@ -32,6 +32,8 @@
 //! assert!(stats.sequential_fraction < 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod io;
 pub mod record;
 pub mod source;

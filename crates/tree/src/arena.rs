@@ -14,8 +14,7 @@
 //!   (weights);
 //! * exact [`Arena::bytes_in_use`] accounting from container capacities —
 //!   what `pfserve` admission charges — instead of the paper's flat
-//!   40-byte estimate;
-//! * the prerequisite layout for batched SoA kernels (ROADMAP item 3).
+//!   40-byte estimate.
 //!
 //! Child lists preserve *positional* semantics exactly: `child_push`
 //! appends, `child_remove_at` shifts the suffix left (refreshing the

@@ -7,8 +7,8 @@
 //! overhead equation (Eq. 14) need.
 //!
 //! Enumeration is *incremental*: `prefetch-core` maintains a best-first
-//! frontier and calls [`PrefetchTree::child_candidates`] to expand a
-//! candidate's children only when the candidate itself has been settled
+//! frontier and calls [`PrefetchTree::child_candidates_pruned_soa`] to expand
+//! a candidate's children only when the candidate itself has been settled
 //! (prefetched, or found already cached). This realizes the paper's
 //! "prefetch along multiple paths simultaneously" without materializing
 //! whole subtrees.
@@ -36,8 +36,8 @@ pub struct Candidate {
 /// Struct-of-arrays candidate buffer: the fields of [`Candidate`] as
 /// parallel columns, in the arena's SoA style. The cost-benefit engine
 /// owns one as scratch and hands the probability/depth columns straight to
-/// the batched kernels (`prefetch-core::kernel`) — candidate data arrives
-/// kernel-ready, with no AoS→SoA transpose on the hot path.
+/// the batched pricing loop (`prefetch-core::kernel`) — with no AoS→SoA
+/// transpose on the hot path.
 ///
 /// Invariant: all five columns always have equal length; mutate through
 /// [`Self::push`]/[`Self::clear`] or keep them in lockstep by hand.
@@ -102,6 +102,41 @@ impl CandidateBatch {
 }
 
 impl PrefetchTree {
+    /// The one child-enumeration loop. Children are stored sorted by
+    /// descending weight, so probabilities are non-increasing along the
+    /// child list: enumeration stops at the first child below
+    /// `min_probability` (or at zero probability — weight-free structural
+    /// nodes), which keeps the work proportional to the number of *useful*
+    /// candidates even below a root with tens of thousands of children.
+    #[inline]
+    fn for_each_child_candidate(
+        &self,
+        node: NodeId,
+        base_probability: f64,
+        base_depth: u32,
+        min_probability: f64,
+        limit: usize,
+        mut emit: impl FnMut(Candidate),
+    ) {
+        let parent_weight = self.weight(node);
+        if parent_weight == 0 {
+            return;
+        }
+        for child in self.children(node).take(limit) {
+            let p = base_probability * self.weight(child) as f64 / parent_weight as f64;
+            if p < min_probability || p <= 0.0 {
+                break; // children are weight-sorted: the rest are smaller
+            }
+            emit(Candidate {
+                node: child,
+                block: self.block(child).expect("children are never the root"),
+                probability: p,
+                parent_probability: base_probability,
+                depth: base_depth + 1,
+            });
+        }
+    }
+
     /// Candidates one edge below `node`.
     ///
     /// `base_probability` is the path probability of `node` itself
@@ -116,62 +151,13 @@ impl PrefetchTree {
         base_depth: u32,
         out: &mut Vec<Candidate>,
     ) {
-        let parent_weight = self.weight(node);
-        if parent_weight == 0 {
-            return;
-        }
-        for child in self.children(node) {
-            let p = base_probability * self.weight(child) as f64 / parent_weight as f64;
-            if p <= 0.0 {
-                continue;
-            }
-            out.push(Candidate {
-                node: child,
-                block: self.block(child).expect("children are never the root"),
-                probability: p,
-                parent_probability: base_probability,
-                depth: base_depth + 1,
-            });
-        }
+        self.child_candidates_topk(node, base_probability, base_depth, usize::MAX, out);
     }
 
     /// Candidates one edge below `node` whose path probability is at least
-    /// `min_probability`, cheapest-first prune: children are stored sorted
-    /// by descending weight, so enumeration stops at the first child below
-    /// the cutoff. This keeps per-period work proportional to the number
-    /// of *useful* candidates even below a root with tens of thousands of
-    /// children.
-    pub fn child_candidates_pruned(
-        &self,
-        node: NodeId,
-        base_probability: f64,
-        base_depth: u32,
-        min_probability: f64,
-        out: &mut Vec<Candidate>,
-    ) {
-        let parent_weight = self.weight(node);
-        if parent_weight == 0 {
-            return;
-        }
-        for child in self.children(node) {
-            let p = base_probability * self.weight(child) as f64 / parent_weight as f64;
-            if p < min_probability || p <= 0.0 {
-                break; // children are weight-sorted: the rest are smaller
-            }
-            out.push(Candidate {
-                node: child,
-                block: self.block(child).expect("children are never the root"),
-                probability: p,
-                parent_probability: base_probability,
-                depth: base_depth + 1,
-            });
-        }
-    }
-
-    /// [`Self::child_candidates_pruned`] emitting straight into a
-    /// [`CandidateBatch`]'s SoA columns: same candidates, same order, same
-    /// probability bits, no intermediate `Candidate` vector. The engine's
-    /// batch kernels consume the columns directly.
+    /// `min_probability`, appended to a [`CandidateBatch`]'s SoA columns in
+    /// descending-probability order. The engine's pricing loop consumes
+    /// the columns directly.
     pub fn child_candidates_pruned_soa(
         &self,
         node: NodeId,
@@ -180,21 +166,14 @@ impl PrefetchTree {
         min_probability: f64,
         out: &mut CandidateBatch,
     ) {
-        let parent_weight = self.weight(node);
-        if parent_weight == 0 {
-            return;
-        }
-        for child in self.children(node) {
-            let p = base_probability * self.weight(child) as f64 / parent_weight as f64;
-            if p < min_probability || p <= 0.0 {
-                break; // children are weight-sorted: the rest are smaller
-            }
-            out.node.push(child);
-            out.block.push(self.block(child).expect("children are never the root"));
-            out.p_b.push(p);
-            out.p_x.push(base_probability);
-            out.d_b.push(base_depth + 1);
-        }
+        self.for_each_child_candidate(
+            node,
+            base_probability,
+            base_depth,
+            min_probability,
+            usize::MAX,
+            |c| out.push(c),
+        );
     }
 
     /// The `k` most probable candidates one edge below `node` — simply the
@@ -208,23 +187,7 @@ impl PrefetchTree {
         k: usize,
         out: &mut Vec<Candidate>,
     ) {
-        let parent_weight = self.weight(node);
-        if parent_weight == 0 {
-            return;
-        }
-        for child in self.children(node).take(k) {
-            let p = base_probability * self.weight(child) as f64 / parent_weight as f64;
-            if p <= 0.0 {
-                break;
-            }
-            out.push(Candidate {
-                node: child,
-                block: self.block(child).expect("children are never the root"),
-                probability: p,
-                parent_probability: base_probability,
-                depth: base_depth + 1,
-            });
-        }
+        self.for_each_child_candidate(node, base_probability, base_depth, 0.0, k, |c| out.push(c));
     }
 
     /// All candidates within `max_depth` edges of `anchor`, best-first by
@@ -495,8 +458,8 @@ mod tests {
         }
     }
 
-    /// Filter-after-full-enumeration oracle for the pruned early exit:
-    /// keep exactly the candidates the pruned predicate accepts.
+    /// Filter-after-full-enumeration oracle for the early exit: visit
+    /// every child, keep exactly those the emitter's predicate accepts.
     fn filtered_full(
         t: &PrefetchTree,
         node: NodeId,
@@ -504,13 +467,23 @@ mod tests {
         base_depth: u32,
         min_probability: f64,
     ) -> Vec<Candidate> {
-        let mut full = Vec::new();
-        t.child_candidates(node, base_probability, base_depth, &mut full);
-        full.into_iter().filter(|c| c.probability >= min_probability).collect()
+        let parent_weight = t.weight(node);
+        t.children(node)
+            .filter_map(|child| {
+                let p = base_probability * t.weight(child) as f64 / parent_weight as f64;
+                (p >= min_probability && p > 0.0).then(|| Candidate {
+                    node: child,
+                    block: t.block(child).unwrap(),
+                    probability: p,
+                    parent_probability: base_probability,
+                    depth: base_depth + 1,
+                })
+            })
+            .collect()
     }
 
     /// Anchors to compare at: the root plus its first few children (the
-    /// pruned path is called below arbitrary interior nodes too).
+    /// emitter is called below arbitrary interior nodes too).
     fn sample_anchors(t: &PrefetchTree) -> Vec<(NodeId, f64, u32)> {
         let mut anchors = vec![(t.root(), 1.0f64, 0u32)];
         let mut kids = Vec::new();
@@ -519,17 +492,30 @@ mod tests {
         anchors
     }
 
+    /// Candidates as exactly comparable rows (probabilities by bit pattern).
+    fn bits(cands: &[Candidate]) -> Vec<(NodeId, BlockId, u64, u64, u32)> {
+        cands
+            .iter()
+            .map(|c| {
+                (c.node, c.block, c.probability.to_bits(), c.parent_probability.to_bits(), c.depth)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// The weight-sorted early-exit invariant: because children are
         /// stored by descending weight, breaking at the first child below
         /// the cutoff yields exactly the filter-after-full-enumeration
-        /// result — same candidates, same order, same probability bits.
+        /// result — same candidates, same order, same probability bits —
+        /// for the SoA emitter and, at cutoff 0, for the unpruned and
+        /// top-k wrappers.
         #[test]
         fn pruned_equals_filter_after_full_enumeration(
             accesses in proptest::collection::vec(0u64..24, 1..400),
             cutoff_scale in 0.0f64..1.2,
+            k in 0usize..6,
         ) {
             let mut t = PrefetchTree::new();
             for &b in &accesses {
@@ -539,40 +525,20 @@ mod tests {
                 // Cutoffs from 0 (keep everything) past base_p (drop
                 // everything), relative to the anchor's own path prob.
                 let min_p = cutoff_scale * base_p;
-                let mut pruned = Vec::new();
-                t.child_candidates_pruned(node, base_p, base_d, min_p, &mut pruned);
-                let want = filtered_full(&t, node, base_p, base_d, min_p);
-                proptest::prop_assert_eq!(&pruned, &want);
-            }
-        }
-
-        /// The SoA emission path produces the same rows, in the same
-        /// order, with the same bits as the AoS pruned enumeration.
-        #[test]
-        fn soa_emission_matches_aos(
-            accesses in proptest::collection::vec(0u64..24, 1..400),
-            cutoff_scale in 0.0f64..1.2,
-        ) {
-            let mut t = PrefetchTree::new();
-            for &b in &accesses {
-                t.record_access(BlockId(b));
-            }
-            for (node, base_p, base_d) in sample_anchors(&t) {
-                let min_p = cutoff_scale * base_p;
-                let mut aos = Vec::new();
-                t.child_candidates_pruned(node, base_p, base_d, min_p, &mut aos);
                 let mut soa = CandidateBatch::new();
                 t.child_candidates_pruned_soa(node, base_p, base_d, min_p, &mut soa);
-                proptest::prop_assert_eq!(soa.len(), aos.len());
-                for (i, want) in aos.iter().enumerate() {
-                    let got = soa.candidate(i);
-                    proptest::prop_assert_eq!(&got, want);
-                    proptest::prop_assert_eq!(got.probability.to_bits(), want.probability.to_bits());
-                    proptest::prop_assert_eq!(
-                        got.parent_probability.to_bits(),
-                        want.parent_probability.to_bits()
-                    );
-                }
+                let pruned: Vec<Candidate> = (0..soa.len()).map(|i| soa.candidate(i)).collect();
+                let want = filtered_full(&t, node, base_p, base_d, min_p);
+                proptest::prop_assert_eq!(bits(&pruned), bits(&want));
+
+                let all = filtered_full(&t, node, base_p, base_d, 0.0);
+                let mut full = Vec::new();
+                t.child_candidates(node, base_p, base_d, &mut full);
+                proptest::prop_assert_eq!(bits(&full), bits(&all));
+                let mut topk = Vec::new();
+                t.child_candidates_topk(node, base_p, base_d, k, &mut topk);
+                let first_k = &all[..k.min(all.len())];
+                proptest::prop_assert_eq!(bits(&topk), bits(first_k));
             }
         }
     }

@@ -1,27 +1,11 @@
-//! Prefetch-tree persistence and inspection.
-//!
-//! A trained tree is a valuable artifact — the paper's Section 9.3 shows a
-//! ~1.25 MB tree captures a workload's structure — so an operating system
-//! (or a long-running simulation campaign) wants to checkpoint it. This
-//! module provides:
-//!
-//! * a compact binary snapshot ([`write_tree`] / [`read_tree`]): preorder
-//!   node stream with varint weights, magic + version header, corruption
-//!   detected on load;
-//! * Graphviz export ([`to_dot`]) for inspecting what the tree learned.
-//!
-//! Statistics counters and the LRU recency order are *not* serialized: a
-//! reloaded tree predicts identically but starts fresh statistics and
-//! node-eviction recency (documented limitation; weights are what matter).
+//! Shared pieces of prefetch-tree persistence and inspection: the typed
+//! [`TreeIoError`] and varint helpers the `pftree-snap/v1` codec
+//! ([`crate::snap`]) is built on, and Graphviz export ([`to_dot`]) for
+//! inspecting what the tree learned.
 
 use crate::node::NodeId;
 use crate::tree::PrefetchTree;
-use prefetch_trace::BlockId;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-
-const MAGIC: [u8; 4] = *b"PFLZ";
-const VERSION: u16 = 1;
 
 /// Errors from tree snapshot I/O.
 #[derive(Debug)]
@@ -95,80 +79,6 @@ pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TreeIoError
     Err(TreeIoError::Corrupt("oversized varint"))
 }
 
-/// Serialize a snapshot of `tree`.
-///
-/// Format after the 6-byte header: root weight (varint), then a preorder
-/// stream where each node is `block (varint), weight (varint),
-/// child_count (varint)` followed by its children recursively.
-pub fn write_tree<W: Write>(tree: &PrefetchTree, w: &mut W) -> Result<(), TreeIoError> {
-    let mut out = Vec::with_capacity(16 + tree.node_count() * 6);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    put_varint(&mut out, tree.weight(tree.root()));
-    put_varint(&mut out, tree.child_count(tree.root()) as u64);
-    // Iterative preorder to avoid recursion depth limits on long chains.
-    let mut stack: Vec<NodeId> = tree.children(tree.root()).collect();
-    stack.reverse();
-    while let Some(n) = stack.pop() {
-        put_varint(&mut out, tree.block(n).expect("non-root").0);
-        put_varint(&mut out, tree.weight(n));
-        put_varint(&mut out, tree.child_count(n) as u64);
-        let mut kids: Vec<NodeId> = tree.children(n).collect();
-        kids.reverse();
-        stack.extend(kids);
-    }
-    w.write_all(&out)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Load a snapshot written by [`write_tree`]. The reloaded tree predicts
-/// identically (same structure, weights, child ordering); parse cursor,
-/// statistics and LRU recency start fresh.
-pub fn read_tree<R: Read>(r: &mut R) -> Result<PrefetchTree, TreeIoError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    if buf.len() < 6 || buf[..4] != MAGIC || buf[4..6] != VERSION.to_le_bytes() {
-        return Err(TreeIoError::BadHeader);
-    }
-    let mut pos = 6usize;
-    let root_weight = get_varint(&buf, &mut pos)?;
-    let root_children = get_varint(&buf, &mut pos)? as usize;
-
-    let mut tree = PrefetchTree::new();
-    tree.restore_root_weight(root_weight);
-    // (parent node, children still to read, weight budget left at parent):
-    // a node's children can never outweigh the node (LZ invariant).
-    let mut stack: Vec<(NodeId, usize, u64)> = vec![(tree.root(), root_children, root_weight)];
-    while let Some(&mut (parent, ref mut remaining, ref mut budget)) = stack.last_mut() {
-        if *remaining == 0 {
-            stack.pop();
-            continue;
-        }
-        *remaining -= 1;
-        let block = BlockId(get_varint(&buf, &mut pos)?);
-        let weight = get_varint(&buf, &mut pos)?;
-        if weight == 0 {
-            return Err(TreeIoError::Corrupt("zero node weight"));
-        }
-        if weight > *budget {
-            return Err(TreeIoError::Corrupt("children outweigh their parent"));
-        }
-        *budget -= weight;
-        let child_count = get_varint(&buf, &mut pos)? as usize;
-        if child_count > 1 << 24 {
-            return Err(TreeIoError::Corrupt("absurd child count"));
-        }
-        let node = tree.restore_child(parent, block, weight).map_err(TreeIoError::Corrupt)?;
-        stack.push((node, child_count, weight));
-    }
-    if pos != buf.len() {
-        return Err(TreeIoError::Corrupt("trailing bytes"));
-    }
-    tree.check_restored();
-    Ok(tree)
-}
-
 /// Render the subtree below `anchor` (up to `max_depth` levels and
 /// `max_nodes` nodes) as Graphviz dot, labelling edges with conditional
 /// probabilities.
@@ -210,6 +120,7 @@ pub fn to_dot(tree: &PrefetchTree, anchor: NodeId, max_depth: u32, max_nodes: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prefetch_trace::BlockId;
 
     fn trained() -> PrefetchTree {
         let mut t = PrefetchTree::new();
@@ -217,83 +128,6 @@ mod tests {
             t.record_access(BlockId(b));
         }
         t
-    }
-
-    fn round_trip(t: &PrefetchTree) -> PrefetchTree {
-        let mut buf = Vec::new();
-        write_tree(t, &mut buf).unwrap();
-        read_tree(&mut &buf[..]).unwrap()
-    }
-
-    #[test]
-    fn snapshot_preserves_structure_and_weights() {
-        let t = trained();
-        let back = round_trip(&t);
-        assert_eq!(back.node_count(), t.node_count());
-        assert_eq!(back.weight(back.root()), t.weight(t.root()));
-        // Spot-check the paper example's nodes.
-        let a = back.child_by_block(back.root(), BlockId(1)).expect("node a");
-        assert_eq!(back.weight(a), 5);
-        let ab = back.child_by_block(a, BlockId(2)).expect("node ab");
-        assert_eq!(back.weight(ab), 3);
-        back.check_invariants();
-    }
-
-    #[test]
-    fn reloaded_tree_predicts_identically() {
-        let t = trained();
-        let back = round_trip(&t);
-        let orig: Vec<_> = t.candidates_below(t.root(), 3, 16);
-        let rest: Vec<_> = back.candidates_below(back.root(), 3, 16);
-        assert_eq!(orig.len(), rest.len());
-        for (a, b) in orig.iter().zip(&rest) {
-            assert_eq!(a.block, b.block);
-            assert!((a.probability - b.probability).abs() < 1e-12);
-            assert_eq!(a.depth, b.depth);
-        }
-    }
-
-    #[test]
-    fn reloaded_tree_continues_training() {
-        let t = trained();
-        let mut back = round_trip(&t);
-        for b in [1u64, 2, 3, 1, 2, 3] {
-            back.record_access(BlockId(b));
-        }
-        back.check_invariants();
-    }
-
-    #[test]
-    fn big_random_tree_round_trips() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
-        let mut t = PrefetchTree::new();
-        for _ in 0..50_000 {
-            t.record_access(BlockId(rng.gen_range(0..200)));
-        }
-        let back = round_trip(&t);
-        assert_eq!(back.node_count(), t.node_count());
-        back.check_invariants();
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let t = trained();
-        let mut buf = Vec::new();
-        write_tree(&t, &mut buf).unwrap();
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(matches!(read_tree(&mut &bad[..]), Err(TreeIoError::BadHeader)));
-        // Truncations must error, not panic.
-        for cut in 1..buf.len().min(12) {
-            let shorter = &buf[..buf.len() - cut];
-            assert!(read_tree(&mut &shorter[..]).is_err(), "cut {cut} accepted");
-        }
-        // Trailing garbage.
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(read_tree(&mut &padded[..]).is_err());
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //! assert_eq!(t.child_probability(root, a), 5.0 / 6.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod arena;
 pub mod candidates;
 pub mod io;
@@ -50,7 +52,7 @@ pub mod stats;
 pub mod tree;
 
 pub use candidates::{Candidate, CandidateBatch};
-pub use io::{read_tree, to_dot, write_tree, TreeIoError};
+pub use io::{to_dot, TreeIoError};
 pub use node::NodeId;
 pub use snap::SnapshotInfo;
 pub use stats::TreeStats;

@@ -1,7 +1,6 @@
 //! `pftree-snap/v1`: versioned, compressed, fingerprinted tree snapshots.
 //!
-//! [`crate::io::write_tree`] persists *predictions* (structure + weights);
-//! this module persists the *complete* training state — arena arrays, the
+//! This module persists the *complete* training state — arena arrays, the
 //! free list, the parse cursor, LRU recency, statistics, and the node
 //! budget — so a restored tree's future is **bit-identical** to the
 //! snapshotted tree's future. That is what `pfserve --snapshot-dir`

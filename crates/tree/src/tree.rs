@@ -474,38 +474,6 @@ impl PrefetchTree {
         }
     }
 
-    /// Snapshot support: set the root weight on a freshly created tree.
-    pub(crate) fn restore_root_weight(&mut self, weight: u64) {
-        debug_assert_eq!(self.node_count(), 0, "restore into a fresh tree only");
-        self.arena.weights[0] = weight;
-    }
-
-    /// Snapshot support: append a child with an explicit weight. Children
-    /// must be appended in non-increasing weight order (the serialized
-    /// order); violations are reported, not panicked, so corrupt
-    /// snapshots fail cleanly.
-    pub(crate) fn restore_child(
-        &mut self,
-        parent: NodeId,
-        block: BlockId,
-        weight: u64,
-    ) -> Result<NodeId, &'static str> {
-        if self.arena.edges.contains_key(&(parent.0, block.0)) {
-            return Err("duplicate child block");
-        }
-        if let Some(&last) = self.arena.children(parent.0).last() {
-            if self.arena.weights[last as usize] < weight {
-                return Err("children not in descending weight order");
-            }
-        }
-        let idx = self.create_child(parent.0, block);
-        self.arena.weights[idx as usize] = weight;
-        self.touch_lru(idx);
-        // Snapshot restoration is not live training.
-        self.stats.nodes_created -= 1;
-        Ok(NodeId(idx))
-    }
-
     /// Snapshot support: debug-verify a freshly restored tree.
     pub(crate) fn check_restored(&self) {
         #[cfg(debug_assertions)]

@@ -1,13 +1,10 @@
 //! Corruption robustness: any byte-level damage to a serialized tree —
 //! truncation, bit flips, random byte rewrites — must surface as a typed
-//! `TreeIoError`, never a panic, for both the legacy preorder format
-//! (`read_tree`, `PFLZ`) and the full-state snapshot (`read_snapshot`,
-//! `pftree-snap/v1`). When a mutation happens to still parse, the decoded
-//! tree must satisfy every structural invariant: the readers admit
-//! nothing they cannot vouch for.
+//! `TreeIoError`, never a panic (`read_snapshot`, `pftree-snap/v1`). When
+//! a mutation happens to still parse, the decoded tree must satisfy every
+//! structural invariant: the reader admits nothing it cannot vouch for.
 
 use prefetch_trace::BlockId;
-use prefetch_tree::io::{read_tree, write_tree};
 use prefetch_tree::PrefetchTree;
 use proptest::prelude::*;
 
@@ -17,12 +14,6 @@ fn trained(blocks: &[u64]) -> PrefetchTree {
         t.record_access(BlockId(b));
     }
     t
-}
-
-fn legacy_bytes(t: &PrefetchTree) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_tree(t, &mut buf).unwrap();
-    buf
 }
 
 fn snap_bytes(t: &PrefetchTree) -> Vec<u8> {
@@ -51,30 +42,6 @@ fn mutate(buf: &mut [u8], muts: &[(usize, u8)]) {
 }
 
 proptest! {
-    #[test]
-    fn mutated_legacy_stream_errors_but_never_panics(
-        blocks in blocks(),
-        muts in mutations(),
-    ) {
-        let mut buf = legacy_bytes(&trained(&blocks));
-        mutate(&mut buf, &muts);
-        if let Ok(t) = read_tree(&mut &buf[..]) {
-            t.check_invariants();
-        }
-    }
-
-    #[test]
-    fn truncated_legacy_stream_errors_but_never_panics(
-        blocks in blocks(),
-        keep in 0usize..1 << 20,
-    ) {
-        let buf = legacy_bytes(&trained(&blocks));
-        let cut = keep % buf.len();
-        if let Ok(t) = read_tree(&mut &buf[..cut]) {
-            t.check_invariants();
-        }
-    }
-
     #[test]
     fn mutated_snapshot_errors_but_never_panics(
         blocks in blocks(),
@@ -124,7 +91,6 @@ fn arbitrary_garbage_is_rejected() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(41);
     for len in [0usize, 1, 6, 24, 25, 100, 4096] {
         let noise: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        assert!(read_tree(&mut &noise[..]).is_err(), "legacy accepted {len}B of noise");
         assert!(
             PrefetchTree::read_snapshot(&mut &noise[..]).is_err(),
             "snapshot accepted {len}B of noise"

@@ -22,6 +22,7 @@
 //! short writes, fsync errors, silent bit flips) so the degradation
 //! machinery above them is exercised deterministically in tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomic;

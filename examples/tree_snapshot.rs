@@ -8,7 +8,7 @@
 //! ```
 
 use predictive_prefetch::prelude::*;
-use predictive_prefetch::tree::{read_tree, to_dot, write_tree};
+use predictive_prefetch::tree::to_dot;
 
 fn main() {
     let out_dir = std::env::args()
@@ -33,9 +33,7 @@ fn main() {
 
     // Snapshot.
     let snap_path = out_dir.join("cad.pftree");
-    let mut file = std::fs::File::create(&snap_path).expect("create snapshot");
-    write_tree(&tree, &mut file).expect("write snapshot");
-    let bytes = std::fs::metadata(&snap_path).unwrap().len();
+    let bytes = tree.save_snapshot(&snap_path).expect("write snapshot").encoded_bytes;
     println!(
         "snapshot: {} ({} KB on disk — {:.1} bytes/node)",
         snap_path.display(),
@@ -51,10 +49,7 @@ fn main() {
 
     // Day 2: a new process reloads the snapshot and is predictive from
     // the first access — no cold start.
-    let mut warm = {
-        let mut file = std::fs::File::open(&snap_path).expect("open snapshot");
-        read_tree(&mut file).expect("read snapshot")
-    };
+    let mut warm = PrefetchTree::load_snapshot(&snap_path).expect("read snapshot");
     let mut cold = PrefetchTree::new();
     let day2 = TraceKind::Cad.generate(20_000, 6); // same design, new session
     let (mut warm_hits, mut cold_hits) = (0u64, 0u64);

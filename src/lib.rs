@@ -28,6 +28,8 @@
 //! assert!(tree.metrics.miss_rate() <= base.metrics.miss_rate());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use prefetch_cache as cache;
 pub use prefetch_core as core;
 pub use prefetch_disk as disk;
@@ -40,8 +42,8 @@ pub use prefetch_tree as tree;
 pub mod prelude {
     pub use prefetch_cache::{BufferCache, PrefetchMeta, StackDistanceEstimator};
     pub use prefetch_core::policy::{
-        NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy, RefContext,
-        RefKind, TreeChildren, TreeLvc, TreeNextLimit, TreePolicy, TreeThreshold, Victim,
+        EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy,
+        RefContext, RefKind, TreeChildren, TreeThreshold, Victim,
     };
     pub use prefetch_core::{
         CostBenefitEngine, CostBenefitModel, EngineConfig, ModelConfig, Quarantine, RetryPolicy,

@@ -146,14 +146,13 @@ proptest! {
     /// (structure, weights, candidate enumeration).
     #[test]
     fn tree_snapshot_round_trips(blocks in proptest::collection::vec(0u64..64, 0..600)) {
-        use predictive_prefetch::tree::{read_tree, write_tree};
         let mut tree = PrefetchTree::new();
         for &b in &blocks {
             tree.record_access(BlockId(b));
         }
         let mut buf = Vec::new();
-        write_tree(&tree, &mut buf).unwrap();
-        let back = read_tree(&mut &buf[..]).unwrap();
+        tree.write_snapshot(&mut buf).unwrap();
+        let back = PrefetchTree::read_snapshot(&mut &buf[..]).unwrap();
         prop_assert_eq!(back.node_count(), tree.node_count());
         prop_assert_eq!(back.weight(back.root()), tree.weight(tree.root()));
         let a = tree.candidates_below(tree.root(), 4, 32);
@@ -175,16 +174,15 @@ proptest! {
         flip_at in 0usize..200,
         flip_bits in 1u8..=255,
     ) {
-        use predictive_prefetch::tree::{read_tree, write_tree};
         let mut tree = PrefetchTree::new();
         for &b in &blocks {
             tree.record_access(BlockId(b));
         }
         let mut buf = Vec::new();
-        write_tree(&tree, &mut buf).unwrap();
+        tree.write_snapshot(&mut buf).unwrap();
         let idx = flip_at % buf.len();
         buf[idx] ^= flip_bits;
-        if let Ok(t) = read_tree(&mut &buf[..]) {
+        if let Ok(t) = PrefetchTree::read_snapshot(&mut &buf[..]) {
             // Accepted mutations must still produce a structurally valid
             // tree (check_invariants panics otherwise, failing the test).
             t.check_invariants();
