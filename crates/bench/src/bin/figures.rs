@@ -5,7 +5,7 @@
 //! ```text
 //! figures <id>|all [--quick] [--refs N] [--seed S] [--out DIR] [--csv]
 //!         [--checkpoint DIR] [--resume] [--deadline-ms N] [--retries N]
-//!         [--bench-json PATH] [--log-json PATH] [--threads N]
+//!         [--log-json PATH] [--threads N]
 //!         [--save-tree DIR] [--load-tree DIR]
 //! ```
 //!
@@ -22,12 +22,7 @@
 //! collects cells in index order and the checkpoint journal flushes in
 //! fingerprint order, so CSVs and journals never depend on the schedule.
 //!
-//! `--bench-json PATH` profiles every sweep cell and writes a
-//! machine-readable perf artifact (wall time, refs/sec, cell count, and
-//! per-phase breakdown per experiment); with id `all` the experiments run
-//! individually so each gets its own attribution. `--log-json PATH`
-//! mirrors the structured run log (JSONL) for archiving alongside the
-//! artifact.
+//! `--log-json PATH` mirrors the structured run log (JSONL) to a file.
 //!
 //! `<id>` is one of `table1 table2 table3 table4 fig6 fig7 fig8 fig9 fig10
 //! fig11 fig12 fig13 fig14 fig15 fig16 fig17`. Markdown renderings go to
@@ -42,7 +37,6 @@
 //! reported at the end and render as `NA` in the affected tables; the
 //! process then exits with code 2 instead of aborting the whole sweep.
 
-use prefetch_bench::perf::{render_bench_json, ExperimentPerf};
 use prefetch_sim::checkpoint::JOURNAL_FILE;
 use prefetch_sim::experiments::{run_all, run_experiment, ExperimentOpts, TraceSet, ALL_IDS};
 use prefetch_telemetry::log as tlog;
@@ -56,7 +50,6 @@ struct Args {
     out: Option<PathBuf>,
     csv_stdout: bool,
     resume: bool,
-    bench_json: Option<PathBuf>,
     log_json: Option<PathBuf>,
 }
 
@@ -67,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut csv_stdout = false;
     let mut resume = false;
-    let mut bench_json = None;
     let mut log_json = None;
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -110,10 +102,6 @@ fn parse_args() -> Result<Args, String> {
                 let n: u32 = v.parse().map_err(|_| format!("bad --retries {v:?}"))?;
                 opts.harness.max_attempts = n.max(1);
             }
-            "--bench-json" => {
-                let v = argv.next().ok_or("--bench-json needs a path")?;
-                bench_json = Some(PathBuf::from(v));
-            }
             "--log-json" => {
                 let v = argv.next().ok_or("--log-json needs a path")?;
                 log_json = Some(PathBuf::from(v));
@@ -148,17 +136,13 @@ fn parse_args() -> Result<Args, String> {
             ALL_IDS.join(", ")
         ));
     }
-    if bench_json.is_some() {
-        // Per-phase attribution needs profiled cells.
-        opts.harness.profile = true;
-    }
-    Ok(Args { id, opts, out, csv_stdout, resume, bench_json, log_json })
+    Ok(Args { id, opts, out, csv_stdout, resume, log_json })
 }
 
 fn usage() -> String {
     "usage: figures <id>|all [--quick] [--refs N] [--seed S] [--out DIR] [--csv] \
      [--checkpoint DIR] [--resume] [--deadline-ms N] [--retries N] \
-     [--bench-json PATH] [--log-json PATH] [--threads N] [--save-tree DIR] [--load-tree DIR]"
+     [--log-json PATH] [--threads N] [--save-tree DIR] [--load-tree DIR]"
         .to_string()
 }
 
@@ -203,43 +187,13 @@ fn main() -> ExitCode {
         .str("id", args.id.clone())
         .u64("refs", args.opts.refs as u64)
         .u64("seed", args.opts.seed)
-        .bool("profile", args.opts.harness.profile)
         .u64("threads", prefetch_pool::effective_threads() as u64)
         .emit();
     let t0 = Instant::now();
     let traces = TraceSet::generate(&args.opts);
     tlog::info("traces_ready").f64("elapsed_s", t0.elapsed().as_secs_f64()).emit();
 
-    // With --bench-json every experiment runs individually (even under
-    // `all`) so wall time, throughput, and phase totals attribute cleanly;
-    // the per-experiment snapshot deltas of the shared sweep log isolate
-    // each experiment's contribution.
-    let mut perfs: Vec<ExperimentPerf> = Vec::new();
-    let reports = if args.bench_json.is_some() {
-        let ids: Vec<&str> =
-            if args.id == "all" { ALL_IDS.to_vec() } else { vec![args.id.as_str()] };
-        let log = args.opts.harness.log.clone();
-        let mut reports = Vec::new();
-        for id in ids {
-            let refs0 = log.refs_simulated();
-            let phases0 = log.phases();
-            let s0 = log.summary();
-            let te = Instant::now();
-            reports.extend(run_experiment(id, &traces, &args.opts));
-            let wall_ms = te.elapsed().as_secs_f64() * 1e3;
-            let s1 = log.summary();
-            let cells =
-                (s1.ok + s1.restored + s1.incomplete()) - (s0.ok + s0.restored + s0.incomplete());
-            perfs.push(ExperimentPerf {
-                id: id.to_string(),
-                wall_ms,
-                refs: log.refs_simulated() - refs0,
-                cells,
-                phases: log.phases().minus(&phases0),
-            });
-        }
-        reports
-    } else if args.id == "all" {
+    let reports = if args.id == "all" {
         run_all(&traces, &args.opts)
     } else {
         run_experiment(&args.id, &traces, &args.opts)
@@ -270,21 +224,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if let Some(path) = &args.bench_json {
-        let json = render_bench_json(args.opts.refs, args.opts.seed, &perfs);
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            tlog::error("bench_json_failed")
-                .str("path", path.display().to_string())
-                .str("error", e.to_string())
-                .emit();
-            tlog::flush();
-            return ExitCode::FAILURE;
-        }
-        tlog::info("bench_json_written")
-            .str("path", path.display().to_string())
-            .u64("experiments", perfs.len() as u64)
-            .emit();
     }
     tlog::info("run_done")
         .f64("elapsed_s", t0.elapsed().as_secs_f64())

@@ -7,8 +7,8 @@
 //! | [`EnginePolicy::tree`] | 2-7 | the paper's contribution: prefetch-tree candidates judged by cost-benefit analysis |
 //! | [`EnginePolicy::tree_next_limit`] | 9 | `tree` + `next-limit` combined — the paper's best performer |
 //! | [`EnginePolicy::tree_lvc`] | 9.6 | `tree` + always prefetch the cursor's last-visited child |
-//! | [`TreeThreshold`] | 9.7 | parametric baseline (Curewitz et al.): prefetch all children above a probability threshold |
-//! | [`TreeChildren`] | 9.7 | parametric baseline (Kroeger & Long): prefetch the top-k children |
+//! | [`ChildPolicy::tree_threshold`] | 9.7 | parametric baseline (Curewitz et al.): prefetch all children above a probability threshold |
+//! | [`ChildPolicy::tree_children`] | 9.7 | parametric baseline (Kroeger & Long): prefetch the top-k children |
 //! | [`PerfectSelector`] | 9.5 | oracle: prefetch the actual next access iff the tree predicted it |
 //!
 //! The simulation driver (in `prefetch-sim`) owns the [`BufferCache`] and
@@ -22,14 +22,12 @@ mod next_limit;
 mod no_prefetch;
 mod perfect_selector;
 mod tree_children;
-mod tree_threshold;
 
 pub use engine_policy::EnginePolicy;
 pub use next_limit::NextLimit;
 pub use no_prefetch::NoPrefetch;
 pub use perfect_selector::PerfectSelector;
-pub use tree_children::TreeChildren;
-pub use tree_threshold::TreeThreshold;
+pub use tree_children::ChildPolicy;
 
 use prefetch_cache::BufferCache;
 use prefetch_trace::BlockId;

@@ -1,7 +1,7 @@
 //! The `next-limit` baseline: one-block-lookahead sequential prefetching
 //! with the prefetch partition capped at 10% of the cache (paper Section 9).
 
-use crate::policy::{PeriodActivity, PrefetchPolicy, RefContext, RefKind, Victim};
+use crate::policy::{default_victim, PeriodActivity, PrefetchPolicy, RefContext, RefKind, Victim};
 use prefetch_cache::{BufferCache, PrefetchMeta};
 use prefetch_trace::BlockId;
 
@@ -105,11 +105,7 @@ impl PrefetchPolicy for NextLimit {
 
     fn choose_demand_victim(&mut self, cache: &BufferCache) -> Victim {
         // Keep the (small) prefetch partition; replace from the demand LRU.
-        if cache.demand_len() > 0 {
-            Victim::DemandLru
-        } else {
-            Victim::Prefetch(cache.prefetch_iter_lru().next().expect("cache full").0)
-        }
+        default_victim(cache)
     }
 
     fn after_reference(

@@ -7,7 +7,7 @@
 //! the disk access has been identified by the prediction scheme as a
 //! candidate for prefetching."
 
-use crate::policy::{PeriodActivity, PrefetchPolicy, RefContext, Victim};
+use crate::policy::{default_victim, PeriodActivity, PrefetchPolicy, RefContext, Victim};
 use prefetch_cache::{BufferCache, PrefetchMeta};
 use prefetch_tree::PrefetchTree;
 
@@ -41,11 +41,7 @@ impl PrefetchPolicy for PerfectSelector {
     }
 
     fn choose_demand_victim(&mut self, cache: &BufferCache) -> Victim {
-        if cache.demand_len() > 0 {
-            Victim::DemandLru
-        } else {
-            Victim::Prefetch(cache.prefetch_iter_lru().next().expect("cache full").0)
-        }
+        default_victim(cache)
     }
 
     fn after_reference(

@@ -5,7 +5,7 @@
 //! pfserve --socket /tmp/pfserve.sock        # serve a unix socket
 //! pfserve --threads 4 --queue-cap 256 \
 //!         --max-tenants 2000 --memory-budget-mb 64 \
-//!         --advice-dir out/advice --bench-json BENCH.json
+//!         --advice-dir out/advice
 //! ```
 //!
 //! Requests are lines of the `prefetch-serve` protocol (`OPEN`, `EV`,
@@ -38,8 +38,6 @@ struct Args {
     threads: usize,
     batch: usize,
     opts: ServeOpts,
-    bench_json: Option<std::path::PathBuf>,
-    recovery_bench_json: Option<std::path::PathBuf>,
     log_json: Option<std::path::PathBuf>,
     quiet: bool,
 }
@@ -52,10 +50,9 @@ fn usage() -> String {
      \x20             [--wal-dir DIR] [--recover DIR]\n\
      \x20             [--fsync always|never] [--fsync-every-n N]\n\
      \x20             [--fsync-interval-ms N] [--checkpoint-every N]\n\
-     \x20             [--recover-cap-events N] [--recovery-bench-json PATH]\n\
+     \x20             [--recover-cap-events N]\n\
      \x20             [--metrics-out PATH] [--metrics-every N] [--trace-ring N]\n\
-     \x20             [--log-json PATH] [--bench-json PATH]\n\
-     \x20             [--no-echo-advice] [--quiet]\n\
+     \x20             [--log-json PATH] [--no-echo-advice] [--quiet]\n\
      \n\
      Serves the pfserve line protocol on stdin (default) or a unix socket.\n\
      SHUTDOWN or stdin EOF drains every tenant and exits 0.\n\
@@ -84,8 +81,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         batch: 256,
         opts: ServeOpts::default(),
-        bench_json: None,
-        recovery_bench_json: None,
         log_json: None,
         quiet: false,
     };
@@ -173,9 +168,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--recover-cap-events needs an integer".to_string())?;
             }
-            "--recovery-bench-json" => {
-                args.recovery_bench_json = Some(next_val(&mut it, "--recovery-bench-json")?.into());
-            }
             "--metrics-out" => {
                 args.opts.metrics_out = Some(next_val(&mut it, "--metrics-out")?.into());
             }
@@ -190,7 +182,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--trace-ring needs an integer".to_string())?;
             }
             "--log-json" => args.log_json = Some(next_val(&mut it, "--log-json")?.into()),
-            "--bench-json" => args.bench_json = Some(next_val(&mut it, "--bench-json")?.into()),
             "--no-echo-advice" => args.opts.echo_advice = false,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => return Err(usage()),
@@ -293,18 +284,6 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_LISTENER_IO);
     }
 
-    if let Some(path) = &args.bench_json {
-        if let Err(e) = std::fs::write(path, service.bench_json()) {
-            eprintln!("pfserve: cannot write --bench-json {}: {e}", path.display());
-            return ExitCode::from(EXIT_LISTENER_IO);
-        }
-    }
-    if let Some(path) = &args.recovery_bench_json {
-        if let Err(e) = std::fs::write(path, service.recovery_bench_json()) {
-            eprintln!("pfserve: cannot write --recovery-bench-json {}: {e}", path.display());
-            return ExitCode::from(EXIT_LISTENER_IO);
-        }
-    }
     if !args.quiet {
         let s = &service.stats;
         eprintln!(

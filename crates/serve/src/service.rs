@@ -1254,35 +1254,6 @@ impl Service {
             .emit();
     }
 
-    /// Render the `pfserve-bench/v1` JSON artifact (tenant throughput and
-    /// advice-latency percentiles from the telemetry histogram).
-    pub fn bench_json(&self) -> String {
-        let s = &self.stats;
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let per_sec = |n: u64| if elapsed > 0.0 { n as f64 / elapsed } else { 0.0 };
-        let h = &self.advice_latency_us;
-        format!(
-            "{{\"schema\":\"pfserve-bench/v1\",\"tenants\":{},\"events\":{},\"elapsed_s\":{:.3},\
-             \"tenants_per_sec\":{:.3},\"events_per_sec\":{:.3},\"sheds\":{},\"rejects\":{},\
-             \"parse_errors\":{},\"quarantined\":{},\"advice_latency_us\":{{\"count\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}}}",
-            s.opens,
-            s.events,
-            elapsed,
-            per_sec(s.opens),
-            per_sec(s.events),
-            s.sheds,
-            s.rejects,
-            s.parse_errors,
-            s.quarantined,
-            h.count(),
-            h.p50(),
-            h.p90(),
-            h.p99(),
-            h.max(),
-        )
-    }
-
     // -- recovery -----------------------------------------------------------
 
     /// Recover tenants from the WAL directory before serving.
@@ -1664,50 +1635,6 @@ impl Service {
             }
             None => false,
         }
-    }
-
-    /// Render the `pfserve-recovery-bench/v1` JSON artifact: WAL volume
-    /// and fsync counts (for fsync-policy overhead comparisons) plus the
-    /// recovery outcome and replay throughput, when a recovery ran.
-    pub fn recovery_bench_json(&self) -> String {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let s = &self.stats;
-        let wal = match &self.wal {
-            Some(w) => format!(
-                "{{\"enabled\":true,\"appends\":{},\"fsyncs\":{},\"sync_errors\":{},\
-                 \"degraded_tenants\":{},\"checkpoints\":{}}}",
-                w.appends, w.fsyncs, w.sync_errors, w.degraded_tenants, w.checkpoints
-            ),
-            None => "{\"enabled\":false}".to_string(),
-        };
-        let recovery = match &self.recovery {
-            Some(r) => {
-                let secs = r.elapsed_ms as f64 / 1000.0;
-                format!(
-                    "{{\"replayed_tenants\":{},\"degraded_tenants\":{},\"closed_tenants\":{},\
-                     \"quarantined_tenants\":{},\"torn_truncated\":{},\"replayed_events\":{},\
-                     \"recovery_ms\":{},\"replay_events_per_sec\":{:.3}}}",
-                    r.replayed,
-                    r.degraded,
-                    r.closed,
-                    r.quarantined,
-                    r.torn_truncated,
-                    r.replayed_events,
-                    r.elapsed_ms,
-                    if secs > 0.0 { r.replayed_events as f64 / secs } else { 0.0 },
-                )
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"schema\":\"pfserve-recovery-bench/v1\",\"fsync_policy\":\"{}\",\
-             \"events\":{},\"elapsed_s\":{:.3},\"events_per_sec\":{:.3},\"wal\":{wal},\
-             \"recovery\":{recovery}}}",
-            self.opts.wal.fsync.name(),
-            s.events,
-            elapsed,
-            if elapsed > 0.0 { s.events as f64 / elapsed } else { 0.0 },
-        )
     }
 }
 

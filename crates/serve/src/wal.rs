@@ -192,7 +192,7 @@ pub(crate) struct TenantLog {
 
 /// The service's durability state: the WAL directory, every open
 /// tenant log (keyed by slot index), the group-commit tracker, and the
-/// counters surfaced in `BYE` and the recovery bench artifact.
+/// counters surfaced in `BYE`.
 pub(crate) struct Durability {
     dir: PathBuf,
     pub(crate) commit: GroupCommit,

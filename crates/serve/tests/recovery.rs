@@ -436,3 +436,45 @@ fn over_cap_recovery_degrades_from_checkpoint() {
     assert!(final_t0.contains(" recovered=degraded "), "{final_t0}");
     let _ = fs::remove_dir_all(&root);
 }
+
+/// The `key=` counter of a `BYE` line.
+fn bye_field(bye: &str, key: &str) -> u64 {
+    let value = bye
+        .split_ascii_whitespace()
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {bye:?}"));
+    value.parse().unwrap_or_else(|_| panic!("{key}={value:?} is not a count"))
+}
+
+/// The fsync policy moves only the number of syncs: the same script logs
+/// the same appends under `always` and `never`, `always` syncs strictly
+/// more often, and `--recover` over the `always` directory replays it.
+#[test]
+fn fsync_policy_changes_syncs_not_appends_and_the_log_replays() {
+    let root = tmp_dir("fsync");
+    let lines = script(3, 30);
+    let drained_bye = |policy: FsyncPolicy, wal: &Path| {
+        let mut o = opts(&root.join("advice"), wal);
+        o.wal.fsync = policy;
+        let mut s = Service::new(o).unwrap();
+        feed(&mut s, &lines, 16);
+        s.drain().pop().expect("drain ends with BYE")
+    };
+    let always = drained_bye(FsyncPolicy::Always, &root.join("wal-always"));
+    let never = drained_bye(FsyncPolicy::Never, &root.join("wal-never"));
+    assert!(bye_field(&always, "wal_appends") > 0, "{always}");
+    assert_eq!(bye_field(&always, "wal_appends"), bye_field(&never, "wal_appends"));
+    assert!(
+        bye_field(&always, "wal_fsyncs") > bye_field(&never, "wal_fsyncs"),
+        "always: {always}\nnever: {never}"
+    );
+
+    let mut ropts = opts(&root.join("advice-rec"), &root.join("wal-always"));
+    ropts.wal.recover = true;
+    let mut s = Service::new(ropts).unwrap();
+    let _ = s.recover();
+    let bye = s.drain().pop().expect("drain ends with BYE");
+    assert_eq!(bye_field(&bye, "recovered_replayed"), 3, "{bye}");
+    assert_eq!(bye_field(&bye, "replayed_events"), 90, "{bye}");
+    let _ = fs::remove_dir_all(&root);
+}

@@ -7,8 +7,12 @@
 //! baseline. That is the cross-tenant-isolation guarantee the CI chaos
 //! job re-checks from the outside.
 
+use prefetch_core::policy::RefKind;
 use prefetch_serve::loadgen::{generate, Fate, LoadgenOpts};
-use prefetch_serve::{AdmissionConfig, ServeOpts, Service};
+use prefetch_serve::{AdmissionConfig, ServeOpts, Service, TenantDefaults, TenantSpec};
+use prefetch_sim::{SimEvent, SimMetrics, SimObserver, Simulator};
+use prefetch_trace::synth::TraceKind;
+use prefetch_trace::{BlockId, TraceRecord};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -337,4 +341,72 @@ fn advice_files_capture_per_tenant_streams() {
         expect.iter().map(String::as_str).collect::<Vec<_>>()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One step's advice, read off the simulator's event stream.
+#[derive(Default)]
+struct StepAdvice {
+    kind: Option<RefKind>,
+    stall_ms: f64,
+    prefetched: Vec<BlockId>,
+}
+
+impl SimObserver for StepAdvice {
+    fn on_event(&mut self, event: &SimEvent<'_>) {
+        match event {
+            SimEvent::Reference { kind, stall_ms, .. } => {
+                self.kind = Some(*kind);
+                self.stall_ms = *stall_ms;
+            }
+            SimEvent::Period { activity, .. } => {
+                self.prefetched.extend_from_slice(&activity.prefetched_blocks);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// pfserve ≡ pfsim: a tenant fed a trace through `process_batch` gets,
+/// event for event, the decisions of a bare `Simulator::step` loop over
+/// the `SimConfig` its `OPEN` resolves to.
+#[test]
+fn a_tenant_is_advised_exactly_as_the_simulator_decides() {
+    let trace = TraceKind::Cad.generate(2_500, 11);
+    let mut lines = vec!["OPEN t0".to_string()];
+    lines.extend(trace.blocks().map(|b| format!("EV t0 {}", b.0)));
+    let opts = ServeOpts { echo_advice: true, ..ServeOpts::default() };
+    let (responses, finals) = run_script(&lines, opts, 64);
+    let served: Vec<&String> = responses.iter().filter(|l| l.starts_with("ADV ")).collect();
+    assert_eq!(served.len(), trace.len());
+
+    let spec = TenantSpec::from_opts(&[], &TenantDefaults::default()).unwrap();
+    let mut sim = Simulator::new(&spec.to_sim_config());
+    let mut metrics = SimMetrics::default();
+    for (seq, (block, got)) in trace.blocks().zip(&served).enumerate() {
+        let mut advice = StepAdvice::default();
+        sim.step(TraceRecord::read(block), None, &mut (&mut metrics, &mut advice));
+        let kind = match advice.kind.expect("every step reports its reference") {
+            RefKind::DemandHit => 'h',
+            RefKind::PrefetchHit => 'p',
+            RefKind::Miss => 'm',
+        };
+        let pf: Vec<String> = advice.prefetched.iter().map(|b| b.0.to_string()).collect();
+        let pf = if pf.is_empty() { "-".to_string() } else { pf.join(",") };
+        let want = format!("ADV t0 {seq} {kind} stall={} pf={pf}", advice.stall_ms);
+        assert_eq!(**got, want, "event {seq}");
+    }
+    assert!(metrics.prefetch_hits > 0, "the trace must exercise prefetching: {metrics:?}");
+
+    let want_final = format!(
+        "FINAL t0 events={} skipped=0 shed=0 demand_hits={} prefetch_hits={} misses={} \
+         prefetches={} prefetch_faults=0 stall_ms={} elapsed_ms={} quarantined=false ",
+        trace.len(),
+        metrics.demand_hits,
+        metrics.prefetch_hits,
+        metrics.misses,
+        metrics.prefetches_issued,
+        metrics.stall_ms,
+        sim.clock().now()
+    );
+    assert!(finals[0].starts_with(&want_final), "got {:?}\nwant {want_final:?}", finals[0]);
 }

@@ -2,8 +2,8 @@
 //! constants.
 
 use prefetch_core::policy::{
-    EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy,
-    RefContext, TreeChildren, TreeThreshold, Victim,
+    ChildPolicy, EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity,
+    PrefetchPolicy, RefContext, Victim,
 };
 use prefetch_core::{EngineConfig, RetryPolicy, SystemParams};
 use prefetch_disk::FaultPlan;
@@ -77,8 +77,8 @@ impl PolicySpec {
             PolicySpec::Tree => Box::new(EnginePolicy::tree(params, engine)),
             PolicySpec::TreeNextLimit => Box::new(EnginePolicy::tree_next_limit(params, engine)),
             PolicySpec::TreeLvc => Box::new(EnginePolicy::tree_lvc(params, engine)),
-            PolicySpec::TreeThreshold(t) => Box::new(TreeThreshold::new(t)),
-            PolicySpec::TreeChildren(k) => Box::new(TreeChildren::new(k)),
+            PolicySpec::TreeThreshold(t) => Box::new(ChildPolicy::tree_threshold(t)),
+            PolicySpec::TreeChildren(k) => Box::new(ChildPolicy::tree_children(k)),
             PolicySpec::PerfectSelector => Box::new(PerfectSelector::new()),
             PolicySpec::TreeReanchor => {
                 let cfg = prefetch_core::EngineConfig { reanchor_after_reset: true, ..engine };

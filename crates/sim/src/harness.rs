@@ -223,11 +223,6 @@ struct SweepLogInner {
     summary: SweepSummary,
     failures: Vec<FailureRecord>,
     notes: Vec<String>,
-    /// References simulated by freshly-run Ok cells (restored cells did
-    /// no work, so they are excluded — this is a *throughput* counter).
-    refs_simulated: u64,
-    /// Per-phase profile summed over freshly-run Ok cells.
-    phases: PhaseTimes,
 }
 
 /// Shared, thread-safe log that accumulates sweep outcomes across the
@@ -265,11 +260,7 @@ impl SweepLog {
             inner.summary.retries += u64::from(cell.attempts.saturating_sub(1));
             match &cell.status {
                 CellStatus::Ok(_) if cell.restored => inner.summary.restored += 1,
-                CellStatus::Ok(r) => {
-                    inner.summary.ok += 1;
-                    inner.refs_simulated += r.metrics.refs;
-                    inner.phases.merge(&r.phases);
-                }
+                CellStatus::Ok(_) => inner.summary.ok += 1,
                 CellStatus::Failed { error } => {
                     inner.summary.failed += 1;
                     let record = describe(error.to_string());
@@ -313,18 +304,6 @@ impl SweepLog {
     pub fn has_failures(&self) -> bool {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).summary.incomplete() > 0
     }
-
-    /// References simulated by freshly-run Ok cells (restored cells
-    /// excluded), for throughput reporting.
-    pub fn refs_simulated(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).refs_simulated
-    }
-
-    /// Per-phase profile summed over freshly-run Ok cells (all zero
-    /// unless [`HarnessOpts::profile`] was set).
-    pub fn phases(&self) -> PhaseTimes {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).phases
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,11 +329,6 @@ pub struct HarnessOpts {
     pub flush_every: usize,
     /// Shared outcome log (cloned handles append to the same log).
     pub log: Arc<SweepLog>,
-    /// Collect per-phase profiling for every freshly-run cell. The cell
-    /// runs under a profiled *copy* of its config while the reported
-    /// [`SimResult::config`] (and the checkpoint fingerprint) stay the
-    /// caller's — config-equality lookups are unaffected.
-    pub profile: bool,
 }
 
 impl Default for HarnessOpts {
@@ -366,7 +340,6 @@ impl Default for HarnessOpts {
             backoff_base_ms: 25,
             flush_every: 16,
             log: Arc::new(SweepLog::default()),
-            profile: false,
         }
     }
 }
@@ -611,16 +584,13 @@ fn attempt_cell(
     fingerprint: u64,
     opts: &HarnessOpts,
 ) -> (Result<SimResult, SweepError>, u32) {
-    // Profile under a *copy* so the reported config (and with it every
-    // config-equality lookup and checkpoint fingerprint) is the caller's.
-    let run_config = if opts.profile { SimConfig { profile: true, ..*config } } else { *config };
     let mut attempt = 0;
     loop {
         attempt += 1;
         let outcome = quiet_catch(|| {
             let mut source = trace.source();
             let mut obs = (SimMetrics::default(), DeadlineGuard::new(opts.deadline_ms));
-            let phases = Simulator::run(&mut source, &run_config, &mut obs)
+            let phases = Simulator::run(&mut source, config, &mut obs)
                 .expect("in-memory sources cannot fail");
             obs.0.check_invariants();
             (obs.0, phases)
@@ -1016,8 +986,6 @@ mod tests {
         assert_eq!(log.notes(), vec!["sibling cell still logs".to_string()]);
         assert!(log.failures().is_empty());
         assert!(!log.has_failures());
-        assert_eq!(log.refs_simulated(), 500);
-        let _ = log.phases();
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Phase {
         Phase::IoSubmission,
     ];
 
-    /// Stable snake_case name used in logs, JSON artifacts, and tables.
+    /// Stable snake_case name used in logs and tables.
     pub fn name(self) -> &'static str {
         match self {
             Phase::TreeUpdate => "tree_update",
@@ -59,8 +59,8 @@ impl Phase {
     }
 }
 
-/// Accumulated nanoseconds per [`Phase`]. Mergeable (element-wise add),
-/// subtractable (for before/after snapshots), and cheap to copy.
+/// Accumulated nanoseconds per [`Phase`]. Mergeable (element-wise add)
+/// and cheap to copy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     ns: [u64; 5],
@@ -70,11 +70,6 @@ impl PhaseTimes {
     /// Nanoseconds accumulated in `phase`.
     pub fn get(&self, phase: Phase) -> u64 {
         self.ns[phase.index()]
-    }
-
-    /// Milliseconds accumulated in `phase`.
-    pub fn ms(&self, phase: Phase) -> f64 {
-        self.ns[phase.index()] as f64 / 1e6
     }
 
     /// Add `ns` nanoseconds to `phase`.
@@ -98,16 +93,6 @@ impl PhaseTimes {
     /// Whether any phase accumulated time.
     pub fn is_zero(&self) -> bool {
         self.total_ns() == 0
-    }
-
-    /// Per-phase saturating difference (`self - earlier`), for snapshot
-    /// deltas around a region of interest.
-    pub fn minus(&self, earlier: &PhaseTimes) -> PhaseTimes {
-        let mut out = PhaseTimes::default();
-        for (i, o) in out.ns.iter_mut().enumerate() {
-            *o = self.ns[i].saturating_sub(earlier.ns[i]);
-        }
-        out
     }
 }
 
@@ -232,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_minus_are_element_wise() {
+    fn merge_is_element_wise() {
         let mut a = PhaseTimes::default();
         a.add_ns(Phase::TreeUpdate, 10);
         a.add_ns(Phase::CacheOps, 5);
@@ -245,10 +230,6 @@ mod tests {
         assert_eq!(merged.get(Phase::CacheOps), 5);
         assert_eq!(merged.get(Phase::IoSubmission), 7);
         assert_eq!(merged.total_ns(), 25);
-        let delta = merged.minus(&a);
-        assert_eq!(delta, b);
-        // Saturating: subtracting a larger table clamps to zero.
-        assert!(a.minus(&merged).is_zero());
     }
 
     #[test]

@@ -20,18 +20,6 @@ pub enum FsyncPolicy {
     IntervalMs(u64),
 }
 
-impl FsyncPolicy {
-    /// Stable name for logs and bench artifacts.
-    pub fn name(&self) -> String {
-        match self {
-            FsyncPolicy::Always => "always".into(),
-            FsyncPolicy::Never => "never".into(),
-            FsyncPolicy::EveryN(n) => format!("every-n={n}"),
-            FsyncPolicy::IntervalMs(ms) => format!("interval-ms={ms}"),
-        }
-    }
-}
-
 /// Tracks appends across a set of logs and decides, at each commit
 /// point, whether the policy calls for an fsync pass.
 #[derive(Debug)]

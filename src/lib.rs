@@ -42,8 +42,8 @@ pub use prefetch_tree as tree;
 pub mod prelude {
     pub use prefetch_cache::{BufferCache, PrefetchMeta, StackDistanceEstimator};
     pub use prefetch_core::policy::{
-        EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity, PrefetchPolicy,
-        RefContext, RefKind, TreeChildren, TreeThreshold, Victim,
+        ChildPolicy, EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity,
+        PrefetchPolicy, RefContext, RefKind, Victim,
     };
     pub use prefetch_core::{
         CostBenefitEngine, CostBenefitModel, EngineConfig, ModelConfig, Quarantine, RetryPolicy,

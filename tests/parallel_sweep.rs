@@ -136,7 +136,6 @@ proptest! {
         // the file bytes are schedule-independent.
         prop_assert_eq!(seq_dir.journal_bytes(), par_dir.journal_bytes());
         prop_assert_eq!(seq_opts.log.summary(), par_opts.log.summary());
-        prop_assert_eq!(seq_opts.log.refs_simulated(), par_opts.log.refs_simulated());
     }
 }
 
