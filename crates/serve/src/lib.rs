@@ -7,7 +7,7 @@
 //! prefetch advice, with one `PrefetchTree` + cost-benefit cache state
 //! per tenant ([`tenant`]). Tenants are flushed across the
 //! `prefetch-pool` workers each batch ([`service`]); per-tenant
-//! `catch_unwind` plus the `prefetch-core` quarantine give panic
+//! `catch_unwind` plus a one-way `Quarantined` slot state give panic
 //! isolation, and admission control ([`admission`]) bounds tenant count
 //! and aggregate memory.
 //!
@@ -36,6 +36,8 @@ pub mod admission;
 pub mod listener;
 pub mod loadgen;
 pub mod protocol;
+mod recovery;
+mod report;
 pub mod service;
 pub mod tenant;
 pub mod wal;

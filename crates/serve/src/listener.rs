@@ -29,8 +29,9 @@ pub fn run_stdin(service: &mut Service, batch: usize) -> std::io::Result<()> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut lines: Vec<(ConnId, String)> = Vec::with_capacity(batch);
-    for line in stdin.lock().lines() {
-        lines.push((0, line?));
+    let (mut input, mut buf) = (stdin.lock(), Vec::new());
+    while let Some(line) = read_line_lossy(&mut input, &mut buf)? {
+        lines.push((0, line));
         if lines.len() >= batch {
             pump(service, &mut lines, &mut out)?;
             if service.shutdown_requested() {
@@ -47,6 +48,24 @@ pub fn run_stdin(service: &mut Service, batch: usize) -> std::io::Result<()> {
     out.flush()?;
     prefetch_telemetry::log::flush();
     Ok(())
+}
+
+/// Read one line as `BufRead::lines` does, but decode it lossily: bytes
+/// that are not UTF-8 reach `parse_line` as U+FFFD and are answered with
+/// a typed `ERR parse`, where `lines()` would end the stream with an I/O
+/// error. `None` at end of input.
+fn read_line_lossy(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<String>> {
+    buf.clear();
+    if input.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(Some(String::from_utf8_lossy(buf).into_owned()))
 }
 
 fn pump(
@@ -82,7 +101,7 @@ mod unix {
     /// What a reader thread reports to the dispatch loop.
     enum Inbound {
         Line(ConnId, String),
-        Gone(ConnId),
+        Hangup(ConnId),
     }
 
     /// Serve on a unix socket at `path` until a `SHUTDOWN` request.
@@ -116,18 +135,13 @@ mod unix {
                         lock_writers(&writers).insert(conn, stream);
                         let tx = tx.clone();
                         std::thread::spawn(move || {
-                            let buf = BufReader::new(reader);
-                            for line in buf.lines() {
-                                match line {
-                                    Ok(line) => {
-                                        if tx.send(Inbound::Line(conn, line)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    Err(_) => break,
+                            let (mut input, mut buf) = (BufReader::new(reader), Vec::new());
+                            while let Ok(Some(line)) = read_line_lossy(&mut input, &mut buf) {
+                                if tx.send(Inbound::Line(conn, line)).is_err() {
+                                    return;
                                 }
                             }
-                            let _ = tx.send(Inbound::Gone(conn));
+                            let _ = tx.send(Inbound::Hangup(conn));
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -145,7 +159,7 @@ mod unix {
                             break;
                         }
                     }
-                    Ok(Inbound::Gone(conn)) => {
+                    Ok(Inbound::Hangup(conn)) => {
                         lock_writers(&writers).remove(&conn);
                     }
                     Err(RecvTimeoutError::Timeout) => break,

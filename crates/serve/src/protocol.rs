@@ -133,6 +133,21 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, ParseError> {
         check_tenant_name(t).map_err(|message| ParseError { tenant: None, message })?;
         Ok(t.to_owned())
     };
+    // Every verb rejects trailing fields, charged to the tenant it named.
+    let ends = |fields: &mut std::str::SplitAsciiWhitespace<'_>,
+                tenant: Option<&str>,
+                takes: &str| match fields.next() {
+        None => Ok(()),
+        Some(_) => Err(ParseError {
+            tenant: tenant.map(str::to_owned),
+            message: format!("{verb} takes {takes}"),
+        }),
+    };
+    let only_tenant = |fields: &mut std::str::SplitAsciiWhitespace<'_>| {
+        let tenant = named_tenant(fields, verb)?;
+        ends(fields, Some(&tenant), "exactly a tenant")?;
+        Ok(tenant)
+    };
     match verb {
         "OPEN" => {
             let tenant = named_tenant(&mut fields, "OPEN")?;
@@ -157,27 +172,15 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, ParseError> {
             let Ok(block) = raw.parse::<u64>() else {
                 return err(Some(&tenant), format!("EV block {raw:?} is not a u64"));
             };
-            if fields.next().is_some() {
-                return err(Some(&tenant), "EV takes exactly tenant and block".into());
-            }
+            ends(&mut fields, Some(&tenant), "exactly tenant and block")?;
             Ok(Some(Request::Event { tenant, block }))
         }
-        "STATS" => Ok(Some(Request::Stats { tenant: named_tenant(&mut fields, "STATS")? })),
-        "CLOSE" => Ok(Some(Request::Close { tenant: named_tenant(&mut fields, "CLOSE")? })),
-        "PANIC" => Ok(Some(Request::Panic { tenant: named_tenant(&mut fields, "PANIC")? })),
-        "METRICS" => {
-            if fields.next().is_some() {
-                return err(None, "METRICS takes no arguments".into());
-            }
-            Ok(Some(Request::Metrics))
-        }
-        "HEALTH" => {
-            if fields.next().is_some() {
-                return err(None, "HEALTH takes no arguments".into());
-            }
-            Ok(Some(Request::Health))
-        }
-        "SHUTDOWN" => Ok(Some(Request::Shutdown)),
+        "STATS" => Ok(Some(Request::Stats { tenant: only_tenant(&mut fields)? })),
+        "CLOSE" => Ok(Some(Request::Close { tenant: only_tenant(&mut fields)? })),
+        "PANIC" => Ok(Some(Request::Panic { tenant: only_tenant(&mut fields)? })),
+        "METRICS" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Metrics)),
+        "HEALTH" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Health)),
+        "SHUTDOWN" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Shutdown)),
         other => err(None, format!("unknown verb {other:?}")),
     }
 }
@@ -364,6 +367,19 @@ mod tests {
 
         let long = "x".repeat(MAX_TENANT_NAME + 1);
         assert!(parse_line(&format!("EV {long} 1")).is_err());
+
+        // Every verb rejects trailing fields, charged to the tenant it named.
+        for (line, tenant, message) in [
+            ("METRICS t1", None, "METRICS takes no arguments"),
+            ("SHUTDOWN now", None, "SHUTDOWN takes no arguments"),
+            ("EV t1 4 5", Some("t1"), "EV takes exactly tenant and block"),
+            ("STATS t1 t2", Some("t1"), "STATS takes exactly a tenant"),
+            ("CLOSE t1 t2", Some("t1"), "CLOSE takes exactly a tenant"),
+            ("PANIC t1 now", Some("t1"), "PANIC takes exactly a tenant"),
+        ] {
+            let e = parse_line(line).expect_err(line);
+            assert_eq!((e.tenant.as_deref(), e.message.as_str()), (tenant, message), "{line}");
+        }
     }
 
     #[test]

@@ -234,43 +234,8 @@ pub struct PendingMetrics {
 }
 
 impl PendingMetrics {
-    /// Fold one flush's batch-local accumulation in. Batched so the
-    /// per-event path only touches hot flush-local scratch; the
-    /// per-tenant (cache-cold at 100s of tenants) structures are hit
-    /// once per flush.
-    pub fn fold_batch(&mut self, counts: &BatchCounts, stall_us: &[u64]) {
-        self.events += counts.events;
-        self.demand_hits += counts.demand_hits;
-        self.prefetch_hits += counts.prefetch_hits;
-        self.misses += counts.misses;
-        self.prefetches += counts.prefetches;
-        self.stall_us.extend_from_slice(stall_us);
-    }
-
-    /// Whether any event was folded since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.events == 0
-    }
-}
-
-/// Flush-local event counters (see [`PendingMetrics::fold_batch`]).
-#[derive(Clone, Copy, Default)]
-pub struct BatchCounts {
-    /// Events processed this flush.
-    pub events: u64,
-    /// References served from cache.
-    pub demand_hits: u64,
-    /// References served by a completed prefetch.
-    pub prefetch_hits: u64,
-    /// References that missed and stalled on disk.
-    pub misses: u64,
-    /// Prefetches issued.
-    pub prefetches: u64,
-}
-
-impl BatchCounts {
     /// Fold one processed event's outcome in.
-    pub fn fold(&mut self, outcome: &EventOutcome) {
+    pub(crate) fn fold(&mut self, outcome: &EventOutcome) {
         self.events += 1;
         match outcome.kind {
             RefKind::DemandHit => self.demand_hits += 1,
@@ -278,6 +243,14 @@ impl BatchCounts {
             RefKind::Miss => self.misses += 1,
         }
         self.prefetches += outcome.prefetched as u64;
+        // Whole microseconds of *virtual* stall: no wall clock, so merged
+        // histograms are bit-identical across runs.
+        self.stall_us.push((outcome.stall_ms * 1000.0).round() as u64);
+    }
+
+    /// Whether any event was folded since the last drain.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
     }
 }
 
@@ -367,9 +340,15 @@ impl TenantState {
         })
     }
 
-    /// Turn on flight recording with a ring of `cap` events.
-    pub fn enable_flight(&mut self, cap: usize) {
-        self.flight = Some(FlightRecorder::new(cap));
+    /// Turn on flight recording with a ring of `cap` events (`0` leaves
+    /// tracing off), opened by an `admission` record saying how the
+    /// tenant came in.
+    pub fn enable_flight(&mut self, cap: usize, admission: std::fmt::Arguments<'_>) {
+        if cap > 0 {
+            let mut ring = FlightRecorder::new(cap);
+            ring.record_text("admission", admission.to_string());
+            self.flight = Some(ring);
+        }
     }
 
     /// The flight recorder, when tracing is enabled.
@@ -407,6 +386,14 @@ impl TenantState {
     pub fn resident_bytes(&self) -> u64 {
         let tree_bytes = self.sim.tree().map_or(0, |t| t.bytes_in_use() as u64);
         FIXED_BYTES + tree_bytes + self.spec.cache_blocks as u64 * CACHE_BLOCK_BYTES
+    }
+
+    /// Re-price this tenant's reservation to its measured footprint;
+    /// returns the `(old, new)` charged bytes for the admission ledger
+    /// (`Service::recharge`).
+    pub(crate) fn reprice(&mut self) -> (u64, u64) {
+        let resident = self.resident_bytes();
+        (std::mem::replace(&mut self.charged_bytes, resident), resident)
     }
 
     /// Process one access event and return the `ADV` response line.

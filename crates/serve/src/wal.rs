@@ -25,8 +25,10 @@
 //! quarantines that one tenant with a typed [`RecoveryError`] while
 //! every sibling recovers normally.
 
+use crate::service::{lock_slot, Service};
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
 use prefetch_sim::PolicySpec;
+use prefetch_telemetry::log as tlog;
 use prefetch_wal::{AppendLog, FsyncPolicy, GroupCommit};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -298,11 +300,38 @@ impl Durability {
         }
     }
 
+    /// A tenant lost its log (it could not be created, resumed, appended
+    /// to or synced) and serves on in memory: counted, flagged in its
+    /// `STATS`/`FINAL`, logged.
+    pub(crate) fn degrade(&mut self, state: &mut TenantState, reason: &str) {
+        self.degraded_tenants += 1;
+        state.wal_state = "degraded";
+        tlog::warn("serve_wal_degraded")
+            .str("tenant", state.name.to_string())
+            .str("reason", reason)
+            .emit();
+    }
+
     /// Drop a tenant's log without touching its files (mid-run
     /// degradation keeps the history for postmortem, quarantine keeps it
     /// so recovery reproduces the failure).
     pub(crate) fn drop_log(&mut self, idx: usize) {
         self.logs.remove(&idx);
+    }
+
+    /// Sync one tenant's log now (close and quarantine seal their history
+    /// ahead of the group commit); counts like a group-commit sync and
+    /// returns whether the log is durable. `false` when the tenant has no
+    /// log.
+    pub(crate) fn sync_log(&mut self, idx: usize) -> bool {
+        let Some(t) = self.logs.get_mut(&idx) else { return false };
+        let synced = t.log.sync().is_ok();
+        if synced {
+            self.fsyncs += 1;
+        } else {
+            self.sync_errors += 1;
+        }
+        synced
     }
 
     /// Sync every dirty log; returns the slot indices whose sync failed
@@ -465,6 +494,102 @@ pub(crate) fn apply_record(state: &mut TenantState, record: &WalRecord) -> bool 
         WalRecord::PanicArm => {
             state.panic_armed = true;
             false
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The service's durability stage
+// ---------------------------------------------------------------------------
+
+impl Service {
+    /// Append one record to a tenant's WAL; an append failure degrades
+    /// that one tenant to in-memory-only (typed, logged, counted) while
+    /// everything else keeps its durability.
+    pub(crate) fn wal_append(&mut self, idx: usize, record: &WalRecord) {
+        let Some(w) = self.wal.as_mut() else { return };
+        if let Err(e) = w.append(idx, record) {
+            self.degrade_tenant_wal(idx, &format!("append failed: {e}"));
+        }
+    }
+
+    /// Retire a closing tenant's WAL: durable `C`, then delete its
+    /// on-disk artifacts. The close-time snapshot was already saved, so
+    /// after this the tenant's whole life collapses to the snapshot.
+    pub(crate) fn wal_close(&mut self, idx: usize, tenant: &str) {
+        let Some(w) = self.wal.as_mut() else { return };
+        if w.append(idx, &WalRecord::Close).is_ok() && w.sync_log(idx) {
+            w.retire(idx, tenant);
+        } else {
+            // Could not seal: keep the log on disk — it ends mid-life,
+            // so a recovery replays the tenant live, which is the safe
+            // direction (at-least-once, never lost).
+            w.drop_log(idx);
+            tlog::warn("serve_wal_close_unsealed").str("tenant", tenant.to_string()).emit();
+        }
+    }
+
+    /// Lose durability for one tenant but keep serving it: drop the log
+    /// handle (the file stays for postmortem), flag the tenant, count it.
+    fn degrade_tenant_wal(&mut self, idx: usize, reason: &str) {
+        let Some(w) = self.wal.as_mut() else { return };
+        w.drop_log(idx);
+        let tenant = &self.tenants[idx];
+        let mut slot = lock_slot(&tenant.slot);
+        let Ok(state) = slot.live() else { return };
+        w.degrade(state, reason);
+        // Losing durability is exactly the moment the request timeline
+        // matters: dump the ring to the telemetry log.
+        if let Some(trace) = state.flight().map(|fr| fr.dump_lines()).filter(|t| !t.is_empty()) {
+            tlog::warn("serve_wal_degraded_trace")
+                .str("tenant", tenant.name.to_string())
+                .u64("lines", trace.len() as u64)
+                .str("trace", trace.join(" | "))
+                .emit();
+        }
+    }
+
+    /// Batch-end durability pass: sync dirty logs when the group-commit
+    /// policy says so (a failed sync degrades its tenant), then write
+    /// any due checkpoint snapshots.
+    pub(crate) fn wal_commit_pass(&mut self) {
+        let (sync_failures, ckpt_due) = {
+            let Some(w) = self.wal.as_mut() else { return };
+            let failures = if w.commit.due() { w.sync_all() } else { Vec::new() };
+            (failures, w.checkpoint_due())
+        };
+        for idx in sync_failures {
+            self.degrade_tenant_wal(idx, "fsync failed");
+        }
+        for idx in ckpt_due {
+            self.checkpoint_tenant(idx);
+        }
+    }
+
+    /// Write one tenant's periodic checkpoint: rotate the previous
+    /// generation aside, then save a fresh `pftree-snap/v1`. Failures
+    /// only warn — checkpoints accelerate degraded recovery, they are
+    /// not load-bearing for the sound (full-replay) path.
+    fn checkpoint_tenant(&mut self, idx: usize) {
+        let tenant = &self.tenants[idx];
+        let Some(w) = self.wal.as_mut() else { return };
+        let (ckpt, prev) = (w.ckpt_path(&tenant.name), w.ckpt_prev_path(&tenant.name));
+        let mut slot = lock_slot(&tenant.slot);
+        let Some(tree) = slot.live().ok().and_then(|state| state.tree()) else { return };
+        if ckpt.exists() {
+            let _ = std::fs::rename(&ckpt, &prev);
+        }
+        match tree.save_snapshot(&ckpt) {
+            Ok(_) => {
+                w.checkpoints += 1;
+                tlog::info("serve_wal_checkpoint").str("tenant", tenant.name.to_string()).emit();
+            }
+            Err(e) => {
+                tlog::warn("serve_wal_checkpoint_failed")
+                    .str("tenant", tenant.name.to_string())
+                    .str("error", e.to_string())
+                    .emit();
+            }
         }
     }
 }

@@ -351,3 +351,64 @@ fn pfserve_binary_writes_identical_snapshots_at_any_thread_count() {
     );
     assert_eq!(outputs[0].1, outputs[1].1, "--threads 1 vs 4 must write byte-identical responses");
 }
+
+/// A line that is not UTF-8 is one more malformed line: answered with a
+/// typed `ERR parse`, the lines behind it served, the drain complete, exit
+/// status 0 — on stdin and on the unix socket alike.
+#[test]
+fn pfserve_binary_answers_a_non_utf8_line_with_a_typed_error() {
+    use std::io::{Read, Write};
+    use std::process::{Command, Stdio};
+
+    let script: &[u8] = b"OPEN t\nEV t 1\n\xff\xfe\nEV t 2\nSHUTDOWN\n";
+    let check = |mode: &str, stdout: &[u8]| {
+        let text = String::from_utf8_lossy(stdout);
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |prefix: &str| {
+            lines
+                .iter()
+                .position(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("{mode}: no {prefix:?} line in {lines:?}"))
+        };
+        // The event behind the bad line is still advised.
+        assert!(at("ERR parse ") < at("ADV t 1 "), "{mode}: {lines:?}");
+        assert!(lines[at("FINAL t ")].contains(" events=2 "), "{mode}: {lines:?}");
+        assert!(lines.last().unwrap().starts_with("BYE tenants=1 events=2 "), "{mode}: {lines:?}");
+    };
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pfserve"))
+        .args(["--quiet", "--batch", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pfserve");
+    child.stdin.take().unwrap().write_all(script).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "stdin: pfserve exited with {:?}", out.status);
+    check("stdin", &out.stdout);
+
+    #[cfg(unix)]
+    {
+        let dir = tmp_dir("nonutf8");
+        let path = dir.join("pfserve.sock");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pfserve"))
+            .args(["--quiet", "--socket", path.to_str().unwrap()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn pfserve");
+        let mut stream = (0..500)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                std::os::unix::net::UnixStream::connect(&path).ok()
+            })
+            .expect("pfserve never bound its socket");
+        stream.write_all(script).unwrap();
+        let mut received = Vec::new();
+        stream.read_to_end(&mut received).unwrap();
+        assert!(child.wait().unwrap().success(), "socket: pfserve failed");
+        check("socket", &received);
+    }
+}

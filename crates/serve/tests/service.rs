@@ -9,7 +9,7 @@
 
 use prefetch_core::policy::RefKind;
 use prefetch_serve::loadgen::{generate, Fate, LoadgenOpts};
-use prefetch_serve::{AdmissionConfig, ServeOpts, Service, TenantDefaults, TenantSpec};
+use prefetch_serve::{AdmissionConfig, ServeOpts, Service, TenantDefaults, TenantSpec, WalOpts};
 use prefetch_sim::{SimEvent, SimMetrics, SimObserver, Simulator};
 use prefetch_trace::synth::TraceKind;
 use prefetch_trace::{BlockId, TraceRecord};
@@ -306,6 +306,12 @@ fn stats_and_close_observe_queued_events_in_order() {
     let stats = &out.iter().find(|(_, l)| l.starts_with("STATS t ")).unwrap().1;
     assert!(stats.contains("events=2"), "got {stats:?}");
 
+    // A tenant verb with a trailing field is a malformed line charged to
+    // that tenant, not the verb applied to it.
+    let out = service.process_batch(&[(0, "CLOSE t now".into()), (0, "STATS t".into())]);
+    assert_eq!(out[0].1, "ERR parse CLOSE takes exactly a tenant");
+    assert!(out[1].1.contains(" events=2 skipped=1 "), "got {:?}", out[1].1);
+
     let out = service.process_batch(&[ev("t", 3), (0, "CLOSE t".into())]);
     let fin = &out.iter().find(|(_, l)| l.starts_with("FINAL t ")).unwrap().1;
     assert!(fin.contains("events=3"), "got {fin:?}");
@@ -314,6 +320,69 @@ fn stats_and_close_observe_queued_events_in_order() {
     let out = service.process_batch(&[open("t"), ev("t", 4)]);
     assert_eq!(out[0].1, "OK open t");
     assert!(out[1].1.starts_with("ADV t 0 "), "reopened tenant restarts its sequence");
+
+    // The same transitions inside one batch. An event behind a CLOSE is
+    // for a tenant that no longer exists...
+    let out = service.process_batch(&[ev("t", 5), (0, "CLOSE t".into()), ev("t", 6)]);
+    let lines: Vec<&str> = out.iter().map(|(_, l)| l.as_str()).collect();
+    assert!(lines[0].starts_with("ADV t 1 "), "got {lines:?}");
+    assert!(lines[1].starts_with("FINAL t events=2 "), "got {lines:?}");
+    assert_eq!(lines[2], "REJECT t unknown-tenant");
+    assert_eq!(lines.len(), 3);
+
+    // ...and one behind CLOSE → OPEN is the new tenant's first.
+    let out = service.process_batch(&[
+        open("t"),
+        ev("t", 1),
+        (0, "CLOSE t".into()),
+        open("t"),
+        ev("t", 2),
+        ev("t", 3),
+    ]);
+    let lines: Vec<&str> = out.iter().map(|(_, l)| l.as_str()).collect();
+    assert_eq!(lines[0], "OK open t");
+    assert!(lines[1].starts_with("ADV t 0 "), "got {lines:?}");
+    assert!(lines[2].starts_with("FINAL t events=1 "), "got {lines:?}");
+    assert_eq!(lines[3], "OK open t");
+    assert!(lines[4].starts_with("ADV t 0 "), "the re-opened tenant restarts: {lines:?}");
+    assert!(lines[5].starts_with("ADV t 1 "), "got {lines:?}");
+
+    // PANIC → EV → EV, then OPEN: one PANIC report, then every later
+    // request for the name is refused as quarantined.
+    let mut out = service.process_batch(&[(0, "PANIC t".into()), ev("t", 4), ev("t", 5)]);
+    out.extend(service.process_batch(&[open("t")]));
+    let lines: Vec<&str> = out.iter().map(|(_, l)| l.as_str()).collect();
+    assert_eq!(lines[0], "OK panic-armed t");
+    assert!(lines[1].starts_with("PANIC t quarantined err="), "got {lines:?}");
+    assert_eq!(lines[2..], ["REJECT t quarantined", "REJECT t quarantined"]);
+
+    // A tenant quarantined by *recovery* — its log is corrupt — is refused
+    // the same way, and still gets its FINAL at drain.
+    let dir = std::env::temp_dir().join(format!("pfserve-lifecycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = WalOpts { dir: Some(dir.clone()), ..WalOpts::default() };
+    let mut live = Service::new(ServeOpts { wal: wal.clone(), ..ServeOpts::default() }).unwrap();
+    live.process_batch(&[open("bad"), ev("bad", 1), ev("bad", 2), ev("bad", 3), ev("bad", 4)]);
+    drop(live); // crash: no drain
+    let log = dir.join("bad.wal");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x40;
+    std::fs::write(&log, bytes).unwrap();
+    let mut recovered =
+        Service::new(ServeOpts { wal: WalOpts { recover: true, ..wal }, ..ServeOpts::default() })
+            .unwrap();
+    let report = recovered.recover();
+    assert_eq!((report.quarantined, report.replayed), (1, 0), "{:?}", report.errors);
+    let out = recovered.process_batch(&[ev("bad", 5), open("bad"), open("good"), ev("good", 1)]);
+    let lines: Vec<&str> = out.iter().map(|(_, l)| l.as_str()).collect();
+    assert_eq!(lines[..3], ["REJECT bad quarantined", "REJECT bad quarantined", "OK open good"]);
+    assert!(lines[3].starts_with("ADV good 0 "), "got {lines:?}");
+    let finals = recovered.drain();
+    let bad = finals.iter().find(|l| l.starts_with("FINAL bad ")).expect("quarantined FINAL");
+    assert!(bad.contains(" quarantined=true err=\"corrupt wal at byte "), "got {bad:?}");
+    assert!(bad.contains(" rejects=tenant-limit:0,memory-budget:0,quarantined:2,"), "got {bad:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
