@@ -30,7 +30,7 @@
 //! `DIR/<report-id>.csv`.
 //!
 //! With `--checkpoint DIR` every completed sweep cell is journalled to
-//! `DIR/journal.jsonl`, so a killed run can be relaunched with `--resume`
+//! `DIR/journal.pfwl`, so a killed run can be relaunched with `--resume`
 //! and only recompute the cells it lost. Without `--resume` any existing
 //! journal is discarded so a fresh run cannot pick up stale results. Cells
 //! that panic, time out (`--deadline-ms`), or exhaust their retries are

@@ -43,7 +43,7 @@
 //! | 6    | lossy trace skipped more records than `--max-skipped`     |
 
 use prefetch_sim::{
-    run_source_guarded_snapshot, JsonlEventSink, PolicySpec, QueueDelayObserver, SimConfig,
+    run_source_guarded, JsonlEventSink, PolicySpec, QueueDelayObserver, SimConfig,
     StallHistogramObserver, SweepError,
 };
 use prefetch_telemetry::{log as tlog, Histogram, Phase};
@@ -435,7 +435,7 @@ fn main() -> ExitCode {
         let mut queues = args.histograms.then(QueueDelayObserver::new);
         let mut extra = (stalls.as_mut(), queues.as_mut(), sink.as_mut());
         let wall = Instant::now();
-        let run = run_source_guarded_snapshot(
+        let run = run_source_guarded(
             &mut source,
             &cfg,
             args.deadline_ms,

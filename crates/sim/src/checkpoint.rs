@@ -1,36 +1,49 @@
 //! Crash-safe sweep checkpointing.
 //!
-//! A [`CheckpointJournal`] records every completed sweep cell as one JSONL
-//! line in `<dir>/journal.jsonl`. Cells are keyed by a deterministic
-//! [`cell_fingerprint`] over the trace identity (name, seed, length) and
-//! the *complete* [`SimConfig`], so a relaunched run recomputes the same
-//! fingerprints, restores every journaled cell without re-simulating it,
-//! and re-executes only the missing ones — yielding a bit-identical grid
-//! (see `crate::harness`).
+//! A [`CheckpointJournal`] keeps every completed sweep cell as one
+//! `prefetch-wal` record in `<dir>/`[`JOURNAL_FILE`]. Cells are keyed by a
+//! deterministic [`cell_fingerprint`] over the trace identity (name, seed,
+//! length) and the *complete* [`SimConfig`], so a relaunched run recomputes
+//! the same fingerprints, restores every journaled cell without
+//! re-simulating it, and re-executes only the missing ones — yielding a
+//! bit-identical grid (see `crate::harness`).
 //!
-//! Durability is write-then-rename: the whole journal is written to a
-//! sibling `journal.jsonl.tmp`, fsync'd, and atomically renamed over the
-//! live file, so a crash at any instant leaves either the previous journal
-//! or the new one — never a torn file. Loading is lenient anyway: a
-//! corrupt or truncated line (e.g. from a different filesystem's rename
-//! semantics) is skipped, and its cell simply re-runs.
+//! ```text
+//! file    := prefetch-wal header ("PFWL" …)  record*     ; records in fingerprint order
+//! record  := u32(len) u64(fnv1a(payload)) payload        ; prefetch_wal::record
+//! payload := u64 × 31, little-endian:
+//!            JOURNAL_VERSION, cell fingerprint, skipped_records, 28 metric words
+//! ```
 //!
-//! Floating-point metrics are encoded as IEEE-754 bit patterns
-//! ([`f64::to_bits`]) rather than decimal text, so a resumed cell restores
-//! *exactly* the value the original run produced.
+//! Durability is write-then-rename ([`prefetch_wal::atomic::replace_file`]):
+//! each flush writes the whole image to a sibling `.tmp`, fsyncs it and
+//! renames it over the live file, so a crash at any instant leaves either
+//! the previous journal or the new one. The file is read back through
+//! [`prefetch_wal::scan`], which verifies every record and classifies what
+//! follows the verified prefix as clean, torn or corrupt; whatever the
+//! class, the prefix is restored and the remaining cells simply re-run
+//! ([`CheckpointJournal::tail`] lets the harness say so).
+//!
+//! Floating-point metrics are stored as IEEE-754 bit patterns
+//! ([`f64::to_bits`]), so a resumed cell restores *exactly* the value the
+//! original run produced.
 
 use crate::config::{FaultConfig, PolicySpec, SimConfig};
 use crate::metrics::SimMetrics;
+use prefetch_core::{EngineConfig, ModelConfig, RetryPolicy, SystemParams};
+use prefetch_disk::{DiskArrayConfig, FaultPlan, Striping};
 use prefetch_trace::Trace;
-use std::collections::HashMap;
+use prefetch_wal::record::{encode_record, file_header};
+use prefetch_wal::Tail;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Journal line-format version; bumped on any encoding change so stale
+/// Record-payload version; bumped on any encoding change so stale
 /// journals are ignored rather than misread.
-pub const JOURNAL_VERSION: u64 = 1;
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// Fingerprint-schema version, folded into every fingerprint: bump it when
 /// the set of hashed fields changes and every old journal entry silently
@@ -38,7 +51,10 @@ pub const JOURNAL_VERSION: u64 = 1;
 const FINGERPRINT_VERSION: u64 = 1;
 
 /// File name of the journal inside a checkpoint directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
+pub const JOURNAL_FILE: &str = "journal.pfwl";
+
+/// Completed cells between durable flushes.
+const FLUSH_EVERY: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -72,64 +88,89 @@ fn hash_policy(h: &mut Fnv, policy: &PolicySpec) {
     }
 }
 
-// `config.profile` is deliberately NOT hashed: profiling measures wall
-// clock without touching simulated metrics, so a profiled cell must hit
-// the same checkpoint fingerprint as the plain run it restores.
+// Every struct is destructured without `..`, so a new configuration field
+// fails to compile here until it is hashed (bump `FINGERPRINT_VERSION`) or
+// explicitly excluded. The hash order below is the fingerprint schema.
 fn hash_config(h: &mut Fnv, config: &SimConfig) {
-    h.usize(config.cache_blocks);
+    // `profile` is deliberately NOT hashed: profiling measures wall clock
+    // without touching simulated metrics, so a profiled cell must hit the
+    // same checkpoint fingerprint as the plain run it restores.
+    let SimConfig { cache_blocks, params, engine, policy, disks, faults, profile: _ } = *config;
+    h.usize(cache_blocks);
 
-    let p = &config.params;
-    h.f64(p.t_hit);
-    h.f64(p.t_driver);
-    h.f64(p.t_disk);
-    h.f64(p.t_cpu);
+    let SystemParams { t_hit, t_driver, t_disk, t_cpu } = params;
+    h.f64(t_hit);
+    h.f64(t_driver);
+    h.f64(t_disk);
+    h.f64(t_cpu);
 
-    let e = &config.engine;
-    h.u64(u64::from(e.model.x));
-    h.f64(e.model.s_alpha);
-    h.f64(e.model.s_initial);
-    h.u64(u64::from(e.max_depth));
-    h.u64(u64::from(e.max_per_period));
-    h.u64(u64::from(e.max_considered_per_period));
-    h.f64(e.min_probability);
-    h.f64(e.stack_decay);
-    h.usize(e.node_limit);
-    h.bool(e.freeze_at_node_limit);
-    h.bool(e.reanchor_after_reset);
+    let EngineConfig {
+        model: ModelConfig { x, s_alpha, s_initial },
+        max_depth,
+        max_per_period,
+        max_considered_per_period,
+        min_probability,
+        stack_decay,
+        node_limit,
+        freeze_at_node_limit,
+        reanchor_after_reset,
+    } = engine;
+    h.u64(u64::from(x));
+    h.f64(s_alpha);
+    h.f64(s_initial);
+    h.u64(u64::from(max_depth));
+    h.u64(u64::from(max_per_period));
+    h.u64(u64::from(max_considered_per_period));
+    h.f64(min_probability);
+    h.f64(stack_decay);
+    h.usize(node_limit);
+    h.bool(freeze_at_node_limit);
+    h.bool(reanchor_after_reset);
 
-    hash_policy(h, &config.policy);
+    hash_policy(h, &policy);
 
-    match &config.disks {
+    match disks {
         None => h.u64(0),
-        Some(d) => {
+        Some(DiskArrayConfig { num_disks, service_ms, striping }) => {
             h.u64(1);
-            h.usize(d.num_disks);
-            h.f64(d.service_ms);
-            match d.striping {
-                prefetch_disk::Striping::RoundRobin { stripe_unit } => {
+            h.usize(num_disks);
+            h.f64(service_ms);
+            match striping {
+                Striping::RoundRobin { stripe_unit } => {
                     h.u64(0);
                     h.u64(stripe_unit);
                 }
-                prefetch_disk::Striping::Hashed => h.u64(1),
+                Striping::Hashed => h.u64(1),
             }
         }
     }
 
-    match &config.faults {
+    match faults {
         None => h.u64(0),
         Some(FaultConfig { plan, retry }) => {
+            let FaultPlan {
+                seed,
+                transient_error_rate,
+                slow_episode_rate,
+                slow_factor,
+                slow_episode_ms,
+                unavailable_rate,
+                unavailable_ms,
+            } = plan;
+            let RetryPolicy { max_attempts, backoff_base_ms, backoff_cap_ms, give_up_penalty_ms } =
+                retry;
             h.u64(1);
-            h.u64(plan.seed);
-            h.f64(plan.transient_error_rate);
-            h.f64(plan.slow_episode_rate);
-            h.f64(plan.slow_factor);
-            h.f64(plan.slow_episode_ms);
-            h.f64(plan.unavailable_rate);
-            h.f64(plan.unavailable_ms);
-            h.u64(u64::from(retry.max_attempts));
-            h.f64(retry.backoff_base_ms);
-            h.f64(retry.backoff_cap_ms);
-            h.f64(retry.give_up_penalty_ms);
+            h.u64(seed);
+            h.f64(transient_error_rate);
+            h.f64(slow_episode_rate);
+            h.f64(slow_factor);
+            h.f64(slow_episode_ms);
+            h.f64(unavailable_rate);
+            h.f64(unavailable_ms);
+            h.u64(u64::from(max_attempts));
+            h.f64(backoff_base_ms);
+            h.f64(backoff_cap_ms);
+            h.f64(give_up_penalty_ms);
         }
     }
 }
@@ -138,232 +179,113 @@ fn hash_config(h: &mut Fnv, config: &SimConfig) {
 /// (name, generator seed, record count) and every field of its config.
 /// Stable across runs, platforms, and thread schedules — the journal key.
 pub fn cell_fingerprint(trace: &Trace, config: &SimConfig) -> u64 {
-    fingerprint_parts(&trace.meta().name, trace.meta().seed, trace.len() as u64, config)
-}
-
-/// [`cell_fingerprint`] from the trace's identifying parts, for callers
-/// that stream a source instead of holding a materialized [`Trace`].
-pub fn fingerprint_parts(name: &str, seed: Option<u64>, records: u64, config: &SimConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(FINGERPRINT_VERSION);
-    h.str(name);
-    h.opt(seed);
-    h.u64(records);
+    h.str(&trace.meta().name);
+    h.opt(trace.meta().seed);
+    h.u64(trace.len() as u64);
     hash_config(&mut h, config);
     h.finish()
 }
 
 // ---------------------------------------------------------------------------
-// Metric codec: positional u64 words, floats as IEEE-754 bits
+// Record payload: positional u64 words, floats as IEEE-754 bits
 // ---------------------------------------------------------------------------
 
-/// Number of [`SimMetrics`] fields; a journal entry whose metric array has
-/// a different length was written by a different `SimMetrics` layout and
-/// is ignored (the cell re-runs).
-const METRIC_WORDS: usize = 28;
+/// The metric layout, written once: field and word kind, in word order.
+/// Expands to `metrics_to_words` — which destructures [`SimMetrics`]
+/// without `..`, so a new metric fails to compile until it is given a
+/// word here (bump `JOURNAL_VERSION`) — and to its inverse.
+macro_rules! metric_words {
+    ($($field:ident: $kind:ident,)*) => {
+        /// Number of [`SimMetrics`] fields.
+        const METRIC_WORDS: usize = [$(stringify!($field)),*].len();
 
-fn metrics_to_words(m: &SimMetrics) -> [u64; METRIC_WORDS] {
-    [
-        m.refs,
-        m.demand_hits,
-        m.prefetch_hits,
-        m.misses,
-        m.prefetches_issued,
-        m.candidates_considered,
-        m.candidates_already_cached,
-        m.prefetch_evictions,
-        m.demand_evictions_for_prefetch,
-        m.prefetch_probability_sum.to_bits(),
-        m.predictable,
-        m.predictable_missed,
-        m.lvc_opportunities,
-        m.lvc_repeats,
-        m.lvc_cached,
-        m.elapsed_ms.to_bits(),
-        m.stall_ms.to_bits(),
-        m.disk_queue_ms.to_bits(),
-        m.disk_queued_requests,
-        m.disk_mean_utilization.to_bits(),
-        m.demand_faults,
-        m.demand_retries,
-        m.demand_read_failures,
-        m.retry_backoff_ms.to_bits(),
-        m.prefetch_faults,
-        m.blocks_quarantined,
-        m.candidates_quarantined,
-        m.disk_slowed_requests,
-    ]
-}
-
-fn metrics_from_words(words: &[u64]) -> Option<SimMetrics> {
-    if words.len() != METRIC_WORDS {
-        return None;
-    }
-    Some(SimMetrics {
-        refs: words[0],
-        demand_hits: words[1],
-        prefetch_hits: words[2],
-        misses: words[3],
-        prefetches_issued: words[4],
-        candidates_considered: words[5],
-        candidates_already_cached: words[6],
-        prefetch_evictions: words[7],
-        demand_evictions_for_prefetch: words[8],
-        prefetch_probability_sum: f64::from_bits(words[9]),
-        predictable: words[10],
-        predictable_missed: words[11],
-        lvc_opportunities: words[12],
-        lvc_repeats: words[13],
-        lvc_cached: words[14],
-        elapsed_ms: f64::from_bits(words[15]),
-        stall_ms: f64::from_bits(words[16]),
-        disk_queue_ms: f64::from_bits(words[17]),
-        disk_queued_requests: words[18],
-        disk_mean_utilization: f64::from_bits(words[19]),
-        demand_faults: words[20],
-        demand_retries: words[21],
-        demand_read_failures: words[22],
-        retry_backoff_ms: f64::from_bits(words[23]),
-        prefetch_faults: words[24],
-        blocks_quarantined: words[25],
-        candidates_quarantined: words[26],
-        disk_slowed_requests: words[27],
-    })
-}
-
-// ---------------------------------------------------------------------------
-// JSONL codec (hand-rolled: the vendored serde stubs are inert)
-// ---------------------------------------------------------------------------
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        fn metrics_to_words(m: &SimMetrics) -> [u64; METRIC_WORDS] {
+            let SimMetrics { $($field),* } = *m;
+            [$(metric_words!(@to_word $kind $field)),*]
         }
-    }
-    out
-}
 
-fn unescape_json(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+        fn metrics_from_words(words: [u64; METRIC_WORDS]) -> SimMetrics {
+            let mut words = words.into_iter();
+            let mut next = || words.next().expect("one word per field");
+            SimMetrics { $($field: metric_words!(@from_word $kind next())),* }
         }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
+    };
+    (@to_word count $value:expr) => { $value };
+    (@to_word float $value:expr) => { $value.to_bits() };
+    (@from_word count $word:expr) => { $word };
+    (@from_word float $word:expr) => { f64::from_bits($word) };
 }
 
-/// `"key":` position *of the key itself* (first occurrence; every numeric
-/// key precedes the only free-form string, the trailing trace name, so the
-/// first occurrence is always the real key).
-fn field_start<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)?;
-    Some(&line[at + needle.len()..])
+metric_words! {
+    refs: count,
+    demand_hits: count,
+    prefetch_hits: count,
+    misses: count,
+    prefetches_issued: count,
+    candidates_considered: count,
+    candidates_already_cached: count,
+    prefetch_evictions: count,
+    demand_evictions_for_prefetch: count,
+    prefetch_probability_sum: float,
+    predictable: count,
+    predictable_missed: count,
+    lvc_opportunities: count,
+    lvc_repeats: count,
+    lvc_cached: count,
+    elapsed_ms: float,
+    stall_ms: float,
+    disk_queue_ms: float,
+    disk_queued_requests: count,
+    disk_mean_utilization: float,
+    demand_faults: count,
+    demand_retries: count,
+    demand_read_failures: count,
+    retry_backoff_ms: float,
+    prefetch_faults: count,
+    blocks_quarantined: count,
+    candidates_quarantined: count,
+    disk_slowed_requests: count,
 }
 
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let rest = field_start(line, key)?;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let rest = field_start(line, key)?.strip_prefix('"')?;
-    // Scan to the closing quote, honouring escapes.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' => escaped = true,
-            '"' => {
-                end = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    unescape_json(&rest[..end?])
-}
-
-fn u64_array_field(line: &str, key: &str) -> Option<Vec<u64>> {
-    let rest = field_start(line, key)?.strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|n| n.trim().parse().ok()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Journal entries
-// ---------------------------------------------------------------------------
+/// Words in one record payload: version, cell fingerprint, skipped
+/// records, then the metrics. A payload of any other size was written by
+/// a different layout and is ignored (the cell re-runs).
+const PAYLOAD_WORDS: usize = 3 + METRIC_WORDS;
 
 /// One journaled cell: everything needed to reconstruct its
-/// [`crate::runner::SimResult`] besides the config (which the resuming run
-/// recomputes and verifies via the fingerprint).
-#[derive(Clone, Debug, PartialEq)]
+/// [`crate::runner::SimResult`] besides the config and trace name (which
+/// the resuming run recomputes and verifies via the fingerprint).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JournalEntry {
-    /// Trace name, for human inspection of the journal.
-    pub trace: String,
     /// Malformed records the trace reader skipped during the original run.
     pub skipped_records: u64,
     /// The run's full metrics, bit-exact.
     pub metrics: SimMetrics,
 }
 
-fn entry_to_line(fingerprint: u64, entry: &JournalEntry) -> String {
-    let words = metrics_to_words(&entry.metrics);
-    let mut m = String::with_capacity(words.len() * 8);
-    for (i, w) in words.iter().enumerate() {
-        if i > 0 {
-            m.push(',');
-        }
-        m.push_str(&w.to_string());
-    }
-    format!(
-        "{{\"v\":{JOURNAL_VERSION},\"fp\":\"{fingerprint:016x}\",\"skipped\":{},\"m\":[{m}],\"trace\":\"{}\"}}",
-        entry.skipped_records,
-        escape_json(&entry.trace),
-    )
+fn encode_payload(fingerprint: u64, entry: &JournalEntry) -> Vec<u8> {
+    [JOURNAL_VERSION, fingerprint, entry.skipped_records]
+        .iter()
+        .chain(&metrics_to_words(&entry.metrics))
+        .flat_map(|w| w.to_le_bytes())
+        .collect()
 }
 
-fn entry_from_line(line: &str) -> Option<(u64, JournalEntry)> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
+fn decode_payload(payload: &[u8]) -> Option<(u64, JournalEntry)> {
+    if payload.len() != 8 * PAYLOAD_WORDS {
         return None;
     }
-    if u64_field(line, "v")? != JOURNAL_VERSION {
+    let mut words = payload
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")));
+    if words.next()? != JOURNAL_VERSION {
         return None;
     }
-    let fingerprint = u64::from_str_radix(&str_field(line, "fp")?, 16).ok()?;
-    let skipped_records = u64_field(line, "skipped")?;
-    let metrics = metrics_from_words(&u64_array_field(line, "m")?)?;
-    let trace = str_field(line, "trace")?;
-    Some((fingerprint, JournalEntry { trace, skipped_records, metrics }))
+    let (fingerprint, skipped_records) = (words.next()?, words.next()?);
+    let metrics = metrics_from_words(words.collect::<Vec<_>>().try_into().ok()?);
+    Some((fingerprint, JournalEntry { skipped_records, metrics }))
 }
 
 // ---------------------------------------------------------------------------
@@ -397,13 +319,12 @@ impl std::error::Error for CheckpointError {}
 
 #[derive(Debug, Default)]
 struct JournalState {
-    /// Fingerprint → entry, for O(1) resume lookups.
-    entries: HashMap<u64, JournalEntry>,
-    /// Every well-formed line, keyed by fingerprint. A flush writes these
-    /// sorted by fingerprint, so the file bytes depend only on *which*
-    /// cells completed — never on the thread schedule that completed them.
-    lines: Vec<(u64, String)>,
-    /// Records appended since the last durable flush.
+    /// Fingerprint → entry: the resume lookup table *and*, iterated in key
+    /// order, the file image — so the bytes depend only on *which* cells
+    /// completed, never on the thread schedule that completed them, and
+    /// memory and disk cannot disagree.
+    entries: BTreeMap<u64, JournalEntry>,
+    /// Records since the last flush that reached the disk.
     dirty: usize,
 }
 
@@ -414,47 +335,49 @@ struct JournalState {
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
-    tmp_path: PathBuf,
-    flush_every: usize,
+    loaded: usize,
+    tail: Tail,
     state: Mutex<JournalState>,
 }
 
 impl CheckpointJournal {
     /// Open (creating `dir` if needed) the journal at
-    /// `dir/`[`JOURNAL_FILE`], loading any entries a previous run left
-    /// behind. Corrupt or torn lines are dropped silently — their cells
-    /// re-run. A durable flush happens automatically every `flush_every`
-    /// records (and on [`CheckpointJournal::flush`]).
-    pub fn open(dir: &Path, flush_every: usize) -> Result<Self, CheckpointError> {
+    /// `dir/`[`JOURNAL_FILE`], restoring the verified prefix of whatever a
+    /// previous run left behind. Damage past that prefix is not an error:
+    /// it is reported by [`CheckpointJournal::tail`], its cells re-run,
+    /// and the next flush replaces the file. A durable flush happens
+    /// automatically every 16 records (and on [`CheckpointJournal::flush`]).
+    pub fn open(dir: &Path) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| CheckpointError::new(dir, &e))?;
         let path = dir.join(JOURNAL_FILE);
-        let mut state = JournalState::default();
-        match fs::read_to_string(&path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    if let Some((fp, entry)) = entry_from_line(line) {
-                        // Last write wins, but keep one line per fingerprint.
-                        if state.entries.insert(fp, entry).is_none() {
-                            state.lines.push((fp, line.to_string()));
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(CheckpointError::new(&path, &e)),
-        }
-        let tmp_path = dir.join(format!("{JOURNAL_FILE}.tmp"));
+        let scan = prefetch_wal::scan(&path).map_err(|e| CheckpointError::new(&path, &e))?;
+        // A verified record of another version or size decodes to `None`
+        // and is skipped: that cell re-runs, its neighbours are kept.
+        let entries: BTreeMap<u64, JournalEntry> =
+            scan.records.iter().filter_map(|payload| decode_payload(payload)).collect();
         Ok(CheckpointJournal {
             path,
-            tmp_path,
-            flush_every: flush_every.max(1),
-            state: Mutex::new(state),
+            loaded: entries.len(),
+            tail: scan.tail,
+            state: Mutex::new(JournalState { entries, dirty: 0 }),
         })
+    }
+
+    fn state(&self) -> MutexGuard<'_, JournalState> {
+        // Every update leaves the map and the counter valid at every
+        // step, so a worker that panicked mid-call costs nothing here.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of entries restored from disk at open time.
     pub fn loaded(&self) -> usize {
-        self.state.lock().unwrap().entries.len()
+        self.loaded
+    }
+
+    /// How the file found at open time ended: [`Tail::Clean`], or where
+    /// the verified prefix stopped and why.
+    pub fn tail(&self) -> &Tail {
+        &self.tail
     }
 
     /// The journal file this journal persists to.
@@ -465,49 +388,43 @@ impl CheckpointJournal {
     /// The entry for `fingerprint`, if a previous (or this) run completed
     /// that cell.
     pub fn lookup(&self, fingerprint: u64) -> Option<JournalEntry> {
-        self.state.lock().unwrap().entries.get(&fingerprint).cloned()
+        self.state().entries.get(&fingerprint).copied()
     }
 
-    /// Record a completed cell; durably flushed at the configured cadence.
+    /// Record a completed cell (the last record for a fingerprint wins);
+    /// durably flushed every 16 records.
     pub fn record(&self, fingerprint: u64, entry: JournalEntry) -> Result<(), CheckpointError> {
-        let flush_now = {
-            let mut state = self.state.lock().unwrap();
-            if state.entries.insert(fingerprint, entry.clone()).is_none() {
-                state.lines.push((fingerprint, entry_to_line(fingerprint, &entry)));
-                state.dirty += 1;
-            }
-            state.dirty >= self.flush_every
-        };
-        if flush_now {
-            self.flush()?;
-        }
-        Ok(())
+        let mut state = self.state();
+        state.entries.insert(fingerprint, entry);
+        state.dirty += 1;
+        self.flush_when(&mut state, FLUSH_EVERY)
     }
 
-    /// Durably persist every recorded entry: write the full journal to a
+    /// Durably persist every recorded entry: write the full image to a
     /// temporary sibling, fsync it, and atomically rename it over the live
-    /// file ([`prefetch_wal::atomic::replace_file`], the same discipline
-    /// the WAL checkpoints use), so a crash mid-flush can never tear the
-    /// journal.
+    /// file ([`prefetch_wal::atomic::replace_file_auto`], the same
+    /// discipline the WAL checkpoints use), so a crash mid-flush can never
+    /// tear the journal. After a failed flush the entries stay pending and
+    /// the next call tries again.
     pub fn flush(&self) -> Result<(), CheckpointError> {
-        let text = {
-            let mut state = self.state.lock().unwrap();
-            if state.dirty == 0 {
-                return Ok(());
-            }
-            state.dirty = 0;
-            // Fingerprint order makes the file bytes schedule-independent:
-            // an N-thread sweep and a sequential one flush identical files.
-            state.lines.sort_unstable_by_key(|&(fp, _)| fp);
-            let mut text = String::new();
-            for (_, line) in &state.lines {
-                text.push_str(line);
-                text.push('\n');
-            }
-            text
-        };
-        prefetch_wal::atomic::replace_file(&self.tmp_path, &self.path, text.as_bytes())
-            .map_err(|e| CheckpointError::new(&self.path, &e))
+        self.flush_when(&mut self.state(), 1)
+    }
+
+    /// Flush once `due` records are pending. The caller's lock is held
+    /// across the write: concurrent flushes share one temporary file, and
+    /// `dirty` may only be cleared for an image known to be on disk.
+    fn flush_when(&self, state: &mut JournalState, due: usize) -> Result<(), CheckpointError> {
+        if state.dirty < due {
+            return Ok(());
+        }
+        let mut image = file_header().to_vec();
+        for (&fingerprint, entry) in &state.entries {
+            image.extend_from_slice(&encode_record(&encode_payload(fingerprint, entry)));
+        }
+        prefetch_wal::atomic::replace_file_auto(&self.path, &image)
+            .map_err(|e| CheckpointError::new(&self.path, &e))?;
+        state.dirty = 0;
+        Ok(())
     }
 }
 
@@ -536,6 +453,25 @@ mod tests {
         }
     }
 
+    /// A distinguishable entry per `tag`.
+    fn entry(tag: u64) -> JournalEntry {
+        JournalEntry {
+            skipped_records: tag,
+            metrics: SimMetrics { refs: 100 + tag, ..sample_metrics() },
+        }
+    }
+
+    /// Equality of every word, floats by bit pattern (not `==`).
+    fn assert_bit_equal(a: &JournalEntry, b: &JournalEntry) {
+        assert_eq!(a.skipped_records, b.skipped_records);
+        assert_eq!(metrics_to_words(&a.metrics), metrics_to_words(&b.metrics));
+    }
+
+    /// The verified record payloads currently in the journal file.
+    fn on_disk(j: &CheckpointJournal) -> Vec<Vec<u8>> {
+        prefetch_wal::scan(j.path()).unwrap().records
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefetch-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -548,6 +484,15 @@ mod tests {
         let cfg = SimConfig::new(64, PolicySpec::Tree);
         let fp = cell_fingerprint(&trace, &cfg);
         assert_eq!(fp, cell_fingerprint(&trace, &cfg), "not deterministic");
+
+        // Stable across commits too: journals written under this
+        // `FINGERPRINT_VERSION` must keep hitting. One plain config, one
+        // that reaches the disk, fault-plan and retry fields.
+        assert_eq!(fp, 0x6a4b_3a0c_d022_b3ff);
+        let faulted = SimConfig::new(256, PolicySpec::TreeThreshold(0.05))
+            .with_disks(4)
+            .with_fault_rate(9, 0.125);
+        assert_eq!(cell_fingerprint(&trace, &faulted), 0x9d36_0f57_660a_8504);
 
         // Every identity component must matter.
         assert_ne!(fp, cell_fingerprint(&trace, &SimConfig::new(65, PolicySpec::Tree)));
@@ -581,54 +526,46 @@ mod tests {
     }
 
     #[test]
-    fn entry_round_trips_bit_exactly_through_the_line_codec() {
-        let entry = JournalEntry {
-            trace: "weird \"name\"\\with\nescapes".into(),
-            skipped_records: 17,
-            metrics: sample_metrics(),
-        };
-        let line = entry_to_line(0xdead_beef_0bad_f00d, &entry);
-        let (fp, back) = entry_from_line(&line).expect("round trip");
+    fn entry_round_trips_bit_exactly_through_the_record_codec() {
+        let entry = JournalEntry { skipped_records: 17, metrics: sample_metrics() };
+        let mut image = file_header().to_vec();
+        image.extend_from_slice(&encode_record(&encode_payload(0xdead_beef_0bad_f00d, &entry)));
+        let scan = prefetch_wal::scan_bytes(&image);
+        assert_eq!(scan.tail, Tail::Clean);
+        let (fp, back) = decode_payload(&scan.records[0]).expect("round trip");
         assert_eq!(fp, 0xdead_beef_0bad_f00d);
-        assert_eq!(back, entry);
-        // Bit-exactness of the floats, not approximate equality.
-        assert_eq!(
-            back.metrics.prefetch_probability_sum.to_bits(),
-            entry.metrics.prefetch_probability_sum.to_bits()
-        );
+        assert_bit_equal(&back, &entry);
     }
 
     #[test]
-    fn corrupt_lines_are_rejected_not_misread() {
-        let entry =
-            JournalEntry { trace: "cad".into(), skipped_records: 0, metrics: sample_metrics() };
-        let line = entry_to_line(42, &entry);
-        assert!(entry_from_line("").is_none());
-        assert!(entry_from_line("not json").is_none());
-        assert!(entry_from_line(&line[..line.len() / 2]).is_none(), "torn line accepted");
-        let wrong_version = line.replacen("\"v\":1", "\"v\":999", 1);
-        assert!(entry_from_line(&wrong_version).is_none());
-        // A metric array of the wrong arity means a different layout.
-        let short = line.replacen(",\"m\":[", ",\"m\":[1,2,3],\"old\":[", 1);
-        assert!(entry_from_line(&short).is_none());
+    fn stale_or_short_payloads_are_rejected_not_misread() {
+        let payload = encode_payload(42, &entry(0));
+        assert!(decode_payload(&payload).is_some());
+        assert!(decode_payload(&[]).is_none());
+        assert!(decode_payload(&payload[..payload.len() / 2]).is_none(), "short payload accepted");
+        // A payload with more or fewer metric words means a different layout.
+        assert!(decode_payload(&payload[..payload.len() - 8]).is_none());
+        assert!(decode_payload(&[&payload[..], &[0u8; 8]].concat()).is_none());
+        let mut other_version = payload.clone();
+        other_version[..8].copy_from_slice(&(JOURNAL_VERSION + 1).to_le_bytes());
+        assert!(decode_payload(&other_version).is_none());
     }
 
     #[test]
     fn journal_persists_and_reloads_across_instances() {
         let dir = tmp_dir("reload");
-        let entry =
-            JournalEntry { trace: "cad".into(), skipped_records: 3, metrics: sample_metrics() };
         {
-            let j = CheckpointJournal::open(&dir, 100).unwrap();
+            let j = CheckpointJournal::open(&dir).unwrap();
             assert_eq!(j.loaded(), 0);
-            j.record(1, entry.clone()).unwrap();
-            j.record(2, JournalEntry { trace: "snake".into(), ..entry.clone() }).unwrap();
+            j.record(1, entry(3)).unwrap();
+            j.record(2, entry(4)).unwrap();
             j.flush().unwrap();
         }
-        let j = CheckpointJournal::open(&dir, 100).unwrap();
+        let j = CheckpointJournal::open(&dir).unwrap();
         assert_eq!(j.loaded(), 2);
-        assert_eq!(j.lookup(1), Some(entry));
-        assert_eq!(j.lookup(2).unwrap().trace, "snake");
+        assert_eq!(j.tail(), &Tail::Clean);
+        assert_eq!(j.lookup(1), Some(entry(3)));
+        assert_eq!(j.lookup(2), Some(entry(4)));
         assert_eq!(j.lookup(3), None);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -636,51 +573,90 @@ mod tests {
     #[test]
     fn periodic_flush_hits_disk_without_an_explicit_flush() {
         let dir = tmp_dir("periodic");
-        let entry =
-            JournalEntry { trace: "cad".into(), skipped_records: 0, metrics: sample_metrics() };
-        let j = CheckpointJournal::open(&dir, 2).unwrap();
-        j.record(1, entry.clone()).unwrap();
-        j.record(2, entry.clone()).unwrap(); // second record crosses flush_every=2
-        let on_disk = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(on_disk.lines().count(), 2);
+        let j = CheckpointJournal::open(&dir).unwrap();
+        for fp in 1..FLUSH_EVERY as u64 {
+            j.record(fp, entry(fp)).unwrap();
+        }
+        assert!(!j.path().exists(), "flushed before the cadence was due");
+        j.record(FLUSH_EVERY as u64, entry(0)).unwrap(); // crosses FLUSH_EVERY
+        assert_eq!(on_disk(&j).len(), FLUSH_EVERY);
         drop(j);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Cut a 3-cell journal at every byte: reopening never fails, restores
+    /// a prefix of the fingerprint-ordered cells, and every restored entry
+    /// is bit-equal to what was recorded.
     #[test]
-    fn torn_trailing_line_is_dropped_and_the_rest_survive() {
+    fn every_truncation_restores_a_bit_exact_prefix() {
         let dir = tmp_dir("torn");
-        let entry =
-            JournalEntry { trace: "cad".into(), skipped_records: 0, metrics: sample_metrics() };
+        // Recorded out of order; the file holds them in fingerprint order.
+        let cells = [(10u64, entry(1)), (20, entry(2)), (30, entry(3))];
         {
-            let j = CheckpointJournal::open(&dir, 100).unwrap();
-            j.record(1, entry.clone()).unwrap();
-            j.record(2, entry.clone()).unwrap();
+            let j = CheckpointJournal::open(&dir).unwrap();
+            for i in [2, 0, 1] {
+                j.record(cells[i].0, cells[i].1).unwrap();
+            }
             j.flush().unwrap();
         }
-        // Simulate a crash that tore the last line in half.
         let path = dir.join(JOURNAL_FILE);
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &text[..text.len() - 30]).unwrap();
-
-        let j = CheckpointJournal::open(&dir, 100).unwrap();
-        assert_eq!(j.loaded(), 1, "torn journal should keep exactly the intact lines");
-        assert_eq!(j.lookup(1), Some(entry));
-        assert_eq!(j.lookup(2), None);
+        let image = fs::read(&path).unwrap();
+        let header = prefetch_wal::FILE_HEADER_LEN;
+        let record_len = (image.len() - header) / cells.len();
+        // Cuts on a record boundary are shorter journals, not damage.
+        let boundaries: Vec<usize> =
+            std::iter::once(0).chain((0..=cells.len()).map(|k| header + k * record_len)).collect();
+        for cut in 0..=image.len() {
+            fs::write(&path, &image[..cut]).unwrap();
+            let j = CheckpointJournal::open(&dir).unwrap();
+            let whole = cut.saturating_sub(header) / record_len;
+            assert_eq!(j.loaded(), whole, "cut at byte {cut}");
+            for (i, (fp, recorded)) in cells.iter().enumerate() {
+                match j.lookup(*fp) {
+                    Some(restored) if i < whole => assert_bit_equal(&restored, recorded),
+                    None if i >= whole => {}
+                    other => panic!("cut at byte {cut}: cell {i} restored as {other:?}"),
+                }
+            }
+            let clean = j.tail() == &Tail::Clean;
+            assert_eq!(clean, boundaries.contains(&cut), "cut at byte {cut}: {:?}", j.tail());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn duplicate_fingerprints_keep_one_line() {
         let dir = tmp_dir("dup");
-        let entry =
-            JournalEntry { trace: "cad".into(), skipped_records: 0, metrics: sample_metrics() };
-        let j = CheckpointJournal::open(&dir, 1).unwrap();
-        j.record(7, entry.clone()).unwrap();
-        j.record(7, entry).unwrap();
-        let on_disk = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(on_disk.lines().count(), 1);
+        let j = CheckpointJournal::open(&dir).unwrap();
+        j.record(7, entry(1)).unwrap();
+        j.record(7, entry(2)).unwrap();
+        j.flush().unwrap();
+        let in_memory = j.lookup(7);
+        assert_eq!(in_memory, Some(entry(2)), "the last record wins");
+        assert_eq!(on_disk(&j).len(), 1);
         drop(j);
+        // Memory and disk are one map: a reopen sees what this process saw.
+        assert_eq!(CheckpointJournal::open(&dir).unwrap().lookup(7), in_memory);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_flush_is_retried_not_forgotten() {
+        let dir = tmp_dir("failed-flush");
+        let j = CheckpointJournal::open(&dir).unwrap();
+        // A directory where the journal file belongs: the rename fails.
+        fs::create_dir(j.path()).unwrap();
+        j.record(1, entry(1)).unwrap();
+        j.record(2, entry(2)).unwrap();
+        assert!(j.flush().is_err(), "replacing a directory with a file must fail");
+
+        fs::remove_dir(j.path()).unwrap();
+        j.flush().expect("the entries are still pending");
+        drop(j);
+        let j = CheckpointJournal::open(&dir).unwrap();
+        assert_eq!(j.loaded(), 2);
+        assert_eq!(j.lookup(1), Some(entry(1)));
+        assert_eq!(j.lookup(2), Some(entry(2)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,10 +1,10 @@
 //! Resilient sweep orchestration: panic isolation, deadlines, retries,
 //! and crash-safe resume.
 //!
-//! The plain sweeps in [`crate::sweep`] assume every cell succeeds; for
-//! paper-scale grids (hundreds of cells, hours of wall-clock) that
-//! assumption makes the whole run as fragile as its weakest cell. This
-//! module wraps each cell in its own fault domain:
+//! [`run_cells_checkpointed`] is the crate's one sweep (with
+//! [`HarnessOpts::default`], a plain parallel one). Paper-scale grids run
+//! hundreds of cells over hours of wall-clock and must not be as fragile
+//! as their weakest cell, so each cell is its own fault domain:
 //!
 //! * a panicking cell (simulator invariant violation, policy bug) is
 //!   caught with [`std::panic::catch_unwind`] and reported as
@@ -22,22 +22,25 @@
 //!
 //! The only hard error is [`SweepError::BadTraceIndex`] — a malformed
 //! cell list is a caller bug, detected up front before any work runs.
+//!
+//! [`run_source_guarded`] is the single-run counterpart (`pfsim`); both
+//! run [`crate::runner`]'s one run body inside `quiet_catch`.
 
-use crate::checkpoint::{cell_fingerprint, CheckpointError, CheckpointJournal, JournalEntry};
+use crate::checkpoint::{cell_fingerprint, CheckpointJournal, JournalEntry};
 use crate::config::{SimConfig, SimConfigError};
-use crate::metrics::SimMetrics;
-use crate::observer::{NullObserver, SimEvent, SimObserver};
-use crate::runner::SimResult;
-use crate::simulator::Simulator;
+use crate::observer::{SimEvent, SimObserver};
+use crate::runner::{run_body, SimResult};
 use crate::sweep::SweepCell;
 use prefetch_telemetry::{log as tlog, PhaseTimes};
 use prefetch_trace::{Trace, TraceSource};
+use prefetch_tree::PrefetchTree;
+use prefetch_wal::Tail;
 use rayon::prelude::*;
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -73,9 +76,6 @@ pub enum SweepError {
         /// Rendered source error.
         message: String,
     },
-    /// The checkpoint journal failed (checkpointing degrades to off; this
-    /// surfaces only in logs, never aborts a sweep).
-    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for SweepError {
@@ -90,7 +90,6 @@ impl fmt::Display for SweepError {
                 write!(f, "cell exceeded its {limit_ms} ms deadline")
             }
             SweepError::TraceIo { message } => write!(f, "trace source failed: {message}"),
-            SweepError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
 }
@@ -166,11 +165,6 @@ impl SweepRun {
                 c.result().map(|r| SweepCell { trace_index: c.trace_index, result: r.clone() })
             })
             .collect()
-    }
-
-    /// Cells that did not complete (failed, timed out, or skipped).
-    pub fn incomplete(&self) -> impl Iterator<Item = &CellOutcome> {
-        self.cells.iter().filter(|c| c.result().is_none())
     }
 
     /// Whether every cell completed.
@@ -299,20 +293,14 @@ impl SweepLog {
     pub fn notes(&self) -> Vec<String> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).notes.clone()
     }
-
-    /// Whether any cell anywhere failed to produce a result.
-    pub fn has_failures(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).summary.incomplete() > 0
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Harness options
 // ---------------------------------------------------------------------------
 
-/// Knobs of the resilient harness. `Default` runs exactly like the plain
-/// sweep (no checkpointing, no deadline) plus one retry and panic
-/// isolation.
+/// Knobs of the resilient harness. `Default` is the plain parallel sweep
+/// (no checkpointing, no deadline) plus one retry and panic isolation.
 #[derive(Clone, Debug)]
 pub struct HarnessOpts {
     /// Directory for the checkpoint journal; `None` disables
@@ -323,13 +311,12 @@ pub struct HarnessOpts {
     pub deadline_ms: Option<u64>,
     /// Simulation attempts per cell, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before the first retry (doubles per retry), in ms.
-    pub backoff_base_ms: u64,
-    /// Journal flush cadence, in completed cells.
-    pub flush_every: usize,
     /// Shared outcome log (cloned handles append to the same log).
     pub log: Arc<SweepLog>,
 }
+
+/// Backoff before a cell's first retry, in ms; doubles per retry.
+const RETRY_BACKOFF_MS: u64 = 25;
 
 impl Default for HarnessOpts {
     fn default() -> Self {
@@ -337,8 +324,6 @@ impl Default for HarnessOpts {
             checkpoint_dir: None,
             deadline_ms: None,
             max_attempts: 2,
-            backoff_base_ms: 25,
-            flush_every: 16,
             log: Arc::new(SweepLog::default()),
         }
     }
@@ -434,11 +419,6 @@ impl DeadlineGuard {
         }
     }
 
-    /// A guard that never fires (one code path for both cases).
-    pub fn unlimited() -> Self {
-        Self::new(None)
-    }
-
     fn check(&mut self) {
         let Some((started, limit_ms)) = self.deadline else { return };
         self.countdown -= 1;
@@ -465,116 +445,28 @@ impl SimObserver for DeadlineGuard {
 /// Run a streaming source with panic isolation and an optional deadline:
 /// the single-run counterpart of the sweep harness, used by `pfsim` to
 /// turn every failure mode into a structured exit instead of an abort.
+///
+/// `extra` is spliced into the event stream after metrics and the
+/// deadline guard, so front ends can attach histograms or an event sink
+/// without giving up the guard rails. `warm_tree` (restored by the caller
+/// from a `pftree-snap/v1` snapshot) is installed into the policy before
+/// the first reference, and with `want_tree` the policy's trained tree is
+/// returned beside the result so the caller can persist it. A warm tree
+/// handed to a treeless policy (e.g. `no-prefetch`) is dropped; the run
+/// proceeds cold and the mismatch is logged rather than fatal — the
+/// caller asked for that policy.
 pub fn run_source_guarded<S: TraceSource>(
     source: &mut S,
     config: &SimConfig,
     deadline_ms: Option<u64>,
-) -> Result<SimResult, SweepError> {
-    run_source_guarded_with(source, config, deadline_ms, &mut NullObserver)
-}
-
-/// [`run_source_guarded`] with an extra observer spliced into the event
-/// stream (after metrics and the deadline guard), so front ends can
-/// attach histograms or an event sink without giving up the guard rails.
-pub fn run_source_guarded_with<S: TraceSource>(
-    source: &mut S,
-    config: &SimConfig,
-    deadline_ms: Option<u64>,
     extra: &mut dyn SimObserver,
-) -> Result<SimResult, SweepError> {
-    config.validate().map_err(SweepError::InvalidConfig)?;
-    let io_error: Mutex<Option<String>> = Mutex::new(None);
-    let run = quiet_catch(|| {
-        let mut obs = (SimMetrics::default(), DeadlineGuard::new(deadline_ms), extra);
-        match Simulator::run(&mut *source, config, &mut obs) {
-            Ok(phases) => {
-                obs.0.check_invariants();
-                Some((obs.0, phases))
-            }
-            Err(e) => {
-                *io_error.lock().unwrap() = Some(e.to_string());
-                None
-            }
-        }
-    })?;
-    match run {
-        Some((metrics, phases)) => Ok(SimResult {
-            config: *config,
-            trace: Arc::from(source.meta().name.as_str()),
-            metrics,
-            skipped_records: source.skipped(),
-            phases,
-        }),
-        None => {
-            let message = io_error.lock().unwrap().take().unwrap_or_default();
-            Err(SweepError::TraceIo { message })
-        }
-    }
-}
-
-/// [`run_source_guarded_with`] plus `pftree-snap/v1` plumbing: `warm_tree`
-/// (restored by the caller from a snapshot) is installed into the policy
-/// before the first reference, and when `want_tree` is set the policy's
-/// trained tree is returned alongside the result so the caller can
-/// persist it. A warm tree handed to a treeless policy (e.g.
-/// `no-prefetch`) is dropped; the run proceeds cold and the mismatch is
-/// logged rather than fatal — the caller asked for that policy.
-pub fn run_source_guarded_snapshot<S: TraceSource>(
-    source: &mut S,
-    config: &SimConfig,
-    deadline_ms: Option<u64>,
-    extra: &mut dyn SimObserver,
-    warm_tree: Option<prefetch_tree::PrefetchTree>,
+    warm_tree: Option<PrefetchTree>,
     want_tree: bool,
-) -> Result<(SimResult, Option<prefetch_tree::PrefetchTree>), SweepError> {
+) -> Result<(SimResult, Option<PrefetchTree>), SweepError> {
     config.validate().map_err(SweepError::InvalidConfig)?;
-    let io_error: Mutex<Option<String>> = Mutex::new(None);
-    let run = quiet_catch(AssertUnwindSafe(|| {
-        let mut obs = (SimMetrics::default(), DeadlineGuard::new(deadline_ms), extra);
-        let mut sim = Simulator::new(config);
-        if let Some(tree) = warm_tree {
-            if !sim.install_tree(tree) {
-                tlog::warn("warm_start_dropped").str("policy", config.policy.name()).emit();
-            }
-        }
-        let mut drive = || -> Result<(), prefetch_trace::io::TraceIoError> {
-            let mut pending = source.next_record()?;
-            while let Some(rec) = pending {
-                let next = source.next_record()?;
-                sim.step(rec, next.map(|r| r.block), &mut obs);
-                pending = next;
-            }
-            Ok(())
-        };
-        match drive() {
-            Ok(()) => {
-                let tree = if want_tree { sim.tree().cloned() } else { None };
-                let phases = sim.finish(&mut obs);
-                obs.0.check_invariants();
-                Some((obs.0, phases, tree))
-            }
-            Err(e) => {
-                *io_error.lock().unwrap() = Some(e.to_string());
-                None
-            }
-        }
-    }))?;
-    match run {
-        Some((metrics, phases, tree)) => Ok((
-            SimResult {
-                config: *config,
-                trace: Arc::from(source.meta().name.as_str()),
-                metrics,
-                skipped_records: source.skipped(),
-                phases,
-            },
-            tree,
-        )),
-        None => {
-            let message = io_error.lock().unwrap().take().unwrap_or_default();
-            Err(SweepError::TraceIo { message })
-        }
-    }
+    let mut guarded = (DeadlineGuard::new(deadline_ms), extra);
+    quiet_catch(|| run_body(source, config, None, &mut guarded, warm_tree, want_tree))?
+        .map_err(|e| SweepError::TraceIo { message: e.to_string() })
 }
 
 fn attempt_cell(
@@ -588,24 +480,12 @@ fn attempt_cell(
     loop {
         attempt += 1;
         let outcome = quiet_catch(|| {
-            let mut source = trace.source();
-            let mut obs = (SimMetrics::default(), DeadlineGuard::new(opts.deadline_ms));
-            let phases = Simulator::run(&mut source, config, &mut obs)
-                .expect("in-memory sources cannot fail");
-            obs.0.check_invariants();
-            (obs.0, phases)
+            let mut guard = DeadlineGuard::new(opts.deadline_ms);
+            run_body(&mut trace.source(), config, Some(name.clone()), &mut guard, None, false)
+                .expect("in-memory sources cannot fail")
         });
         match outcome {
-            Ok((metrics, phases)) => {
-                let result = SimResult {
-                    config: *config,
-                    trace: name.clone(),
-                    metrics,
-                    skipped_records: 0,
-                    phases,
-                };
-                return (Ok(result), attempt);
-            }
+            Ok((result, _)) => return (Ok(result), attempt),
             Err(error) => {
                 if attempt >= opts.max_attempts.max(1) {
                     return (Err(error), attempt);
@@ -613,7 +493,7 @@ fn attempt_cell(
                 // Exponential backoff: in-process failures are
                 // deterministic, but the deadline races the machine's
                 // load, so give the machine a breather before retrying.
-                let backoff = opts.backoff_base_ms.saturating_mul(1 << (attempt - 1).min(16));
+                let backoff = RETRY_BACKOFF_MS.saturating_mul(1 << (attempt - 1).min(16));
                 tlog::warn("cell_retry")
                     .str("fp", format!("{fingerprint:016x}"))
                     .u64("attempt", u64::from(attempt))
@@ -661,8 +541,43 @@ pub fn cell_status_record(
     }
 }
 
-/// Run an explicit cell list through the resilient harness (the
-/// checkpointed, panic-isolated counterpart of [`crate::sweep::run_cells`]).
+/// Open the checkpoint journal in `dir`, reporting what it restored. A
+/// journal that cannot be opened, or that is damaged past a verified
+/// prefix, never costs the sweep: the sweep runs uncheckpointed, or
+/// re-runs the cells past the damage — and says so.
+fn open_journal(dir: &Path, log: &SweepLog) -> Option<CheckpointJournal> {
+    let journal = match CheckpointJournal::open(dir) {
+        Ok(journal) => journal,
+        Err(e) => {
+            tlog::warn("checkpoint_disabled").str("error", e.to_string()).emit();
+            log.note(format!("checkpointing disabled: {e}"));
+            return None;
+        }
+    };
+    let path = journal.path().display();
+    let damage = match journal.tail() {
+        Tail::Clean => None,
+        Tail::Torn { at, dropped } => {
+            Some(("checkpoint_torn", *at, format!("{dropped} trailing bytes of a torn record")))
+        }
+        Tail::Corrupt { at, reason } => Some(("checkpoint_corrupt", *at, reason.clone())),
+    };
+    if let Some((event, at, detail)) = damage {
+        tlog::warn(event).u64("at", at).str("detail", detail.as_str()).emit();
+        log.note(format!("{event}: {path} offset {at}: {detail}; the cells past it re-run"));
+    }
+    if journal.loaded() > 0 {
+        tlog::debug("checkpoint_resume")
+            .str("path", path.to_string())
+            .u64("cells", journal.loaded() as u64)
+            .emit();
+        log.note(format!("resumed from {path} with {} journaled cells", journal.loaded()));
+    }
+    Some(journal)
+}
+
+/// Run an explicit list of (trace index, config) cells in parallel,
+/// preserving input order in the output: the crate's one sweep.
 ///
 /// Every cell terminates in one of the four [`CellStatus`] states; the
 /// only `Err` is [`SweepError::BadTraceIndex`], raised before any work.
@@ -674,120 +589,77 @@ pub fn run_cells_checkpointed(
     if let Some(&(index, _)) = cells.iter().find(|&&(ti, _)| ti >= traces.len()) {
         return Err(SweepError::BadTraceIndex { index, traces: traces.len() });
     }
+    // One shared name allocation per trace: every cell clones an `Arc`
+    // pointer instead of the name string.
     let names: Vec<Arc<str>> = traces.iter().map(|t| Arc::from(t.meta().name.as_str())).collect();
     tlog::debug("sweep_start")
         .u64("cells", cells.len() as u64)
         .u64("traces", traces.len() as u64)
         .bool("checkpointed", opts.checkpoint_dir.is_some())
         .emit();
+    let journal = opts.checkpoint_dir.as_deref().and_then(|dir| open_journal(dir, &opts.log));
 
-    let journal = opts.checkpoint_dir.as_deref().and_then(|dir| {
-        match CheckpointJournal::open(dir, opts.flush_every) {
-            Ok(journal) => {
-                if journal.loaded() > 0 {
-                    tlog::debug("checkpoint_resume")
-                        .str("path", journal.path().display().to_string())
-                        .u64("cells", journal.loaded() as u64)
-                        .emit();
-                    opts.log.note(format!(
-                        "resumed from {} with {} journaled cells",
-                        journal.path().display(),
-                        journal.loaded()
-                    ));
-                }
-                Some(journal)
-            }
-            Err(e) => {
-                // Graceful degradation: a broken journal must not cost the
-                // sweep — run uncheckpointed and say so.
-                tlog::warn("checkpoint_disabled").str("error", e.to_string()).emit();
-                opts.log.note(format!("checkpointing disabled: {e}"));
-                None
-            }
-        }
-    });
-
-    let fingerprints: Vec<u64> =
-        cells.iter().map(|(ti, config)| cell_fingerprint(&traces[*ti], config)).collect();
-
-    let outcomes: Vec<CellOutcome> = (0..cells.len())
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|i| {
-            let (trace_index, config) = cells[i];
-            let fp = fingerprints[i];
+    let outcomes: Vec<CellOutcome> = cells
+        .par_iter()
+        .map(|&(trace_index, config)| {
+            let trace = &traces[trace_index];
             let name = &names[trace_index];
-            if let Some(entry) = journal.as_ref().and_then(|j| j.lookup(fp)) {
-                let result = SimResult {
-                    config,
-                    trace: name.clone(),
-                    metrics: entry.metrics,
-                    skipped_records: entry.skipped_records,
-                    phases: PhaseTimes::default(),
-                };
-                let status = CellStatus::Ok(Box::new(result));
-                cell_status_record(fp, name, &status, 0, true).emit();
-                return CellOutcome { trace_index, config, status, attempts: 0, restored: true };
-            }
-            if let Err(e) = config.validate() {
-                let status = CellStatus::Skipped { reason: e.to_string() };
-                cell_status_record(fp, name, &status, 0, false).emit();
-                return CellOutcome { trace_index, config, status, attempts: 0, restored: false };
-            }
-            let (outcome, attempts) = attempt_cell(&traces[trace_index], name, &config, fp, opts);
-            let status = match outcome {
-                Ok(result) => {
-                    if let Some(j) = &journal {
-                        let entry = JournalEntry {
-                            trace: name.to_string(),
-                            skipped_records: result.skipped_records,
-                            metrics: result.metrics,
-                        };
-                        if let Err(e) = j.record(fp, entry) {
-                            tlog::warn("checkpoint_write_failed")
-                                .str("error", e.to_string())
-                                .emit();
-                            opts.log.note(format!("checkpoint write failed: {e}"));
+            let fp = cell_fingerprint(trace, &config);
+            let (status, attempts, restored) =
+                if let Some(entry) = journal.as_ref().and_then(|j| j.lookup(fp)) {
+                    let result = SimResult {
+                        config,
+                        trace: name.clone(),
+                        metrics: entry.metrics,
+                        skipped_records: entry.skipped_records,
+                        phases: PhaseTimes::default(),
+                    };
+                    (CellStatus::Ok(Box::new(result)), 0, true)
+                } else if let Err(e) = config.validate() {
+                    (CellStatus::Skipped { reason: e.to_string() }, 0, false)
+                } else {
+                    let (outcome, attempts) = attempt_cell(trace, name, &config, fp, opts);
+                    let status = match outcome {
+                        Ok(result) => {
+                            let entry = JournalEntry {
+                                skipped_records: result.skipped_records,
+                                metrics: result.metrics,
+                            };
+                            if let Some(Err(e)) = journal.as_ref().map(|j| j.record(fp, entry)) {
+                                tlog::warn("checkpoint_write_failed")
+                                    .str("error", e.to_string())
+                                    .emit();
+                                opts.log.note(format!("checkpoint write failed: {e}"));
+                            }
+                            CellStatus::Ok(Box::new(result))
                         }
-                    }
-                    CellStatus::Ok(Box::new(result))
-                }
-                Err(SweepError::DeadlineExceeded { limit_ms }) => CellStatus::TimedOut { limit_ms },
-                Err(error) => CellStatus::Failed { error },
-            };
-            cell_status_record(fp, name, &status, attempts, false).emit();
-            CellOutcome { trace_index, config, status, attempts, restored: false }
+                        Err(SweepError::DeadlineExceeded { limit_ms }) => {
+                            CellStatus::TimedOut { limit_ms }
+                        }
+                        Err(error) => CellStatus::Failed { error },
+                    };
+                    (status, attempts, false)
+                };
+            cell_status_record(fp, name, &status, attempts, restored).emit();
+            CellOutcome { trace_index, config, status, attempts, restored }
         })
         .collect();
 
-    if let Some(j) = &journal {
-        if let Err(e) = j.flush() {
-            tlog::warn("checkpoint_flush_failed").str("error", e.to_string()).emit();
-            opts.log.note(format!("checkpoint flush failed: {e}"));
-        }
+    if let Some(Err(e)) = journal.as_ref().map(CheckpointJournal::flush) {
+        tlog::warn("checkpoint_flush_failed").str("error", e.to_string()).emit();
+        opts.log.note(format!("checkpoint flush failed: {e}"));
     }
     let run = SweepRun { cells: outcomes };
     opts.log.absorb(&run, &names);
     Ok(run)
 }
 
-/// Every (trace × config) combination through the resilient harness (the
-/// checkpointed counterpart of [`crate::sweep::run_grid`]).
-pub fn run_grid_checkpointed(
-    traces: &[Trace],
-    configs: &[SimConfig],
-    opts: &HarnessOpts,
-) -> Result<SweepRun, SweepError> {
-    let cells: Vec<(usize, SimConfig)> =
-        (0..traces.len()).flat_map(|ti| configs.iter().map(move |c| (ti, *c))).collect();
-    run_cells_checkpointed(traces, &cells, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PolicySpec;
-    use crate::sweep;
+    use crate::observer::NullObserver;
+    use crate::runner::run_simulation;
     use prefetch_trace::synth::TraceKind;
     use std::fs;
     use std::path::PathBuf;
@@ -799,19 +671,25 @@ mod tests {
         dir
     }
 
+    /// Every (trace × config) combination, trace-major.
+    fn grid(traces: &[Trace], configs: &[SimConfig]) -> Vec<(usize, SimConfig)> {
+        (0..traces.len()).flat_map(|ti| configs.iter().map(move |c| (ti, *c))).collect()
+    }
+
     #[test]
     fn uncheckpointed_run_matches_the_plain_sweep_bit_for_bit() {
         let traces = vec![TraceKind::Cad.generate(2000, 1), TraceKind::Snake.generate(2000, 2)];
         let configs =
             vec![SimConfig::new(64, PolicySpec::NoPrefetch), SimConfig::new(64, PolicySpec::Tree)];
-        let plain = sweep::run_grid(&traces, &configs);
-        let resilient = run_grid_checkpointed(&traces, &configs, &HarnessOpts::default()).unwrap();
+        let cells = grid(&traces, &configs);
+        let resilient = run_cells_checkpointed(&traces, &cells, &HarnessOpts::default()).unwrap();
         assert!(resilient.is_complete());
-        let cells = resilient.completed_cells();
-        assert_eq!(cells.len(), plain.len());
-        for (a, b) in plain.iter().zip(&cells) {
-            assert_eq!(a.trace_index, b.trace_index);
-            assert_eq!(a.result.metrics, b.result.metrics);
+        let completed = resilient.completed_cells();
+        assert_eq!(completed.len(), cells.len());
+        // The plain sweep is the serial loop over the cell list.
+        for (&(ti, config), b) in cells.iter().zip(&completed) {
+            assert_eq!(ti, b.trace_index);
+            assert_eq!(run_simulation(&traces[ti], &config).metrics, b.result.metrics);
         }
     }
 
@@ -859,7 +737,7 @@ mod tests {
     fn persistent_panics_burn_every_attempt() {
         let traces = vec![TraceKind::Cad.generate(500, 5)];
         let cells = vec![(0, SimConfig::new(64, PolicySpec::PanicProbe { after: 1 }))];
-        let opts = HarnessOpts { max_attempts: 3, backoff_base_ms: 0, ..HarnessOpts::default() };
+        let opts = HarnessOpts { max_attempts: 3, ..HarnessOpts::default() };
         let run = run_cells_checkpointed(&traces, &cells, &opts).unwrap();
         assert_eq!(run.cells[0].attempts, 3);
         assert!(matches!(run.cells[0].status, CellStatus::Failed { .. }));
@@ -904,13 +782,14 @@ mod tests {
         let traces = vec![TraceKind::Sitar.generate(2000, 9)];
         let configs =
             vec![SimConfig::new(64, PolicySpec::Tree), SimConfig::new(128, PolicySpec::Tree)];
+        let cells = grid(&traces, &configs);
         let first =
-            run_grid_checkpointed(&traces, &configs, &HarnessOpts::checkpointed(&dir)).unwrap();
+            run_cells_checkpointed(&traces, &cells, &HarnessOpts::checkpointed(&dir)).unwrap();
         assert!(first.is_complete());
         assert!(first.cells.iter().all(|c| !c.restored));
 
         let opts = HarnessOpts::checkpointed(&dir);
-        let second = run_grid_checkpointed(&traces, &configs, &opts).unwrap();
+        let second = run_cells_checkpointed(&traces, &cells, &opts).unwrap();
         assert!(second.is_complete());
         assert!(second.cells.iter().all(|c| c.restored), "second run should restore everything");
         assert_eq!(opts.log.summary().restored, 2);
@@ -985,23 +864,25 @@ mod tests {
         assert_eq!(log.summary().ok, 1);
         assert_eq!(log.notes(), vec!["sibling cell still logs".to_string()]);
         assert!(log.failures().is_empty());
-        assert!(!log.has_failures());
+        assert_eq!(log.summary().incomplete(), 0);
     }
 
     #[test]
     fn guarded_source_run_matches_plain_and_reports_panics() {
         let trace = TraceKind::Cad.generate(2000, 3);
         let cfg = SimConfig::new(128, PolicySpec::Tree);
-        let plain = crate::runner::run_simulation(&trace, &cfg);
-        let guarded = run_source_guarded(&mut trace.source(), &cfg, None).unwrap();
-        assert_eq!(plain.metrics, guarded.metrics);
+        let guarded = |cfg: &SimConfig| {
+            run_source_guarded(&mut trace.source(), cfg, None, &mut NullObserver, None, false)
+        };
+        let plain = run_simulation(&trace, &cfg);
+        let (result, tree) = guarded(&cfg).unwrap();
+        assert_eq!(plain.metrics, result.metrics);
+        assert!(tree.is_none(), "no tree was asked for");
 
         let probe = SimConfig::new(128, PolicySpec::PanicProbe { after: 5 });
-        let err = run_source_guarded(&mut trace.source(), &probe, None).unwrap_err();
-        assert!(matches!(err, SweepError::Panicked { .. }));
+        assert!(matches!(guarded(&probe).unwrap_err(), SweepError::Panicked { .. }));
 
         let bad = SimConfig { cache_blocks: 0, ..cfg };
-        let err = run_source_guarded(&mut trace.source(), &bad, None).unwrap_err();
-        assert!(matches!(err, SweepError::InvalidConfig(_)));
+        assert!(matches!(guarded(&bad).unwrap_err(), SweepError::InvalidConfig(_)));
     }
 }

@@ -3,8 +3,9 @@
 //! Trace-driven simulator for the SC'99 cost-benefit prefetching study:
 //! the driver loop that feeds a trace through a partitioned
 //! [`prefetch_cache::BufferCache`] under a [`prefetch_core::policy`]
-//! policy, the metrics the paper reports, rayon-parallel parameter sweeps,
-//! and the experiment implementations that regenerate every table and
+//! policy, the metrics the paper reports, one panic-isolated, resumable
+//! parallel sweep ([`run_cells_checkpointed`]), and the experiment
+//! implementations that regenerate every table and
 //! figure of the paper's evaluation (Section 9).
 //!
 //! ## Quick example
@@ -39,14 +40,13 @@ pub use checkpoint::{cell_fingerprint, CheckpointError, CheckpointJournal, Journ
 pub use clock::VirtualClock;
 pub use config::{FaultConfig, PolicySpec, SimConfig, SimConfigError};
 pub use harness::{
-    cell_status_record, run_cells_checkpointed, run_grid_checkpointed, run_source_guarded,
-    run_source_guarded_snapshot, run_source_guarded_with, CellOutcome, CellStatus, DeadlineGuard,
-    HarnessOpts, SweepError, SweepLog, SweepRun, SweepSummary,
+    cell_status_record, run_cells_checkpointed, run_source_guarded, CellOutcome, CellStatus,
+    DeadlineGuard, HarnessOpts, SweepError, SweepLog, SweepRun, SweepSummary,
 };
 pub use instrument::{JsonlEventSink, QueueDelayObserver, StallHistogramObserver};
 pub use io_subsystem::IoSubsystem;
 pub use metrics::SimMetrics;
 pub use observer::{DiskSummary, NullObserver, SimEvent, SimObserver};
-pub use runner::{run_simulation, run_simulation_named, run_source, SimResult};
+pub use runner::{run_simulation, run_source, SimResult};
 pub use simulator::Simulator;
-pub use sweep::{run_cells, SweepCell};
+pub use sweep::SweepCell;

@@ -1,16 +1,19 @@
 //! Batch front ends over the decomposed [`crate::simulator::Simulator`].
 //!
-//! [`run_simulation`] keeps the original materialized-trace signature;
-//! [`run_source`] drives any streaming [`TraceSource`] in memory
-//! independent of trace length. Both feed the same simulator core, so
-//! their metrics are bit-identical for identical record streams.
+//! One run body, `run_body`, turns a [`TraceSource`] into a
+//! [`SimResult`]. [`run_simulation`] (a materialized trace) and
+//! [`run_source`] (any streaming source) are its unguarded wrappers;
+//! [`crate::harness`] calls it inside a panic domain. Identical record
+//! streams therefore give bit-identical metrics on every path.
 
 use crate::config::SimConfig;
 use crate::metrics::SimMetrics;
+use crate::observer::{NullObserver, SimObserver};
 use crate::simulator::Simulator;
-use prefetch_telemetry::PhaseTimes;
+use prefetch_telemetry::{log as tlog, PhaseTimes};
 use prefetch_trace::io::TraceIoError;
 use prefetch_trace::{Trace, TraceSource};
+use prefetch_tree::PrefetchTree;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -34,20 +37,49 @@ pub struct SimResult {
     pub phases: PhaseTimes,
 }
 
-/// Run `trace` under `config` and collect metrics.
-pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimResult {
-    run_simulation_named(trace, Arc::from(trace.meta().name.as_str()), config)
+/// The run body every front end shares. `extra` sees each event after
+/// the metrics collector. `name` is the result's trace name when the
+/// caller already holds one (a sweep shares one allocation across its
+/// cells); `None` reads it from the source *after* the run, since file
+/// sources may refine their metadata while streaming. `warm_tree` and
+/// `want_tree` are documented on [`crate::harness::run_source_guarded`].
+pub(crate) fn run_body<S, O>(
+    source: &mut S,
+    config: &SimConfig,
+    name: Option<Arc<str>>,
+    extra: &mut O,
+    warm_tree: Option<PrefetchTree>,
+    want_tree: bool,
+) -> Result<(SimResult, Option<PrefetchTree>), TraceIoError>
+where
+    S: TraceSource,
+    O: SimObserver + ?Sized,
+{
+    let mut obs = (SimMetrics::default(), extra);
+    let mut sim = Simulator::new(config);
+    if let Some(tree) = warm_tree {
+        if !sim.install_tree(tree) {
+            tlog::warn("warm_start_dropped").str("policy", config.policy.name()).emit();
+        }
+    }
+    sim.drive(source, &mut obs)?;
+    let tree = if want_tree { sim.tree().cloned() } else { None };
+    let phases = sim.finish(&mut obs);
+    let metrics = obs.0;
+    metrics.check_invariants();
+    let result = SimResult {
+        config: *config,
+        trace: name.unwrap_or_else(|| Arc::from(source.meta().name.as_str())),
+        metrics,
+        skipped_records: source.skipped(),
+        phases,
+    };
+    Ok((result, tree))
 }
 
-/// [`run_simulation`] with the trace's name supplied by the caller, so a
-/// sweep can share one allocation across thousands of cells.
-pub fn run_simulation_named(trace: &Trace, name: Arc<str>, config: &SimConfig) -> SimResult {
-    let mut source = trace.source();
-    let mut metrics = SimMetrics::default();
-    let phases =
-        Simulator::run(&mut source, config, &mut metrics).expect("in-memory sources cannot fail");
-    metrics.check_invariants();
-    SimResult { config: *config, trace: name, metrics, skipped_records: 0, phases }
+/// Run `trace` under `config` and collect metrics.
+pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimResult {
+    run_source(&mut trace.source(), config).expect("in-memory sources cannot fail")
 }
 
 /// Run a streaming source under `config`. The source is consumed to its
@@ -57,18 +89,7 @@ pub fn run_source<S: TraceSource>(
     source: &mut S,
     config: &SimConfig,
 ) -> Result<SimResult, TraceIoError> {
-    let mut metrics = SimMetrics::default();
-    let phases = Simulator::run(source, config, &mut metrics)?;
-    metrics.check_invariants();
-    // Read the name after the run: file sources may refine their metadata
-    // while streaming.
-    Ok(SimResult {
-        config: *config,
-        trace: Arc::from(source.meta().name.as_str()),
-        metrics,
-        skipped_records: source.skipped(),
-        phases,
-    })
+    run_body(source, config, None, &mut NullObserver, None, false).map(|(result, _)| result)
 }
 
 #[cfg(test)]
@@ -193,11 +214,15 @@ mod tests {
     }
 
     #[test]
-    fn run_simulation_named_shares_the_name_allocation() {
+    fn run_body_shares_a_supplied_name_allocation() {
         let trace = TraceKind::Cad.generate(1000, 2);
         let name: Arc<str> = Arc::from(trace.meta().name.as_str());
-        let r = run_simulation_named(&trace, name.clone(), &SimConfig::new(64, PolicySpec::Tree));
+        let cfg = SimConfig::new(64, PolicySpec::Tree);
+        let supplied = Some(name.clone());
+        let (r, tree) =
+            run_body(&mut trace.source(), &cfg, supplied, &mut NullObserver, None, false).unwrap();
         assert!(Arc::ptr_eq(&r.trace, &name));
+        assert!(tree.is_none(), "no tree was asked for");
     }
 
     #[test]

@@ -206,10 +206,28 @@ impl Simulator {
         times
     }
 
-    /// Drive a whole [`TraceSource`] through a run, narrating to `obs`;
-    /// returns the per-phase profile (zero without `config.profile`).
-    /// Buffers exactly one record of lookahead (for the oracle's
+    /// Feed every record of `source` through [`Simulator::step`], narrating
+    /// to `obs`. Buffers exactly one record of lookahead (for the oracle's
     /// `next_block`); memory use is the source's, independent of length.
+    /// This is the only look-ahead loop in the crate: every front end
+    /// (`Simulator::run`, the runner, the harness) drives a source here.
+    pub fn drive<S, O>(&mut self, source: &mut S, obs: &mut O) -> Result<(), TraceIoError>
+    where
+        S: TraceSource,
+        O: SimObserver + ?Sized,
+    {
+        let mut pending = source.next_record()?;
+        while let Some(rec) = pending {
+            let next = source.next_record()?;
+            self.step(rec, next.map(|r| r.block), obs);
+            pending = next;
+        }
+        Ok(())
+    }
+
+    /// A whole run in one call: [`Simulator::new`], [`Simulator::drive`],
+    /// [`Simulator::finish`]. Returns the per-phase profile (zero without
+    /// `config.profile`).
     pub fn run<S, O>(
         source: &mut S,
         config: &SimConfig,
@@ -220,12 +238,7 @@ impl Simulator {
         O: SimObserver + ?Sized,
     {
         let mut sim = Simulator::new(config);
-        let mut pending = source.next_record()?;
-        while let Some(rec) = pending {
-            let next = source.next_record()?;
-            sim.step(rec, next.map(|r| r.block), obs);
-            pending = next;
-        }
+        sim.drive(source, obs)?;
         Ok(sim.finish(obs))
     }
 }

@@ -1,25 +1,18 @@
-//! Rayon-parallel parameter sweeps.
+//! The vocabulary of a parameter sweep.
 //!
 //! Every figure of the paper is a sweep over (trace × policy × cache size)
 //! or (trace × policy × T_cpu) cells; each cell is an independent
 //! simulation, so the sweep is embarrassingly parallel. Per the HPC
 //! guidance, each cell carries its own deterministic inputs — results are
 //! identical regardless of thread count or schedule.
+//!
+//! The sweep itself is [`crate::harness::run_cells_checkpointed`] (with
+//! [`crate::harness::HarnessOpts::default`], a plain parallel sweep); this
+//! module holds what its callers share: the completed-cell type and the
+//! paper's two swept axes.
 
-use crate::config::SimConfig;
-use crate::harness::SweepError;
-use crate::runner::{run_simulation_named, SimResult};
-use prefetch_trace::Trace;
-use rayon::prelude::*;
+use crate::runner::SimResult;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// One shared name allocation per trace: every cell of a sweep clones an
-/// `Arc` pointer instead of the name string (and `SimConfig` is `Copy`),
-/// so the per-cell setup cost is allocation-free.
-fn shared_names(traces: &[Trace]) -> Vec<Arc<str>> {
-    traces.iter().map(|t| Arc::from(t.meta().name.as_str())).collect()
-}
 
 /// One point of a sweep: a configuration plus its result.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -28,47 +21,6 @@ pub struct SweepCell {
     pub trace_index: usize,
     /// The run's result (carries config, trace name and metrics).
     pub result: SimResult,
-}
-
-/// Run every (trace, config) combination in parallel, preserving input
-/// order in the output.
-pub fn run_grid(traces: &[Trace], configs: &[SimConfig]) -> Vec<SweepCell> {
-    let names = shared_names(traces);
-    let cells: Vec<(usize, SimConfig)> = traces
-        .iter()
-        .enumerate()
-        .flat_map(|(ti, _)| configs.iter().map(move |c| (ti, *c)))
-        .collect();
-    cells
-        .into_par_iter()
-        .map(|(trace_index, config)| SweepCell {
-            trace_index,
-            result: run_simulation_named(&traces[trace_index], names[trace_index].clone(), &config),
-        })
-        .collect()
-}
-
-/// Run an explicit list of (trace index, config) cells in parallel.
-///
-/// A cell naming a trace index outside `traces` is a caller bug, reported
-/// as [`SweepError::BadTraceIndex`] before any cell runs (it used to be a
-/// mid-sweep panic). For panic isolation, deadlines, and crash-safe
-/// resume on top of this, see [`crate::harness::run_cells_checkpointed`].
-pub fn run_cells(
-    traces: &[Trace],
-    cells: &[(usize, SimConfig)],
-) -> Result<Vec<SweepCell>, SweepError> {
-    if let Some(&(index, _)) = cells.iter().find(|&&(ti, _)| ti >= traces.len()) {
-        return Err(SweepError::BadTraceIndex { index, traces: traces.len() });
-    }
-    let names = shared_names(traces);
-    Ok(cells
-        .par_iter()
-        .map(|&(trace_index, config)| SweepCell {
-            trace_index,
-            result: run_simulation_named(&traces[trace_index], names[trace_index].clone(), &config),
-        })
-        .collect())
 }
 
 /// The cache sizes (in blocks) the paper sweeps in its figures.
@@ -85,23 +37,34 @@ pub const PAPER_T_CPU_VALUES: [f64; 10] =
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PolicySpec;
+    use crate::config::{PolicySpec, SimConfig};
+    use crate::harness::{run_cells_checkpointed, HarnessOpts, SweepError};
     use crate::runner::run_simulation;
     use prefetch_trace::synth::TraceKind;
+    use prefetch_trace::Trace;
+    use std::sync::Arc;
+
+    /// The sweep with default options, as every experiment runs it.
+    fn sweep(traces: &[Trace], cells: &[(usize, SimConfig)]) -> Vec<SweepCell> {
+        run_cells_checkpointed(traces, cells, &HarnessOpts::default()).unwrap().completed_cells()
+    }
 
     #[test]
     fn grid_preserves_order_and_matches_serial_runs() {
         let traces = vec![TraceKind::Cad.generate(2000, 1), TraceKind::Sitar.generate(2000, 1)];
         let configs =
-            vec![SimConfig::new(64, PolicySpec::NoPrefetch), SimConfig::new(64, PolicySpec::Tree)];
-        let grid = run_grid(&traces, &configs);
-        assert_eq!(grid.len(), 4);
+            [SimConfig::new(64, PolicySpec::NoPrefetch), SimConfig::new(64, PolicySpec::Tree)];
         // Order: (t0,c0), (t0,c1), (t1,c0), (t1,c1).
-        assert_eq!(grid[0].trace_index, 0);
-        assert_eq!(grid[3].trace_index, 1);
-        // Parallel result equals serial result.
-        let serial = run_simulation(&traces[0], &configs[1]);
-        assert_eq!(grid[1].result.metrics, serial.metrics);
+        let cells: Vec<(usize, SimConfig)> =
+            (0..traces.len()).flat_map(|ti| configs.iter().map(move |c| (ti, *c))).collect();
+        let grid = sweep(&traces, &cells);
+        assert_eq!(grid.len(), 4);
+        for (&(ti, config), cell) in cells.iter().zip(&grid) {
+            assert_eq!(cell.trace_index, ti);
+            assert_eq!(cell.result.config, config);
+            // Parallel result equals serial result.
+            assert_eq!(cell.result.metrics, run_simulation(&traces[ti], &config).metrics);
+        }
     }
 
     #[test]
@@ -111,7 +74,7 @@ mod tests {
             (0usize, SimConfig::new(32, PolicySpec::NextLimit)),
             (0usize, SimConfig::new(64, PolicySpec::NextLimit)),
         ];
-        let out = run_cells(&traces, &cells).unwrap();
+        let out = sweep(&traces, &cells);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].result.config.cache_blocks, 32);
         assert_eq!(out[1].result.config.cache_blocks, 64);
@@ -120,12 +83,12 @@ mod tests {
     #[test]
     fn cells_of_one_trace_share_the_name_allocation() {
         let traces = vec![TraceKind::Snake.generate(500, 4)];
-        let configs = vec![
-            SimConfig::new(32, PolicySpec::NoPrefetch),
-            SimConfig::new(64, PolicySpec::NextLimit),
-            SimConfig::new(128, PolicySpec::Tree),
+        let cells = vec![
+            (0usize, SimConfig::new(32, PolicySpec::NoPrefetch)),
+            (0usize, SimConfig::new(64, PolicySpec::NextLimit)),
+            (0usize, SimConfig::new(128, PolicySpec::Tree)),
         ];
-        let grid = run_grid(&traces, &configs);
+        let grid = sweep(&traces, &cells);
         assert!(Arc::ptr_eq(&grid[0].result.trace, &grid[1].result.trace));
         assert!(Arc::ptr_eq(&grid[0].result.trace, &grid[2].result.trace));
         assert_eq!(&*grid[0].result.trace, "snake");
@@ -134,8 +97,8 @@ mod tests {
     #[test]
     fn bad_trace_index_is_a_typed_error() {
         let traces = vec![TraceKind::Cad.generate(100, 3)];
-        let err =
-            run_cells(&traces, &[(1, SimConfig::new(32, PolicySpec::NoPrefetch))]).unwrap_err();
+        let cells = [(1, SimConfig::new(32, PolicySpec::NoPrefetch))];
+        let err = run_cells_checkpointed(&traces, &cells, &HarnessOpts::default()).unwrap_err();
         assert_eq!(err, SweepError::BadTraceIndex { index: 1, traces: 1 });
     }
 }

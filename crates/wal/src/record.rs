@@ -43,8 +43,9 @@ pub fn fingerprint(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Render the file header.
-pub(crate) fn file_header() -> [u8; FILE_HEADER_LEN] {
+/// Render the file header: the first [`FILE_HEADER_LEN`] bytes of every
+/// file [`scan`] accepts.
+pub fn file_header() -> [u8; FILE_HEADER_LEN] {
     let mut out = [0u8; FILE_HEADER_LEN];
     out[..4].copy_from_slice(MAGIC);
     out[4..6].copy_from_slice(&VERSION.to_le_bytes());
@@ -52,7 +53,10 @@ pub(crate) fn file_header() -> [u8; FILE_HEADER_LEN] {
 }
 
 /// Render one record (header + payload) into a fresh buffer.
-pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
+///
+/// # Panics
+/// Panics on an empty payload or one longer than [`MAX_RECORD_LEN`].
+pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     assert!(
         !payload.is_empty() && payload.len() <= MAX_RECORD_LEN,
         "record payload must be 1..={MAX_RECORD_LEN} bytes"

@@ -6,7 +6,6 @@
 //! ```
 
 use predictive_prefetch::prelude::*;
-use prefetch_sim::run_cells;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -31,7 +30,9 @@ fn main() {
         .flat_map(|ti| specs.iter().map(move |&s| (ti, SimConfig::new(cache, s))))
         .collect();
     println!("running {} simulations in parallel ({cache}-block cache) ...\n", cells.len());
-    let results = run_cells(&traces, &cells).expect("cell list indexes the traces above");
+    let results = run_cells_checkpointed(&traces, &cells, &HarnessOpts::default())
+        .expect("cell list indexes the traces above")
+        .completed_cells();
 
     print!("{:<22}", "miss rate (%)");
     for k in TraceKind::ALL {

@@ -54,13 +54,11 @@ pub mod prelude {
     };
     pub use prefetch_sim::experiments::{run_all, run_experiment, ExperimentOpts, TraceSet};
     pub use prefetch_sim::{
-        cell_fingerprint, cell_status_record, run_cells_checkpointed, run_grid_checkpointed,
-        run_simulation, run_simulation_named, run_source, run_source_guarded,
-        run_source_guarded_with, CellOutcome, CellStatus, CheckpointJournal, DiskSummary,
-        FaultConfig, HarnessOpts, IoSubsystem, JournalEntry, JsonlEventSink, NullObserver,
-        PolicySpec, QueueDelayObserver, SimConfig, SimConfigError, SimEvent, SimMetrics,
-        SimObserver, SimResult, Simulator, StallHistogramObserver, SweepError, SweepLog, SweepRun,
-        VirtualClock,
+        cell_fingerprint, cell_status_record, run_cells_checkpointed, run_simulation, run_source,
+        run_source_guarded, CellOutcome, CellStatus, CheckpointJournal, DiskSummary, FaultConfig,
+        HarnessOpts, IoSubsystem, JournalEntry, JsonlEventSink, NullObserver, PolicySpec,
+        QueueDelayObserver, SimConfig, SimConfigError, SimEvent, SimMetrics, SimObserver,
+        SimResult, Simulator, StallHistogramObserver, SweepError, SweepLog, SweepRun, VirtualClock,
     };
     pub use prefetch_telemetry::{Histogram, Phase, PhaseTimer, PhaseTimes};
     pub use prefetch_trace::io::{open_source, FileSource};

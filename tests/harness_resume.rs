@@ -4,6 +4,7 @@
 //! while its siblings complete.
 
 use predictive_prefetch::prelude::*;
+use predictive_prefetch::sim::checkpoint::JOURNAL_FILE;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,9 +148,9 @@ fn panicking_cell_fails_alone_and_resume_skips_completed_siblings() {
     }
 }
 
-/// The journal survives torn writes: truncating the last line (a crash
-/// mid-rename leaves at worst a torn tail) costs at most one cell, never
-/// the whole journal.
+/// The journal survives torn writes: cutting into the last record (the
+/// strict-prefix damage a crash can leave) costs at most one cell, never
+/// the whole journal, and the harness says what it dropped.
 #[test]
 fn torn_journal_tail_loses_at_most_one_cell() {
     let scratch = Scratch::new("torn");
@@ -159,11 +160,10 @@ fn torn_journal_tail_loses_at_most_one_cell() {
     let opts = HarnessOpts::checkpointed(&scratch.0);
     run_cells_checkpointed(&traces, &cells, &opts).unwrap();
 
-    // Tear the last journal line in half.
-    let journal = scratch.0.join("journal.jsonl");
-    let text = std::fs::read_to_string(&journal).unwrap();
-    let torn = &text[..text.trim_end().len() - 10];
-    std::fs::write(&journal, torn).unwrap();
+    // Tear the last journal record.
+    let journal = scratch.0.join(JOURNAL_FILE);
+    let image = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &image[..image.len() - 10]).unwrap();
 
     let opts2 = HarnessOpts::checkpointed(&scratch.0);
     let resumed = run_cells_checkpointed(&traces, &cells, &opts2).unwrap();
@@ -171,4 +171,49 @@ fn torn_journal_tail_loses_at_most_one_cell() {
     let s = opts2.log.summary();
     assert_eq!(s.restored, cells.len() as u64 - 1, "exactly the torn cell recomputes");
     assert_eq!(s.ok, 1);
+    let notes = opts2.log.notes();
+    assert!(notes.iter().any(|n| n.starts_with("checkpoint_torn")), "unreported: {notes:?}");
+}
+
+/// One flipped bit inside the middle record of a 3-cell journal is damage
+/// no crash can produce: the record before it is restored, the flipped
+/// one and everything after it re-run, the grid still matches the
+/// undamaged run bit for bit, and the harness reports the corruption.
+#[test]
+fn flipped_bit_keeps_the_verified_prefix_and_reruns_the_rest() {
+    let scratch = Scratch::new("bitflip");
+    let traces = vec![TraceKind::Sitar.generate(1000, 3)];
+    let cells = cells_of(&traces, &grid(&[64]));
+    assert_eq!(cells.len(), 3);
+    let first = run_cells_checkpointed(&traces, &cells, &HarnessOpts::checkpointed(&scratch.0))
+        .unwrap()
+        .completed_cells();
+
+    let journal = scratch.0.join(JOURNAL_FILE);
+    let mut image = std::fs::read(&journal).unwrap();
+    let middle = image.len() / 2;
+    image[middle] ^= 0x10;
+    std::fs::write(&journal, &image).unwrap();
+
+    let opts = HarnessOpts::checkpointed(&scratch.0);
+    let resumed = run_cells_checkpointed(&traces, &cells, &opts).unwrap();
+    assert!(resumed.is_complete());
+    let s = opts.log.summary();
+    assert_eq!((s.restored, s.ok), (1, 2), "one verified record, two cells re-run");
+    // The journal holds its records in fingerprint order, so the restored
+    // cell is the one with the smallest fingerprint.
+    let smallest = (0..cells.len())
+        .min_by_key(|&i| cell_fingerprint(&traces[cells[i].0], &cells[i].1))
+        .unwrap();
+    assert!(resumed.cells[smallest].restored);
+    for (a, b) in first.iter().zip(&resumed.completed_cells()) {
+        assert_eq!(a.result.metrics, b.result.metrics);
+    }
+    let notes = opts.log.notes();
+    assert!(notes.iter().any(|n| n.starts_with("checkpoint_corrupt")), "unreported: {notes:?}");
+
+    // The re-run rewrote the whole file: a third launch restores all three.
+    let opts = HarnessOpts::checkpointed(&scratch.0);
+    run_cells_checkpointed(&traces, &cells, &opts).unwrap();
+    assert_eq!(opts.log.summary().restored, 3);
 }

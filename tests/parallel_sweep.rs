@@ -10,7 +10,7 @@
 //! mutex only needs to cover this binary.
 
 use predictive_prefetch::prelude::*;
-use predictive_prefetch::sim::run_cells;
+use predictive_prefetch::sim::checkpoint::JOURNAL_FILE;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,7 +53,7 @@ impl Scratch {
     }
 
     fn journal_bytes(&self) -> Vec<u8> {
-        std::fs::read(self.0.join("journal.jsonl")).expect("journal written")
+        std::fs::read(self.0.join(JOURNAL_FILE)).expect("journal written")
     }
 }
 
@@ -132,7 +132,7 @@ proptest! {
                 cell_fingerprint(&traces[b.trace_index], &b.config)
             );
         }
-        // The journal sorts its lines by cell fingerprint at flush, so
+        // The journal writes its records in cell-fingerprint order, so
         // the file bytes are schedule-independent.
         prop_assert_eq!(seq_dir.journal_bytes(), par_dir.journal_bytes());
         prop_assert_eq!(seq_opts.log.summary(), par_opts.log.summary());
@@ -174,39 +174,6 @@ fn deadline_guard_cell_times_out_identically_across_thread_counts() {
     assert_eq!(seq_summary, par_summary);
     assert_eq!(seq_summary.timed_out, 1);
     assert_eq!(seq_dir.journal_bytes(), par_dir.journal_bytes());
-}
-
-/// Without the harness, a panic inside `run_cells` unwinds out of the
-/// pool. The pool re-throws the payload of the *smallest* panicking
-/// index — the cell the sequential loop would have hit first — so the
-/// observable panic is identical on every thread count.
-#[test]
-fn bare_run_cells_propagates_the_first_panic_on_every_thread_count() {
-    let traces = vec![TraceKind::Snake.generate(800, 5)];
-    let cells = vec![
-        (0, SimConfig::new(64, PolicySpec::Tree)),
-        (0, SimConfig::new(64, PolicySpec::PanicProbe { after: 10 })),
-        (0, SimConfig::new(128, PolicySpec::PanicProbe { after: 20 })),
-        (0, SimConfig::new(256, PolicySpec::Tree)),
-    ];
-
-    let payload_at = |knob: &Threads, n: usize| -> String {
-        knob.repin(n);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = run_cells(&traces, &cells);
-        }))
-        .expect_err("probe cell must panic");
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload should be a string")
-    };
-
-    let knob = Threads::pinned(1);
-    let sequential = payload_at(&knob, 1);
-    for n in [2, 4, 8] {
-        assert_eq!(payload_at(&knob, n), sequential, "panic payload diverged at {n} threads");
-    }
 }
 
 /// Experiment-level check: a full report (the figure pipeline that
