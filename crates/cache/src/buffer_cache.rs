@@ -17,12 +17,11 @@
 use crate::lru::LruCache;
 use crate::victim::VictimIndex;
 use prefetch_trace::BlockId;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
 /// Which partition a block lives in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Partition {
     /// Previously referenced blocks (LRU replacement).
     Demand,
@@ -32,7 +31,7 @@ pub enum Partition {
 
 /// Bookkeeping attached to each prefetched block, recorded at prefetch time
 /// and consumed by the Eq. 11 ejection-cost computation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PrefetchMeta {
     /// Path probability `p_b` the prefetch tree assigned when the block was
     /// chosen.

@@ -30,7 +30,6 @@ use prefetch_hash::FxHashMap;
 use prefetch_telemetry::{Phase, PhaseTimer, PhaseTimes};
 use prefetch_trace::BlockId;
 use prefetch_tree::{AccessOutcome, Candidate, CandidateBatch, NodeId, PrefetchTree};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Bound on the ejected-block tracking map (calibration bookkeeping).
@@ -40,7 +39,7 @@ use std::collections::BinaryHeap;
 const EJECT_TRACK_CAP: usize = 4096;
 
 /// Configuration of the cost-benefit engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Cost-benefit model tunables (re-prefetch lead `x`, `s` smoothing).
     pub model: ModelConfig,

@@ -10,10 +10,9 @@
 
 use crate::params::SystemParams;
 use crate::{benefit, cost, overhead};
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the cost-benefit scheme beyond the system constants.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelConfig {
     /// Re-prefetch lead `x` (periods before expected use a re-prefetch of
     /// an ejected block would be issued), Eq. 11. The paper leaves `x`

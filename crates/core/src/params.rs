@@ -5,10 +5,8 @@
 //! `T_driver = 0.580`, `T_disk = 15.0`, and `T_cpu = 50.0` (varied between
 //! 20 and 640 in Section 9.2.3 / Figures 11-12).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing constants of the uniprocessor system model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemParams {
     /// Time to read a block that is resident in the buffer cache (ms).
     pub t_hit: f64,

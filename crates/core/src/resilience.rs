@@ -24,7 +24,7 @@ use prefetch_trace::BlockId;
 
 /// Exponential backoff for retrying failed demand reads, in simulated
 /// milliseconds.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per read, including the first (≥ 1).
     pub max_attempts: u32,

@@ -3,10 +3,9 @@
 use crate::fault::{ConfigError, DiskFault, FaultDecision, FaultInjector, FaultPlan};
 use crate::stats::DiskStats;
 use prefetch_trace::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// How blocks map to disks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Striping {
     /// RAID-0 style: `disk = (block / stripe_unit) % num_disks`. Adjacent
     /// blocks within a stripe unit share a disk; consecutive units rotate.
@@ -36,7 +35,7 @@ impl Striping {
 }
 
 /// Configuration of a [`DiskArray`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiskArrayConfig {
     /// Number of independent disks (≥ 1).
     pub num_disks: usize,

@@ -43,7 +43,7 @@ fn unit_f64(word: u64) -> f64 {
 /// simulated milliseconds. [`FaultPlan::disabled`] (all rates zero) is the
 /// identity: a [`crate::DiskArray`] carrying it behaves bit-for-bit like
 /// one with no injector at all.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-disk fault streams.
     pub seed: u64,
@@ -331,7 +331,7 @@ impl FaultInjector {
 /// all driven by SplitMix64 streams derived from one seed — the same
 /// determinism contract as [`FaultPlan`]. Rates are per-operation
 /// probabilities; [`DurabilityFaultPlan::disabled`] is the identity.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DurabilityFaultPlan {
     /// Seed for the per-log fault streams.
     pub seed: u64,

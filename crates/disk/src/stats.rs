@@ -1,9 +1,7 @@
 //! Disk-array statistics: utilization and queueing delay.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by [`crate::DiskArray::submit`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DiskStats {
     /// Requests served per disk.
     pub requests: Vec<u64>,

@@ -25,7 +25,7 @@
 //!
 //! The pool size is a process-global knob ([`set_threads`]) rather than a
 //! per-call argument so that deep call chains (CLI → experiment grid →
-//! sweep → vendored `rayon` facade) need no plumbing; `0` means "use
+//! sweep) need no plumbing; `0` means "use
 //! [`std::thread::available_parallelism`]".
 
 #![forbid(unsafe_code)]

@@ -57,35 +57,6 @@ pub struct TenantSpec {
     pub fault_seed: u64,
 }
 
-/// Parse a single-policy name (the subset of pfsim's `--policy` grammar
-/// that makes sense per tenant; the oracle needs trace lookahead a live
-/// event stream cannot provide, so it is rejected).
-fn parse_policy(s: &str) -> Result<PolicySpec, String> {
-    Ok(match s {
-        "no-prefetch" => PolicySpec::NoPrefetch,
-        "next-limit" => PolicySpec::NextLimit,
-        "tree" => PolicySpec::Tree,
-        "tree-next-limit" => PolicySpec::TreeNextLimit,
-        "tree-lvc" => PolicySpec::TreeLvc,
-        "tree-reanchor" => PolicySpec::TreeReanchor,
-        other => {
-            if let Some(t) = other.strip_prefix("tree-threshold=") {
-                PolicySpec::TreeThreshold(t.parse().map_err(|_| format!("bad threshold {t:?}"))?)
-            } else if let Some(k) = other.strip_prefix("tree-children=") {
-                PolicySpec::TreeChildren(
-                    k.parse().map_err(|_| format!("bad children count {k:?}"))?,
-                )
-            } else {
-                return Err(format!(
-                    "unknown policy {other:?} (try: no-prefetch, next-limit, tree, \
-                     tree-next-limit, tree-lvc, tree-reanchor, tree-threshold=<p>, \
-                     tree-children=<k>)"
-                ));
-            }
-        }
-    })
-}
-
 impl TenantSpec {
     /// Build a spec from `OPEN` options over the server defaults. Every
     /// malformed option is a typed [`RejectReason::BadConfig`] — admission
@@ -110,7 +81,9 @@ impl TenantSpec {
                     Ok(n) if n > 0 => spec.cache_blocks = n,
                     _ => return bad(format!("cache={v} must be a positive integer")),
                 },
-                "policy" => match parse_policy(v) {
+                // pfsim's grammar, less the oracle: a live event stream has
+                // no lookahead to give it.
+                "policy" => match PolicySpec::parse(v, "", |p| !p.uses_lookahead()) {
                     Ok(p) => spec.policy = p,
                     Err(e) => return bad(e),
                 },
@@ -587,6 +560,38 @@ mod tests {
         // Cross-field validation: faults need a disk array to inject into.
         let err = TenantSpec::from_opts(&opts(&[("fault_rate", "0.2")]), &defaults()).unwrap_err();
         assert!(matches!(err, RejectReason::BadConfig(_)));
+    }
+
+    #[test]
+    fn open_accepts_pfsim_policies_less_the_oracle() {
+        for name in [
+            "no-prefetch",
+            "next-limit",
+            "tree",
+            "tree-next-limit",
+            "tree-lvc",
+            "tree-reanchor",
+            "perfect-selector",
+            "tree-threshold=0.05",
+            "tree-threshold=x",
+            "tree-children=3",
+            "tree-children=-1",
+            "tree-threshold(0.05)",
+            "panic-probe=3",
+            "all",
+            "Tree",
+            "",
+        ] {
+            let pfsim = PolicySpec::parse(name, "all, ", |_| true);
+            let open = TenantSpec::from_opts(&opts(&[("policy", name)]), &defaults());
+            match (pfsim, open) {
+                (Ok(p), Ok(spec)) => assert_eq!(spec.policy, p, "{name}"),
+                // The one serve-only refusal: no lookahead on a live stream.
+                (Ok(p), Err(_)) => assert!(p.uses_lookahead(), "{name}"),
+                (Err(_), Err(_)) => {}
+                (Err(e), Ok(_)) => panic!("OPEN accepted {name:?}, pfsim refuses it: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use crate::service::{lock_slot, Service};
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
-use prefetch_sim::PolicySpec;
 use prefetch_telemetry::log as tlog;
 use prefetch_wal::{AppendLog, FsyncPolicy, GroupCommit};
 use std::collections::BTreeMap;
@@ -91,26 +90,6 @@ pub enum WalRecord {
     Close,
 }
 
-/// Render a policy in the `OPEN` option grammar, so the `O` record
-/// round-trips through `TenantSpec::from_opts`. Variants the grammar
-/// cannot express (never produced by `from_opts`) render to their
-/// rejected names, which recovery surfaces as a typed quarantine rather
-/// than silently mis-replaying.
-fn render_policy(p: &PolicySpec) -> String {
-    match p {
-        PolicySpec::NoPrefetch => "no-prefetch".into(),
-        PolicySpec::NextLimit => "next-limit".into(),
-        PolicySpec::Tree => "tree".into(),
-        PolicySpec::TreeNextLimit => "tree-next-limit".into(),
-        PolicySpec::TreeLvc => "tree-lvc".into(),
-        PolicySpec::TreeReanchor => "tree-reanchor".into(),
-        PolicySpec::TreeThreshold(t) => format!("tree-threshold={t}"),
-        PolicySpec::TreeChildren(k) => format!("tree-children={k}"),
-        PolicySpec::PerfectSelector => "perfect-selector".into(),
-        PolicySpec::PanicProbe { .. } => "panic-probe".into(),
-    }
-}
-
 impl WalRecord {
     /// Encode to the record payload (ASCII, one logical line).
     pub fn encode(&self) -> Vec<u8> {
@@ -119,7 +98,7 @@ impl WalRecord {
                 let mut s = format!(
                     "O cache={} policy={} nodes={} overflow={} base={}",
                     spec.cache_blocks,
-                    render_policy(&spec.policy),
+                    spec.policy.key_value(),
                     spec.node_limit,
                     if spec.freeze { "freeze" } else { "evict" },
                     u8::from(*base),
@@ -645,6 +624,34 @@ mod tests {
         }
     }
 
+    /// `O` records copied out of logs that `pfserve --wal-dir` wrote before
+    /// the policy grammar moved to `PolicySpec`: such a log must still
+    /// replay, and a new one must say the same.
+    #[test]
+    fn open_records_written_before_the_shared_grammar_still_decode() {
+        let pinned: [(&[u8], TenantSpec); 2] = [
+            (b"O cache=64 policy=tree-next-limit nodes=4096 overflow=evict base=0", spec(&[])),
+            (
+                b"O cache=128 policy=tree-threshold=0.25 nodes=512 overflow=freeze base=0 \
+                  disks=4 fault_rate=0.125 fault_seed=77",
+                spec(&[
+                    ("cache", "128"),
+                    ("policy", "tree-threshold=0.25"),
+                    ("nodes", "512"),
+                    ("overflow", "freeze"),
+                    ("disks", "4"),
+                    ("fault_rate", "0.125"),
+                    ("fault_seed", "77"),
+                ]),
+            ),
+        ];
+        for (bytes, spec) in pinned {
+            let want = WalRecord::Open { spec, base: false };
+            assert_eq!(WalRecord::decode(bytes).unwrap(), want);
+            assert_eq!(want.encode(), bytes);
+        }
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         for bad in [&b"X 1"[..], b"E", b"E not-a-number", b"O cache", b"", b"\xff\xfe"] {
@@ -680,7 +687,7 @@ mod tests {
     #[test]
     fn unexpressible_policies_fail_closed() {
         let mut s = spec(&[]);
-        s.policy = PolicySpec::PerfectSelector;
+        s.policy = prefetch_sim::PolicySpec::PerfectSelector;
         let rec = WalRecord::Open { spec: s, base: false };
         assert!(WalRecord::decode(&rec.encode()).is_err());
     }

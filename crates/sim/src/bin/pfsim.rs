@@ -47,9 +47,9 @@ use prefetch_sim::{
     StallHistogramObserver, SweepError,
 };
 use prefetch_telemetry::{log as tlog, Histogram, Phase};
-use prefetch_trace::io::{open_source, FileSource, ReadOptions, TraceIoError};
-use prefetch_trace::synth::{SynthSource, TraceKind};
-use prefetch_trace::{TraceMeta, TraceRecord, TraceSource};
+use prefetch_trace::io::{open_source, ReadOptions};
+use prefetch_trace::synth::TraceKind;
+use prefetch_trace::TraceSource;
 use prefetch_tree::PrefetchTree;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -88,50 +88,6 @@ enum TraceInput {
     File(std::path::PathBuf),
 }
 
-/// The two streaming inputs pfsim drives, behind one `TraceSource`.
-enum StreamInput {
-    Synth(SynthSource),
-    File(FileSource),
-}
-
-impl TraceSource for StreamInput {
-    /// Records a lossy file pass skipped (0 for synthetic sources).
-    fn skipped(&self) -> u64 {
-        match self {
-            StreamInput::Synth(_) => 0,
-            StreamInput::File(f) => f.skipped(),
-        }
-    }
-
-    fn meta(&self) -> &TraceMeta {
-        match self {
-            StreamInput::Synth(s) => s.meta(),
-            StreamInput::File(f) => f.meta(),
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            StreamInput::Synth(s) => s.len_hint(),
-            StreamInput::File(f) => f.len_hint(),
-        }
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        match self {
-            StreamInput::Synth(s) => s.next_record(),
-            StreamInput::File(f) => f.next_record(),
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), TraceIoError> {
-        match self {
-            StreamInput::Synth(s) => s.rewind(),
-            StreamInput::File(f) => f.rewind(),
-        }
-    }
-}
-
 fn parse_policy(s: &str) -> Result<Vec<PolicySpec>, String> {
     Ok(match s {
         "all" => vec![
@@ -145,30 +101,7 @@ fn parse_policy(s: &str) -> Result<Vec<PolicySpec>, String> {
             PolicySpec::PerfectSelector,
             PolicySpec::TreeReanchor,
         ],
-        "no-prefetch" => vec![PolicySpec::NoPrefetch],
-        "next-limit" => vec![PolicySpec::NextLimit],
-        "tree" => vec![PolicySpec::Tree],
-        "tree-next-limit" => vec![PolicySpec::TreeNextLimit],
-        "tree-lvc" => vec![PolicySpec::TreeLvc],
-        "tree-reanchor" => vec![PolicySpec::TreeReanchor],
-        "perfect-selector" => vec![PolicySpec::PerfectSelector],
-        other => {
-            if let Some(t) = other.strip_prefix("tree-threshold=") {
-                vec![PolicySpec::TreeThreshold(
-                    t.parse().map_err(|_| format!("bad threshold {t:?}"))?,
-                )]
-            } else if let Some(k) = other.strip_prefix("tree-children=") {
-                vec![PolicySpec::TreeChildren(
-                    k.parse().map_err(|_| format!("bad children count {k:?}"))?,
-                )]
-            } else {
-                return Err(format!(
-                    "unknown policy {other:?} (try: all, no-prefetch, next-limit, tree, \
-                     tree-next-limit, tree-lvc, tree-reanchor, perfect-selector, \
-                     tree-threshold=<p>, tree-children=<k>)"
-                ));
-            }
-        }
+        other => vec![PolicySpec::parse(other, "all, ", |_| true)?],
     })
 }
 
@@ -351,10 +284,10 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let mut source = match &args.trace {
-        TraceInput::Synthetic(kind) => StreamInput::Synth(kind.stream(args.refs, args.seed)),
+    let mut source: Box<dyn TraceSource> = match &args.trace {
+        TraceInput::Synthetic(kind) => Box::new(kind.stream(args.refs, args.seed)),
         TraceInput::File(path) => match open_source(path, ReadOptions { strict: !args.lenient }) {
-            Ok(f) => StreamInput::File(f),
+            Ok(f) => f,
             Err(e) => {
                 tlog::error("trace_open_failed")
                     .str("path", path.display().to_string())

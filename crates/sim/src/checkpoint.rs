@@ -330,7 +330,7 @@ struct JournalState {
 
 /// Crash-safe journal of completed sweep cells (see the module docs).
 ///
-/// Thread-safe: `record`/`lookup` take `&self` so rayon workers can share
+/// Thread-safe: `record`/`lookup` take `&self` so the sweep's pool workers can share
 /// one journal.
 #[derive(Debug)]
 pub struct CheckpointJournal {

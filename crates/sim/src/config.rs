@@ -7,10 +7,9 @@ use prefetch_core::policy::{
 };
 use prefetch_core::{EngineConfig, RetryPolicy, SystemParams};
 use prefetch_disk::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 /// Which prefetching policy to simulate (paper Section 9 terminology).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PolicySpec {
     /// Demand fetching only.
     NoPrefetch,
@@ -53,20 +52,73 @@ impl PolicySpec {
         PolicySpec::TreeNextLimit,
     ];
 
-    /// Paper-style display name.
-    pub fn name(&self) -> String {
+    /// The parameterless policies, in the order every "try:" list names
+    /// them.
+    const PLAIN: [PolicySpec; 7] = [
+        PolicySpec::NoPrefetch,
+        PolicySpec::NextLimit,
+        PolicySpec::Tree,
+        PolicySpec::TreeNextLimit,
+        PolicySpec::TreeLvc,
+        PolicySpec::TreeReanchor,
+        PolicySpec::PerfectSelector,
+    ];
+
+    /// The policy in the `key=value` grammar of `pfsim --policy`,
+    /// `OPEN policy=` and the WAL `O` record; [`PolicySpec::parse`] reads
+    /// it back. The panic probe renders to a word the grammar refuses, so
+    /// a log that somehow names it fails closed at replay.
+    pub fn key_value(&self) -> String {
         match self {
             PolicySpec::NoPrefetch => "no-prefetch".into(),
             PolicySpec::NextLimit => "next-limit".into(),
             PolicySpec::Tree => "tree".into(),
             PolicySpec::TreeNextLimit => "tree-next-limit".into(),
             PolicySpec::TreeLvc => "tree-lvc".into(),
-            PolicySpec::TreeThreshold(t) => format!("tree-threshold({t})"),
-            PolicySpec::TreeChildren(k) => format!("tree-children({k})"),
+            PolicySpec::TreeThreshold(t) => format!("tree-threshold={t}"),
+            PolicySpec::TreeChildren(k) => format!("tree-children={k}"),
             PolicySpec::PerfectSelector => "perfect-selector".into(),
             PolicySpec::TreeReanchor => "tree-reanchor".into(),
-            PolicySpec::PanicProbe { after } => format!("panic-probe({after})"),
+            PolicySpec::PanicProbe { after } => format!("panic-probe={after}"),
         }
+    }
+
+    /// Paper-style display name: the grammar name with its parameter in
+    /// parentheses (`tree-threshold(0.05)`).
+    pub fn name(&self) -> String {
+        let kv = self.key_value();
+        match kv.split_once('=') {
+            Some((key, value)) => format!("{key}({value})"),
+            None => kv,
+        }
+    }
+
+    /// Parse one policy in the [`PolicySpec::key_value`] grammar.
+    /// `offered` is the subset the caller can run (`pfserve` cannot give
+    /// the oracle its lookahead): a name outside it is refused exactly
+    /// like an unknown one, and the error lists what is offered, after
+    /// `also` — the words the caller handles itself (pfsim's `all, `).
+    pub fn parse(
+        s: &str,
+        also: &str,
+        offered: impl Fn(&PolicySpec) -> bool,
+    ) -> Result<PolicySpec, String> {
+        let parsed = if let Some(t) = s.strip_prefix("tree-threshold=") {
+            Some(PolicySpec::TreeThreshold(t.parse().map_err(|_| format!("bad threshold {t:?}"))?))
+        } else if let Some(k) = s.strip_prefix("tree-children=") {
+            Some(PolicySpec::TreeChildren(
+                k.parse().map_err(|_| format!("bad children count {k:?}"))?,
+            ))
+        } else {
+            Self::PLAIN.into_iter().find(|p| p.key_value() == s)
+        };
+        parsed.filter(&offered).ok_or_else(|| {
+            let plain: String =
+                Self::PLAIN.iter().filter(|p| offered(p)).map(|p| p.key_value() + ", ").collect();
+            format!(
+                "unknown policy {s:?} (try: {also}{plain}tree-threshold=<p>, tree-children=<k>)"
+            )
+        })
     }
 
     /// Instantiate the policy.
@@ -127,7 +179,7 @@ impl PrefetchPolicy for PanicProbePolicy {
 
 /// Fault injection attached to a simulation run: the deterministic disk
 /// fault schedule plus the retry pricing applied on the demand path.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Seeded per-disk fault schedule (see `prefetch_disk::FaultPlan`).
     pub plan: FaultPlan,
@@ -171,7 +223,7 @@ impl std::fmt::Display for SimConfigError {
 impl std::error::Error for SimConfigError {}
 
 /// Full configuration of one simulation run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
     /// Total buffers in the combined demand + prefetch cache.
     pub cache_blocks: usize,
@@ -239,12 +291,6 @@ impl SimConfig {
         self
     }
 
-    /// Inject faults with a fully explicit [`FaultConfig`].
-    pub fn with_fault_config(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
     /// Check the configuration for errors before running. `run_simulation`
     /// assumes a validated configuration; front ends (pfsim, experiments)
     /// call this and turn errors into nonzero exits instead of panics.
@@ -282,6 +328,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn names_match_paper_terms() {
@@ -289,6 +336,84 @@ mod tests {
         assert_eq!(PolicySpec::TreeNextLimit.name(), "tree-next-limit");
         assert_eq!(PolicySpec::TreeThreshold(0.05).name(), "tree-threshold(0.05)");
         assert_eq!(PolicySpec::TreeChildren(3).name(), "tree-children(3)");
+    }
+
+    fn parse_any(s: &str) -> Result<PolicySpec, String> {
+        PolicySpec::parse(s, "all, ", |_| true)
+    }
+
+    #[test]
+    fn grammar_round_trips_every_expressible_policy() {
+        for p in [
+            PolicySpec::NoPrefetch,
+            PolicySpec::NextLimit,
+            PolicySpec::Tree,
+            PolicySpec::TreeNextLimit,
+            PolicySpec::TreeLvc,
+            PolicySpec::TreeThreshold(0.05),
+            PolicySpec::TreeChildren(3),
+            PolicySpec::PerfectSelector,
+            PolicySpec::TreeReanchor,
+            PolicySpec::PanicProbe { after: 7 },
+        ] {
+            // No wildcard arm: a new variant does not compile until it is
+            // placed on one side (and added to the list above).
+            match p {
+                PolicySpec::NoPrefetch
+                | PolicySpec::NextLimit
+                | PolicySpec::Tree
+                | PolicySpec::TreeNextLimit
+                | PolicySpec::TreeLvc
+                | PolicySpec::TreeThreshold(_)
+                | PolicySpec::TreeChildren(_)
+                | PolicySpec::PerfectSelector
+                | PolicySpec::TreeReanchor => {
+                    assert_eq!(parse_any(&p.key_value()), Ok(p), "{}", p.key_value())
+                }
+                // The harness's fault injector is deliberately outside the
+                // grammar: its rendering must not parse.
+                PolicySpec::PanicProbe { .. } => assert!(parse_any(&p.key_value()).is_err()),
+            }
+        }
+    }
+
+    proptest! {
+        /// Any `f64` bit pattern but a `NaN` (which renders and parses,
+        /// but is not `==` itself), any `usize`.
+        #[test]
+        fn grammar_round_trips_parameters(bits in any::<u64>(), unit in any::<f64>(), k in any::<usize>()) {
+            for p in [
+                PolicySpec::TreeChildren(k),
+                PolicySpec::TreeThreshold(unit),
+                PolicySpec::TreeThreshold(f64::from_bits(bits)),
+            ] {
+                if !matches!(p, PolicySpec::TreeThreshold(t) if t.is_nan()) {
+                    prop_assert_eq!(parse_any(&p.key_value()), Ok(p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grammar_errors_are_pinned() {
+        assert_eq!(
+            parse_any("nonsense").unwrap_err(),
+            "unknown policy \"nonsense\" (try: all, no-prefetch, next-limit, tree, \
+             tree-next-limit, tree-lvc, tree-reanchor, perfect-selector, \
+             tree-threshold=<p>, tree-children=<k>)"
+        );
+        // A narrowed offer refuses the name it leaves out as unknown and
+        // stops listing it.
+        assert_eq!(
+            PolicySpec::parse("perfect-selector", "", |p| !p.uses_lookahead()).unwrap_err(),
+            "unknown policy \"perfect-selector\" (try: no-prefetch, next-limit, tree, \
+             tree-next-limit, tree-lvc, tree-reanchor, tree-threshold=<p>, \
+             tree-children=<k>)"
+        );
+        assert_eq!(parse_any("tree-threshold=x").unwrap_err(), "bad threshold \"x\"");
+        assert_eq!(parse_any("tree-children=-1").unwrap_err(), "bad children count \"-1\"");
+        // The display spelling is not the grammar's.
+        assert!(parse_any("tree-threshold(0.05)").is_err());
     }
 
     #[test]

@@ -35,7 +35,6 @@ use prefetch_telemetry::{log as tlog, PhaseTimes};
 use prefetch_trace::{Trace, TraceSource};
 use prefetch_tree::PrefetchTree;
 use prefetch_wal::Tail;
-use rayon::prelude::*;
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
@@ -599,51 +598,46 @@ pub fn run_cells_checkpointed(
         .emit();
     let journal = opts.checkpoint_dir.as_deref().and_then(|dir| open_journal(dir, &opts.log));
 
-    let outcomes: Vec<CellOutcome> = cells
-        .par_iter()
-        .map(|&(trace_index, config)| {
-            let trace = &traces[trace_index];
-            let name = &names[trace_index];
-            let fp = cell_fingerprint(trace, &config);
-            let (status, attempts, restored) =
-                if let Some(entry) = journal.as_ref().and_then(|j| j.lookup(fp)) {
-                    let result = SimResult {
-                        config,
-                        trace: name.clone(),
-                        metrics: entry.metrics,
-                        skipped_records: entry.skipped_records,
-                        phases: PhaseTimes::default(),
+    let outcomes = prefetch_pool::run_indexed(cells.len(), |i| {
+        let (trace_index, config) = cells[i];
+        let trace = &traces[trace_index];
+        let name = &names[trace_index];
+        let fp = cell_fingerprint(trace, &config);
+        let (status, attempts, restored) = if let Some(entry) =
+            journal.as_ref().and_then(|j| j.lookup(fp))
+        {
+            let result = SimResult {
+                config,
+                trace: name.clone(),
+                metrics: entry.metrics,
+                skipped_records: entry.skipped_records,
+                phases: PhaseTimes::default(),
+            };
+            (CellStatus::Ok(Box::new(result)), 0, true)
+        } else if let Err(e) = config.validate() {
+            (CellStatus::Skipped { reason: e.to_string() }, 0, false)
+        } else {
+            let (outcome, attempts) = attempt_cell(trace, name, &config, fp, opts);
+            let status = match outcome {
+                Ok(result) => {
+                    let entry = JournalEntry {
+                        skipped_records: result.skipped_records,
+                        metrics: result.metrics,
                     };
-                    (CellStatus::Ok(Box::new(result)), 0, true)
-                } else if let Err(e) = config.validate() {
-                    (CellStatus::Skipped { reason: e.to_string() }, 0, false)
-                } else {
-                    let (outcome, attempts) = attempt_cell(trace, name, &config, fp, opts);
-                    let status = match outcome {
-                        Ok(result) => {
-                            let entry = JournalEntry {
-                                skipped_records: result.skipped_records,
-                                metrics: result.metrics,
-                            };
-                            if let Some(Err(e)) = journal.as_ref().map(|j| j.record(fp, entry)) {
-                                tlog::warn("checkpoint_write_failed")
-                                    .str("error", e.to_string())
-                                    .emit();
-                                opts.log.note(format!("checkpoint write failed: {e}"));
-                            }
-                            CellStatus::Ok(Box::new(result))
-                        }
-                        Err(SweepError::DeadlineExceeded { limit_ms }) => {
-                            CellStatus::TimedOut { limit_ms }
-                        }
-                        Err(error) => CellStatus::Failed { error },
-                    };
-                    (status, attempts, false)
-                };
-            cell_status_record(fp, name, &status, attempts, restored).emit();
-            CellOutcome { trace_index, config, status, attempts, restored }
-        })
-        .collect();
+                    if let Some(Err(e)) = journal.as_ref().map(|j| j.record(fp, entry)) {
+                        tlog::warn("checkpoint_write_failed").str("error", e.to_string()).emit();
+                        opts.log.note(format!("checkpoint write failed: {e}"));
+                    }
+                    CellStatus::Ok(Box::new(result))
+                }
+                Err(SweepError::DeadlineExceeded { limit_ms }) => CellStatus::TimedOut { limit_ms },
+                Err(error) => CellStatus::Failed { error },
+            };
+            (status, attempts, false)
+        };
+        cell_status_record(fp, name, &status, attempts, restored).emit();
+        CellOutcome { trace_index, config, status, attempts, restored }
+    });
 
     if let Some(Err(e)) = journal.as_ref().map(CheckpointJournal::flush) {
         tlog::warn("checkpoint_flush_failed").str("error", e.to_string()).emit();

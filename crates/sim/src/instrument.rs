@@ -102,7 +102,7 @@ impl SimObserver for QueueDelayObserver {
 }
 
 /// Streams every [`SimEvent`] as one JSON object per line (hand-rolled:
-/// the vendored serde derives are inert). Write errors are captured on
+/// the workspace has no JSON dependency). Write errors are captured on
 /// first occurrence and surfaced by [`JsonlEventSink::finish`]; the
 /// simulation itself never aborts over a full disk.
 pub struct JsonlEventSink {

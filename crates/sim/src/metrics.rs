@@ -1,10 +1,8 @@
 //! Simulation metrics: every quantity a table or figure of the paper
 //! reports, plus a virtual-time extension.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters collected over one simulation run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimMetrics {
     /// References processed.
     pub refs: u64,

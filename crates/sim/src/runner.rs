@@ -14,11 +14,10 @@ use prefetch_telemetry::{log as tlog, PhaseTimes};
 use prefetch_trace::io::TraceIoError;
 use prefetch_trace::{Trace, TraceSource};
 use prefetch_tree::PrefetchTree;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Result of one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimResult {
     /// The configuration that produced it.
     pub config: SimConfig,

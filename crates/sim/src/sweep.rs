@@ -12,10 +12,9 @@
 //! paper's two swept axes.
 
 use crate::runner::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// One point of a sweep: a configuration plus its result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepCell {
     /// Index of the trace within the sweep's trace list.
     pub trace_index: usize,

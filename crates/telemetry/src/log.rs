@@ -11,9 +11,9 @@
 //!   order), written to the file configured by [`set_json_path`]
 //!   regardless of level.
 //!
-//! The JSON encoder is hand-rolled (the vendored serde derives are inert
-//! no-ops, by design), and `render_json` is public so golden-file tests
-//! can pin the schema without going through a sink.
+//! The JSON encoder is hand-rolled (the workspace has no JSON
+//! dependency), and `render_json` is public so golden-file tests can pin
+//! the schema without going through a sink.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -236,11 +236,6 @@ fn sinks() -> &'static Mutex<Sinks> {
 fn since_start_ms() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_millis() as u64
-}
-
-/// Set the minimum level echoed to stderr (default [`Level::Info`]).
-pub fn set_stderr_level(level: Level) {
-    sinks().lock().unwrap().stderr_level = level;
 }
 
 /// Open `path` as the JSONL sink; every record (any level) is appended

@@ -164,20 +164,6 @@ impl MetricSet {
         }
     }
 
-    /// Fold a pre-accumulated histogram into histogram `name`: callers
-    /// that batch samples outside the registry (e.g. a per-tenant
-    /// accumulator drained at snapshot boundaries) publish the whole
-    /// distribution in one bucket-wise merge.
-    pub fn merge_hist(&mut self, name: &'static str, hist: &Histogram) {
-        if hist.is_empty() {
-            return;
-        }
-        match self.cell(name, || MetricValue::Histogram(Histogram::new())) {
-            MetricValue::Histogram(h) => h.merge(hist),
-            other => *other = MetricValue::Histogram(hist.clone()),
-        }
-    }
-
     /// Iterate cells in metric-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &MetricValue)> {
         self.values.iter().map(|(k, v)| (*k, v))

@@ -11,105 +11,43 @@
 //!   for realistic traces. Truncation and corruption are detected and
 //!   reported as errors, never panics.
 //!
-//! Both formats offer a lenient reading mode ([`read_text_lossy`],
-//! [`read_binary_lossy`], [`ReadOptions`]) that skips malformed records
-//! and reports how many were dropped, for traces converted from external
-//! dumps; the strict default fails on the first malformed record.
+//! Each format has one reader, the streaming [`TextSource`] /
+//! [`BinarySource`]; [`read_text`], [`read_binary`] and [`load`] are that
+//! source, materialized. [`ReadOptions`] selects the lenient mode, which
+//! skips malformed records and counts them in
+//! [`TraceSource::skipped`] — for traces converted from external dumps;
+//! the strict default fails on the first malformed record.
 
 pub mod binary;
 pub mod error;
 pub mod text;
 
-pub use binary::{read_binary, read_binary_lossy, read_binary_with, write_binary, BinarySource};
+pub use binary::{read_binary, write_binary, BinarySource};
 pub use error::TraceIoError;
-pub use text::{read_text, read_text_lossy, read_text_with, write_text, ReadOptions, TextSource};
+pub use text::{read_text, write_text, ReadOptions, TextSource};
 
 use crate::source::TraceSource;
-use crate::{Trace, TraceMeta, TraceRecord};
+use crate::Trace;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-/// A streaming [`TraceSource`] over an on-disk trace file, format picked
-/// from the extension like [`load`] (`.trc` → binary, anything else →
-/// text). Obtained from [`open_source`]; memory use is independent of the
-/// trace length.
-pub enum FileSource {
-    /// Text-format file (see [`text`]).
-    Text(TextSource<BufReader<File>>),
-    /// Binary-format file (see [`binary`]).
-    Binary(BinarySource<BufReader<File>>),
-}
-
-impl FileSource {
-    /// Malformed records skipped/lost so far in lossy mode (always `0` in
-    /// strict mode); see [`TextSource::skipped`] / [`BinarySource::skipped`].
-    pub fn skipped(&self) -> u64 {
-        match self {
-            FileSource::Text(s) => s.skipped(),
-            FileSource::Binary(s) => s.skipped(),
-        }
-    }
-}
-
-impl TraceSource for FileSource {
-    fn meta(&self) -> &TraceMeta {
-        match self {
-            FileSource::Text(s) => s.meta(),
-            FileSource::Binary(s) => s.meta(),
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            FileSource::Text(s) => s.len_hint(),
-            FileSource::Binary(s) => s.len_hint(),
-        }
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        match self {
-            FileSource::Text(s) => s.next_record(),
-            FileSource::Binary(s) => s.next_record(),
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), TraceIoError> {
-        match self {
-            FileSource::Text(s) => s.rewind(),
-            FileSource::Binary(s) => s.rewind(),
-        }
-    }
-
-    fn skipped(&self) -> u64 {
-        FileSource::skipped(self)
-    }
-}
-
-/// Open a trace file as a streaming [`FileSource`], picking the format
+/// Open a trace file as a streaming [`TraceSource`], picking the format
 /// from the file extension (`.trc` → binary, anything else → text).
-pub fn open_source(path: &Path, opts: ReadOptions) -> Result<FileSource, TraceIoError> {
+/// Memory use is independent of the trace length.
+pub fn open_source(path: &Path, opts: ReadOptions) -> Result<Box<dyn TraceSource>, TraceIoError> {
     let reader = BufReader::new(File::open(path)?);
-    if path.extension().is_some_and(|e| e == "trc") {
-        Ok(FileSource::Binary(BinarySource::with_options(reader, opts)?))
+    Ok(if path.extension().is_some_and(|e| e == "trc") {
+        Box::new(BinarySource::with_options(reader, opts)?)
     } else {
-        Ok(FileSource::Text(TextSource::with_options(reader, opts)?))
-    }
+        Box::new(TextSource::with_options(reader, opts)?)
+    })
 }
 
 /// Load a trace, picking the format from the file extension
 /// (`.trc` → binary, anything else → text).
 pub fn load(path: &Path) -> Result<Trace, TraceIoError> {
     open_source(path, ReadOptions { strict: true })?.materialize()
-}
-
-/// Load a trace leniently, picking the format from the file extension:
-/// malformed records are skipped and counted instead of fatal (see
-/// [`read_text_lossy`] / [`read_binary_lossy`]).
-pub fn load_lossy(path: &Path) -> Result<(Trace, u64), TraceIoError> {
-    let mut source = open_source(path, ReadOptions { strict: false })?;
-    let trace = source.materialize()?;
-    Ok((trace, source.skipped()))
 }
 
 /// Save a trace, picking the format from the file extension
@@ -166,7 +104,7 @@ mod tests {
             let back = src.materialize().unwrap();
             assert_eq!(back, trace, "{name}");
             assert_eq!(src.skipped(), 0);
-            // Rewind works through the enum too.
+            // Rewind works through the box too.
             src.rewind().unwrap();
             assert_eq!(src.next_record().unwrap().unwrap().block.0, 3);
         }

@@ -46,56 +46,10 @@ impl Default for ReadOptions {
     }
 }
 
-/// Parse a text trace (strict: the first malformed line is an error).
-pub fn read_text<R: BufRead>(r: &mut R) -> Result<Trace, TraceIoError> {
-    read_text_with(r, ReadOptions { strict: true }).map(|(t, _)| t)
-}
-
-/// Parse a text trace leniently: malformed lines (and a malformed
-/// `#!meta` header) are skipped rather than fatal. Returns the trace and
-/// the number of lines skipped. I/O errors are still fatal.
-pub fn read_text_lossy<R: BufRead>(r: &mut R) -> Result<(Trace, u64), TraceIoError> {
-    read_text_with(r, ReadOptions { strict: false })
-}
-
-/// Parse a text trace under explicit [`ReadOptions`]. The skipped count is
-/// always `0` in strict mode (a malformed line returns `Err` instead).
-pub fn read_text_with<R: BufRead>(
-    r: &mut R,
-    opts: ReadOptions,
-) -> Result<(Trace, u64), TraceIoError> {
-    let mut trace = Trace::empty();
-    let mut line = String::new();
-    let mut line_no = 0usize;
-    let mut skipped = 0u64;
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if let Some(meta_json) = trimmed.strip_prefix(META_PREFIX) {
-            match meta_from_json(meta_json) {
-                Ok(meta) => *trace.meta_mut() = meta,
-                Err(e) if opts.strict => return Err(e),
-                Err(_) => skipped += 1,
-            }
-            continue;
-        }
-        if trimmed.starts_with('#') {
-            continue;
-        }
-        match parse_line(trimmed, line_no) {
-            Ok(rec) => trace.push(rec),
-            Err(e) if opts.strict => return Err(e),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((trace, skipped))
+/// Parse a whole text trace (strict: the first malformed line is an
+/// error): a [`TextSource`], materialized.
+pub fn read_text<R: BufRead + Seek>(r: &mut R) -> Result<Trace, TraceIoError> {
+    TextSource::new(r)?.materialize()
 }
 
 /// An incremental [`TraceSource`] over a text-format reader: records are
@@ -104,8 +58,10 @@ pub fn read_text_with<R: BufRead>(
 /// Construction consumes the leading header (comments and a `#!meta` line)
 /// so [`TraceSource::meta`] is available before the first record; `#!meta`
 /// lines appearing later in the file refine the metadata as they stream
-/// past, exactly like [`read_text_with`]. Rewinding seeks back to the first
-/// record and resets the per-pass [`TextSource::skipped`] counter.
+/// past. In lossy mode malformed lines (and a malformed `#!meta` header)
+/// are skipped and counted rather than fatal; I/O errors are always fatal.
+/// Rewinding seeks back to the first record and resets the per-pass
+/// [`TraceSource::skipped`] counter to the header's count.
 pub struct TextSource<R> {
     reader: R,
     opts: ReadOptions,
@@ -169,12 +125,6 @@ impl<R: BufRead + Seek> TextSource<R> {
             fused: false,
             line,
         })
-    }
-
-    /// Malformed lines skipped so far in this pass (always `0` in strict
-    /// mode). Reset by [`TraceSource::rewind`] to the header's count.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 }
 
@@ -269,7 +219,7 @@ fn parse_line(s: &str, line_no: usize) -> Result<TraceRecord, TraceIoError> {
 // Minimal hand-rolled JSON for TraceMeta so the text format has no
 // dependency on a JSON crate in this library's public path. The format is a
 // flat object with string/number/null fields.
-fn meta_to_json(m: &TraceMeta) -> String {
+pub(super) fn meta_to_json(m: &TraceMeta) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let l1 = m.l1_cache_bytes.map_or("null".to_string(), |v| v.to_string());
     let seed = m.seed.map_or("null".to_string(), |v| v.to_string());
@@ -282,7 +232,7 @@ fn meta_to_json(m: &TraceMeta) -> String {
     )
 }
 
-fn meta_from_json(s: &str) -> Result<TraceMeta, TraceIoError> {
+pub(super) fn meta_from_json(s: &str) -> Result<TraceMeta, TraceIoError> {
     let mut meta = TraceMeta::default();
     let body = s
         .trim()
@@ -346,12 +296,12 @@ fn meta_from_json(s: &str) -> Result<TraceMeta, TraceIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::io::Cursor;
 
-    fn round_trip(t: &Trace) -> Trace {
-        let mut buf = Vec::new();
-        write_text(t, &mut buf).unwrap();
-        read_text(&mut BufReader::new(&buf[..])).unwrap()
+    const LOSSY: ReadOptions = ReadOptions { strict: false };
+
+    fn read(src: &str) -> Result<Trace, TraceIoError> {
+        read_text(&mut Cursor::new(src.as_bytes()))
     }
 
     #[test]
@@ -361,14 +311,16 @@ mod tests {
         t.meta_mut().description = "file \"server\"".into();
         t.meta_mut().l1_cache_bytes = Some(5 * 1024 * 1024);
         t.meta_mut().seed = Some(99);
-        let back = round_trip(&t);
+        let mut buf = Vec::new();
+        write_text(&t, &mut buf).unwrap();
+        let back = read_text(&mut Cursor::new(&buf[..])).unwrap();
         assert_eq!(&t, &back);
     }
 
     #[test]
     fn parses_minimal_lines() {
         let src = "#!meta {\"name\":\"\",\"description\":\"\",\"l1_cache_bytes\":null,\"seed\":null}\n# comment\n\n42\n43 7\n44 7 W\n";
-        let t = read_text(&mut BufReader::new(src.as_bytes())).unwrap();
+        let t = read(src).unwrap();
         assert_eq!(t.len(), 3);
         assert_eq!(t.records()[0], TraceRecord::read(42u64));
         assert_eq!(t.records()[1], TraceRecord::read(43u64).with_pid(7));
@@ -377,7 +329,7 @@ mod tests {
 
     #[test]
     fn works_without_meta_line() {
-        let t = read_text(&mut BufReader::new("1\n2\n".as_bytes())).unwrap();
+        let t = read("1\n2\n").unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.meta().name, "");
     }
@@ -385,53 +337,44 @@ mod tests {
     #[test]
     fn rejects_garbage_lines() {
         for bad in ["abc", "1 2 X", "1 2 R extra", "-5"] {
-            let res = read_text(&mut BufReader::new(bad.as_bytes()));
-            assert!(res.is_err(), "line {bad:?} should be rejected");
+            assert!(read(bad).is_err(), "line {bad:?} should be rejected");
         }
     }
 
     #[test]
     fn rejects_malformed_meta() {
-        let res = read_text(&mut BufReader::new("#!meta not-json\n1\n".as_bytes()));
-        assert!(res.is_err());
+        assert!(read("#!meta not-json\n1\n").is_err());
     }
 
     #[test]
     fn empty_input_is_empty_trace() {
-        let t = read_text(&mut BufReader::new("".as_bytes())).unwrap();
-        assert!(t.is_empty());
+        assert!(read("").unwrap().is_empty());
     }
 
     #[test]
     fn lossy_read_skips_bad_lines_and_counts_them() {
-        let src = "1\nabc\n2\n1 2 X\n3\n-5\n";
-        let (t, skipped) = read_text_lossy(&mut BufReader::new(src.as_bytes())).unwrap();
-        assert_eq!(skipped, 3);
+        let src = "# hdr\n1\nabc\n2\n1 2 X\n3\n-5\n";
+        let mut source = TextSource::with_options(Cursor::new(src.as_bytes()), LOSSY).unwrap();
+        let t = source.materialize().unwrap();
+        assert_eq!(source.skipped(), 3);
         let blocks: Vec<u64> = t.records().iter().map(|r| r.block.0).collect();
         assert_eq!(blocks, [1, 2, 3]);
+        // The skip counter is per-pass.
+        source.rewind().unwrap();
+        assert_eq!(source.materialize().unwrap(), t);
+        assert_eq!(source.skipped(), 3);
         // The same input fails in strict mode.
-        assert!(read_text(&mut BufReader::new(src.as_bytes())).is_err());
+        assert!(read(src).is_err());
     }
 
     #[test]
     fn lossy_read_survives_bad_meta() {
         let src = "#!meta not-json\n1\n2\n";
-        let (t, skipped) = read_text_lossy(&mut BufReader::new(src.as_bytes())).unwrap();
-        assert_eq!(skipped, 1);
+        let mut source = TextSource::with_options(Cursor::new(src.as_bytes()), LOSSY).unwrap();
+        let t = source.materialize().unwrap();
+        assert_eq!(source.skipped(), 1);
         assert_eq!(t.len(), 2);
         assert_eq!(t.meta().name, "");
-    }
-
-    #[test]
-    fn lossy_read_on_clean_input_matches_strict() {
-        let mut t = Trace::from_blocks([10u64, 11, 12, 5]);
-        t.meta_mut().name = "snake".into();
-        let mut buf = Vec::new();
-        write_text(&t, &mut buf).unwrap();
-        let strict = read_text(&mut BufReader::new(&buf[..])).unwrap();
-        let (lossy, skipped) = read_text_lossy(&mut BufReader::new(&buf[..])).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(strict, lossy);
     }
 
     #[test]
@@ -447,23 +390,25 @@ mod tests {
         let mut buf = Vec::new();
         write_text(&t, &mut buf).unwrap();
 
-        let mut src = TextSource::new(std::io::Cursor::new(&buf[..])).unwrap();
-        // Meta is available before the first record is pulled.
-        assert_eq!(src.meta().name, "snake");
-        assert_eq!(src.len_hint(), None);
-        let back = src.materialize().unwrap();
-        assert_eq!(back, t);
+        // Clean input reads the same in either mode, with nothing skipped.
+        for opts in [ReadOptions::default(), LOSSY] {
+            let mut src = TextSource::with_options(Cursor::new(&buf[..]), opts).unwrap();
+            // Meta is available before the first record is pulled.
+            assert_eq!(src.meta().name, "snake");
+            assert_eq!(src.len_hint(), None);
+            assert_eq!(src.materialize().unwrap(), t);
+            assert_eq!(src.skipped(), 0);
 
-        // Rewinding replays the records bit-identically.
-        src.rewind().unwrap();
-        let again = src.materialize().unwrap();
-        assert_eq!(again, t);
+            // Rewinding replays the records bit-identically.
+            src.rewind().unwrap();
+            assert_eq!(src.materialize().unwrap(), t);
+        }
     }
 
     #[test]
     fn text_source_strict_fuses_after_bad_line() {
         let src_text = "1\n2\nabc\n3\n";
-        let mut src = TextSource::new(std::io::Cursor::new(src_text.as_bytes())).unwrap();
+        let mut src = TextSource::new(Cursor::new(src_text.as_bytes())).unwrap();
         assert_eq!(src.next_record().unwrap().unwrap().block.0, 1);
         assert_eq!(src.next_record().unwrap().unwrap().block.0, 2);
         assert!(src.next_record().is_err());
@@ -471,24 +416,5 @@ mod tests {
         assert_eq!(src.next_record().unwrap(), None);
         src.rewind().unwrap();
         assert_eq!(src.next_record().unwrap().unwrap().block.0, 1);
-    }
-
-    #[test]
-    fn text_source_lossy_matches_lossy_reader() {
-        let src_text = "# hdr\n1\nabc\n2\n1 2 X\n3\n-5\n";
-        let (expected, expected_skipped) =
-            read_text_lossy(&mut BufReader::new(src_text.as_bytes())).unwrap();
-        let mut src = TextSource::with_options(
-            std::io::Cursor::new(src_text.as_bytes()),
-            ReadOptions { strict: false },
-        )
-        .unwrap();
-        let got = src.materialize().unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(src.skipped(), expected_skipped);
-        // The skip counter is per-pass.
-        src.rewind().unwrap();
-        src.materialize().unwrap();
-        assert_eq!(src.skipped(), expected_skipped);
     }
 }

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod synth;
 pub mod trace;
 
-pub use io::{open_source, FileSource};
+pub use io::open_source;
 pub use record::{AccessKind, BlockId, TraceRecord};
 pub use source::{L1FilterSource, TraceCursor, TraceSource};
 pub use trace::{Trace, TraceMeta};

@@ -5,13 +5,12 @@
 //! (Section 3). A trace is therefore a sequence of block identifiers,
 //! optionally annotated with the issuing process and the access kind.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a disk block (or object, for object-reference traces such
 /// as CAD). Block ids are opaque: sequentiality is defined as
 /// `next.0 == prev.0 + 1`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
 impl BlockId {
@@ -50,7 +49,7 @@ impl From<u64> for BlockId {
 /// Read or write. The paper's model treats every reference as a fetch into
 /// the buffer cache; we keep the distinction in the trace format so that
 /// workload generators can record it and future policies can use it.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub enum AccessKind {
     #[default]
     Read,
@@ -58,7 +57,7 @@ pub enum AccessKind {
 }
 
 /// One I/O reference in a trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceRecord {
     /// The referenced block.
     pub block: BlockId,

@@ -14,8 +14,8 @@
 //!   [`Trace::source`]);
 //! * [`crate::synth::SynthSource`] — the four synthetic generators,
 //!   emitting records on the fly (including their L1-filter stage);
-//! * [`crate::io::FileSource`] ([`crate::io::TextSource`],
-//!   [`crate::io::BinarySource`]) — incremental on-disk readers;
+//! * [`crate::io::TextSource`], [`crate::io::BinarySource`] — incremental
+//!   on-disk readers ([`crate::io::open_source`] picks by extension);
 //! * [`L1FilterSource`] — a streaming first-level-cache filter over any
 //!   other source.
 
@@ -60,9 +60,13 @@ pub trait TraceSource {
     where
         Self: Sized,
     {
+        // A file's declared count is a claim, and a record is at least
+        // one byte of it: reserve one chunk on the hint's word and let
+        // growth follow what actually decodes.
+        const RESERVE_CHUNK: u64 = 1 << 16;
         let mut trace = Trace::new(self.meta().clone());
         if let Some(n) = self.len_hint() {
-            trace.reserve(n as usize);
+            trace.reserve(n.min(RESERVE_CHUNK) as usize);
         }
         while let Some(r) = self.next_record()? {
             trace.push(r);

@@ -2,11 +2,10 @@
 //! Table 1 of the paper.
 
 use crate::{BlockId, Trace};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Summary statistics of a trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceStats {
     /// Number of references.
     pub refs: usize,

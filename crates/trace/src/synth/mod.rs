@@ -159,7 +159,7 @@ impl crate::source::TraceSource for SynthSource {
 }
 
 /// Which of the paper's four traces to synthesize.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Timesharing-system disk blocks, post-30MB-L1 (Ruemmler & Wilkes).
     Cello,

@@ -2,11 +2,10 @@
 //! descriptive metadata, mirroring Table 1 of the paper.
 
 use crate::record::{BlockId, TraceRecord};
-use serde::{Deserialize, Serialize};
 
 /// Descriptive metadata attached to a trace (the columns of the paper's
 /// Table 1).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceMeta {
     /// Short name, e.g. `"cello"`.
     pub name: String,
@@ -24,7 +23,7 @@ pub struct TraceMeta {
 ///
 /// Traces are append-only during generation and immutable during simulation;
 /// the simulator iterates over [`Trace::records`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     meta: TraceMeta,
     records: Vec<TraceRecord>,
@@ -51,11 +50,6 @@ impl Trace {
             meta: TraceMeta::default(),
             records: blocks.into_iter().map(|b| TraceRecord::read(b.into())).collect(),
         }
-    }
-
-    /// Build from explicit records.
-    pub fn from_records(meta: TraceMeta, records: Vec<TraceRecord>) -> Self {
-        Trace { meta, records }
     }
 
     /// Trace metadata.
@@ -110,11 +104,6 @@ impl Trace {
             meta: self.meta.clone(),
             records: self.records[..self.records.len().min(n)].to_vec(),
         }
-    }
-
-    /// Consume the trace, returning its records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
     }
 
     /// A streaming [`crate::source::TraceSource`] view over this trace.

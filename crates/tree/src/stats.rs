@@ -1,9 +1,7 @@
 //! Tree statistics: the counters behind Tables 2 and 3 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by [`crate::PrefetchTree::record_access`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TreeStats {
     /// Total accesses recorded.
     pub accesses: u64,

@@ -129,11 +129,6 @@ impl PrefetchTree {
         self.node_limit
     }
 
-    /// The overflow policy this tree was built with.
-    pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.overflow
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &TreeStats {
         &self.stats
@@ -161,11 +156,6 @@ impl PrefetchTree {
         } else {
             Some(NodeId(p))
         }
-    }
-
-    /// Number of children of a node.
-    pub fn child_count(&self, n: NodeId) -> usize {
-        self.arena.ch_len[n.0 as usize] as usize
     }
 
     /// Iterate a node's children.

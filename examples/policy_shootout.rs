@@ -1,5 +1,6 @@
 //! Shoot-out of all eight policies across all four workloads — a compact
-//! version of the paper's whole evaluation, run in parallel with rayon.
+//! version of the paper's whole evaluation, run in parallel on the sweep
+//! pool.
 //!
 //! ```text
 //! cargo run --release --example policy_shootout [refs] [cache_blocks]

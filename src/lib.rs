@@ -61,7 +61,7 @@ pub mod prelude {
         SimResult, Simulator, StallHistogramObserver, SweepError, SweepLog, SweepRun, VirtualClock,
     };
     pub use prefetch_telemetry::{Histogram, Phase, PhaseTimer, PhaseTimes};
-    pub use prefetch_trace::io::{open_source, FileSource};
+    pub use prefetch_trace::io::open_source;
     pub use prefetch_trace::stats::{ReuseDistances, TraceStats};
     pub use prefetch_trace::synth::{SynthSource, TraceKind};
     pub use prefetch_trace::{BlockId, Trace, TraceCursor, TraceMeta, TraceRecord, TraceSource};

@@ -117,7 +117,7 @@ proptest! {
         }
         let mut buf = Vec::new();
         predictive_prefetch::trace::io::write_binary(&trace, &mut buf).unwrap();
-        let back = predictive_prefetch::trace::io::read_binary(&mut &buf[..]).unwrap();
+        let back = predictive_prefetch::trace::io::read_binary(&mut std::io::Cursor::new(&buf[..])).unwrap();
         prop_assert_eq!(back.records(), trace.records());
     }
 
