@@ -1,5 +1,5 @@
-//! Dependency-free work-stealing thread pool with deterministic,
-//! index-ordered result collection.
+//! Dependency-free scoped thread pool with deterministic, index-ordered
+//! result collection, and the workspace's one panic-capture helper.
 //!
 //! [`run_indexed`] evaluates `f(0), f(1), …, f(n-1)` across a set of scoped
 //! worker threads and returns the results **in index order**, so callers
@@ -17,23 +17,30 @@
 //! * `threads == 1` (or `n <= 1`) bypasses the pool entirely and runs the
 //!   plain sequential loop on the calling thread.
 //!
-//! Scheduling is chunked work stealing: each worker owns a contiguous slice
-//! of the index range behind a mutex, pops small batches from its front,
-//! and when empty steals the back half of the largest remaining slice. With
-//! coarse work items (a sweep cell is milliseconds to minutes of
-//! simulation) the per-batch lock is noise.
+//! Scheduling is one shared cursor: a worker claims the next unclaimed
+//! index with a single `fetch_add`, so indices are claimed in increasing
+//! order and a slow item never strands the ones behind it. Work items are
+//! a tenant's batch flush (microseconds) or a sweep cell (milliseconds to
+//! minutes of simulation); one atomic add per item is below both.
 //!
 //! The pool size is a process-global knob ([`set_threads`]) rather than a
 //! per-call argument so that deep call chains (CLI → experiment grid →
 //! sweep) need no plumbing; `0` means "use
 //! [`std::thread::available_parallelism`]".
+//!
+//! [`catch_quiet`] is how the callers that *contain* a panic (a sweep
+//! cell, a tenant flush) run their closure: under `catch_unwind`, with the
+//! process's one panic hook silenced on that thread for the duration, the
+//! payload handed back for the caller to classify ([`panic_message`]
+//! renders the usual `&str`/`String` payloads).
 
 #![forbid(unsafe_code)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Global thread-count setting; `0` = auto (available parallelism).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -59,55 +66,44 @@ pub fn effective_threads() -> usize {
     }
 }
 
-/// One worker's half-open slice of the index range.
-#[derive(Clone, Copy)]
-struct Range {
-    lo: usize,
-    hi: usize,
+thread_local! {
+    /// True while this thread runs a closure under [`catch_quiet`]: the
+    /// panic hook stays silent (the panic becomes a typed error at the
+    /// caller, so the default hook's backtrace spam would only obscure
+    /// the program's real output).
+    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
 }
 
-impl Range {
-    fn len(&self) -> usize {
-        self.hi - self.lo
-    }
+/// Run `f` in its own panic domain with the panic hook silenced on this
+/// thread: a panic comes back as its payload instead of unwinding into
+/// the caller. The first call installs the hook (once per process), which
+/// defers to the previous hook on every thread that is not inside a
+/// `catch_quiet`.
+pub fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !SUPPRESS_PANIC_OUTPUT.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    outcome
 }
 
-/// Pop a batch from the front of the worker's own range.
-fn take_front(range: &Mutex<Range>) -> Option<Range> {
-    let mut r = range.lock().unwrap();
-    if r.lo >= r.hi {
-        return None;
-    }
-    // Small front batches keep the tail available for thieves.
-    let take = (r.len() / 8).clamp(1, 16);
-    let batch = Range { lo: r.lo, hi: r.lo + take };
-    r.lo += take;
-    Some(batch)
-}
-
-/// Steal the back half of the largest remaining range.
-fn steal(me: usize, ranges: &[Mutex<Range>]) -> Option<Range> {
-    loop {
-        // Snapshot sizes, then re-check the chosen victim under its lock;
-        // ranges only ever shrink, so "all empty" is a stable exit.
-        let victim = ranges
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != me)
-            .map(|(w, r)| (w, r.lock().unwrap().len()))
-            .max_by_key(|&(_, len)| len)?;
-        if victim.1 == 0 {
-            return None;
-        }
-        let mut r = ranges[victim.0].lock().unwrap();
-        let len = r.len();
-        if len == 0 {
-            continue; // raced with the owner; rescan
-        }
-        let take = len.div_ceil(2);
-        let batch = Range { lo: r.hi - take, hi: r.hi };
-        r.hi -= take;
-        return Some(batch);
+/// Render a panic payload: the message of a `panic!` (`&str` or `String`),
+/// or a fixed placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -124,10 +120,10 @@ where
         return (0..n).map(f).collect();
     }
 
-    // Balanced contiguous slices: worker w owns [w*n/workers, (w+1)*n/workers).
-    let ranges: Vec<Mutex<Range>> = (0..workers)
-        .map(|w| Mutex::new(Range { lo: w * n / workers, hi: (w + 1) * n / workers }))
-        .collect();
+    // Next unclaimed index. Claims are in increasing order, so every
+    // index below a panicking one was claimed — and checked against
+    // `min_panic` — before any panic at or above it could be recorded.
+    let next = AtomicUsize::new(0);
     // Smallest panicking index seen so far (usize::MAX = none); lets
     // workers skip items that can no longer influence the outcome.
     let min_panic = AtomicUsize::new(usize::MAX);
@@ -136,39 +132,29 @@ where
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ranges, f) = (&ranges, &f);
+            .map(|_| {
+                let (next, f) = (&next, &f);
                 let (min_panic, panic_slot) = (&min_panic, &panic_slot);
                 scope.spawn(move || {
                     let mut out: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let batch = match take_front(&ranges[w]) {
-                            Some(b) => b,
-                            None => match steal(w, ranges) {
-                                // Deposit the loot in our own (empty) range
-                                // so it stays visible to other thieves.
-                                Some(loot) => {
-                                    *ranges[w].lock().unwrap() = loot;
-                                    continue;
-                                }
-                                None => break,
-                            },
-                        };
-                        for i in batch.lo..batch.hi {
-                            // An item above the smallest recorded panic can
-                            // neither be returned nor beat that panic.
-                            if i > min_panic.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                                Ok(v) => out.push((i, v)),
-                                Err(payload) => {
-                                    min_panic.fetch_min(i, Ordering::Relaxed);
-                                    let mut slot = panic_slot.lock().unwrap();
-                                    match &*slot {
-                                        Some((j, _)) if *j <= i => {}
-                                        _ => *slot = Some((i, payload)),
-                                    }
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // An item above the smallest recorded panic can
+                        // neither be returned nor beat that panic.
+                        if i > min_panic.load(Ordering::Relaxed) {
+                            continue;
+                        }
+                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                            Ok(v) => out.push((i, v)),
+                            Err(payload) => {
+                                min_panic.fetch_min(i, Ordering::Relaxed);
+                                let mut slot = panic_slot.lock().unwrap();
+                                match &*slot {
+                                    Some((j, _)) if *j <= i => {}
+                                    _ => *slot = Some((i, payload)),
                                 }
                             }
                         }
@@ -202,20 +188,6 @@ where
         .enumerate()
         .map(|(i, v)| v.unwrap_or_else(|| panic!("pool lost item {i}")))
         .collect()
-}
-
-/// Map an owned vector through `f` in parallel, preserving order.
-pub fn map_vec<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|v| Mutex::new(Some(v))).collect();
-    run_indexed(cells.len(), |i| {
-        let item = cells[i].lock().unwrap().take().expect("item taken twice");
-        f(item)
-    })
 }
 
 #[cfg(test)]
@@ -262,10 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn skewed_work_is_stolen() {
-        // Front-loaded heavy items: without stealing, worker 0 would own
-        // all the work while the rest idle. The assertion here is just
-        // correctness; the stealing path is exercised by the skew.
+    fn front_loaded_work_keeps_index_order() {
+        // Front-loaded heavy items: the workers holding them finish last,
+        // after the rest have claimed everything behind. The assertion is
+        // just correctness: results come back by index, not by finish time.
         let got = with_threads(4, || {
             run_indexed(64, |i| {
                 let spins = if i < 8 { 200_000 } else { 10 };
@@ -341,11 +313,16 @@ mod tests {
     }
 
     #[test]
-    fn map_vec_preserves_order_and_moves_items() {
-        let items: Vec<String> = (0..30).map(|i| format!("v{i}")).collect();
-        let got = with_threads(4, || map_vec(items, |s| s + "!"));
-        let want: Vec<String> = (0..30).map(|i| format!("v{i}!")).collect();
-        assert_eq!(got, want);
+    fn catch_quiet_returns_the_payload_for_the_caller_to_classify() {
+        struct Custom(u32);
+        assert_eq!(catch_quiet(|| 7).ok(), Some(7));
+        let payload = catch_quiet(|| panic!("static message")).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "static message");
+        let payload = catch_quiet(|| std::panic::panic_any(format!("boom {}", 3))).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "boom 3");
+        let payload = catch_quiet(|| std::panic::panic_any(Custom(9))).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+        assert_eq!(payload.downcast_ref::<Custom>().map(|c| c.0), Some(9));
     }
 
     #[test]

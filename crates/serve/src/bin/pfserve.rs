@@ -65,7 +65,7 @@ fn usage() -> String {
      bit-identical; damaged logs quarantine only their own tenant.\n\
      --recover-cap-events bounds replay; longer logs warm-start degraded\n\
      from their latest checkpoint (--checkpoint-every, 0 disables).\n\
-     --metrics-out enables the sharded metrics registry and appends\n\
+     --metrics-out enables the metrics registry and appends\n\
      pfmetrics-snap/v1 JSONL snapshots to PATH: every --metrics-every\n\
      events (0 = at drain only) and always once at drain. The METRICS\n\
      verb renders the same registry as Prometheus-style METRIC lines;\n\

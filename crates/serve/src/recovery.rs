@@ -9,7 +9,7 @@
 //! tenant from one that never went away, except by the honest
 //! `recovered=` marker.
 
-use crate::service::{catch_quiet, Service, Slot};
+use crate::service::{Service, Slot};
 use crate::tenant::TenantState;
 use crate::wal::{apply_record, decode_log, RecoveryError, RecoveryReport, TenantLog, WalRecord};
 use prefetch_telemetry::log as tlog;
@@ -183,9 +183,10 @@ impl Service {
         }
         let mut replayed = 0u64;
         for (i, record) in records.iter().enumerate() {
-            match catch_quiet(|| apply_record(&mut state, record)) {
+            match prefetch_pool::catch_quiet(|| apply_record(&mut state, record)) {
                 Ok(applied) => replayed += u64::from(applied),
-                Err(message) => {
+                Err(payload) => {
+                    let message = prefetch_pool::panic_message(&*payload);
                     self.quarantine(name, Some(state), &message);
                     report.quarantined += 1;
                     report.replayed_events += replayed;

@@ -5,9 +5,10 @@
 //!
 //! Everything here reads service state and renders it; nothing here
 //! decides anything about a tenant. Metric *recording* happens on the
-//! flush path into each tenant's own `PendingMetrics`; this module is
-//! where those deltas reach the shared registry — at every snapshot or
-//! exposition, and when a closing or dying tenant's state is dropped.
+//! flush path into each tenant's own `PendingMetrics`; this module, on
+//! the dispatch thread, is the registry's only writer: those deltas reach
+//! it at every snapshot or exposition, and when a closing or dying
+//! tenant's state is dropped.
 
 use crate::protocol::{render_reject_tally, N_REJECT_REASONS};
 use crate::service::{lock_slot, ConnId, Service, Slot};
@@ -36,23 +37,20 @@ pub(crate) fn report_suffix(queue_hwm: u64, rejects: &[u64; N_REJECT_REASONS]) -
 
 /// Fold a tenant's pending metric deltas into its registry cells.
 fn publish_pending(m: &mut MetricSet, pending: &PendingMetrics) {
-    if pending.is_empty() {
-        return;
-    }
     m.add("events", pending.events);
     m.add("demand_hits", pending.demand_hits);
     m.add("prefetch_hits", pending.prefetch_hits);
     m.add("misses", pending.misses);
     m.add("prefetches", pending.prefetches);
-    m.record_many("stall_us", &pending.stall_us);
+    m.merge_histogram("stall_us", &pending.stall_us);
 }
 
 impl Service {
     /// Publish the deltas of a tenant whose state is about to drop (close
     /// and quarantine): its last flush survives it.
-    pub(crate) fn publish(&self, name: &str, pending: &PendingMetrics) {
-        if let Some(reg) = &self.registry {
-            reg.update(name, |m| publish_pending(m, pending));
+    pub(crate) fn publish(&mut self, name: &str, pending: Option<Box<PendingMetrics>>) {
+        if let (Some(reg), Some(pending)) = (&mut self.registry, pending) {
+            reg.update(name, |m| publish_pending(m, &pending));
         }
     }
 
@@ -157,36 +155,35 @@ impl Service {
     /// The `METRICS` response: the registry as Prometheus-style `METRIC`
     /// lines plus an `OK metrics` trailer. The caller has already applied
     /// every queued event.
-    pub(crate) fn render_metrics(&self, conn: ConnId, out: &mut Vec<(ConnId, String)>) {
+    pub(crate) fn render_metrics(&mut self, conn: ConnId, out: &mut Vec<(ConnId, String)>) {
+        self.refresh_gauges();
         let Some(reg) = &self.registry else {
             return out.push((conn, "OK metrics lines=0 enabled=false".to_string()));
         };
-        self.refresh_gauges();
         let text = reg.snapshot().render_prometheus();
         let before = out.len();
         out.extend(text.lines().map(|line| (conn, format!("METRIC {line}"))));
         out.push((conn, format!("OK metrics lines={}", out.len() - before)));
     }
 
-    /// Refresh the point-in-time gauges the flush path cannot maintain
-    /// incrementally: per-tenant queue high-water marks and calibration
+    /// The drain boundary: publish every live tenant's pending deltas and
+    /// refresh the point-in-time gauges the flush path cannot maintain
+    /// incrementally — per-tenant queue high-water marks and calibration
     /// accumulators, plus the service-wide counters and the per-reason
     /// reject tally. Called right before each snapshot/exposition so the
     /// rendered values are current.
-    fn refresh_gauges(&self) {
-        let Some(reg) = &self.registry else { return };
+    fn refresh_gauges(&mut self) {
+        let Some(reg) = &mut self.registry else { return };
         for t in &self.tenants {
             let (queue_hwm, cal, pending) = {
                 let mut slot = lock_slot(&t.slot);
                 let Ok(state) = slot.live() else { continue };
-                (
-                    state.queue_hwm,
-                    state.calibration().cloned(),
-                    std::mem::take(&mut state.pending_metrics),
-                )
+                (state.queue_hwm, state.calibration().cloned(), state.pending_metrics.take())
             };
             reg.update(&t.name, |m| {
-                publish_pending(m, &pending);
+                if let Some(pending) = &pending {
+                    publish_pending(m, pending);
+                }
                 m.gauge_set("queue_hwm", queue_hwm);
                 if let Some(c) = &cal {
                     m.fgauge_set("cal_benefit_err", c.benefit_error());
@@ -235,8 +232,8 @@ impl Service {
     /// `pfmetrics/v1` JSONL body) to the `metrics_out` file. Write
     /// failures warn and keep serving — metrics are never load-bearing.
     fn write_metrics_snapshot(&mut self) {
-        let (Some(path), Some(reg)) = (&self.opts.metrics_out, &self.registry) else { return };
         self.refresh_gauges();
+        let (Some(path), Some(reg)) = (&self.opts.metrics_out, &self.registry) else { return };
         self.metrics_snapshots += 1;
         let mut buf = format!(
             "{{\"schema\":\"pfmetrics-snap/v1\",\"snapshot\":{},\"events\":{}}}\n",
@@ -263,7 +260,6 @@ impl Service {
         self.counters(tlog::info("serve_stats").u64("tenants_live", self.admission.live() as u64))
             .u64("batches", self.stats.batches)
             .u64("reserved_bytes", self.admission.reserved_bytes())
-            .u64("advice_p99_us", self.advice_latency_us.p99())
             .emit();
     }
 
@@ -273,8 +269,6 @@ impl Service {
         self.counters(tlog::info("serve_drain"))
             .f64("elapsed_s", elapsed)
             .f64("events_per_sec", if elapsed > 0.0 { events / elapsed } else { 0.0 })
-            .u64("advice_p50_us", self.advice_latency_us.p50())
-            .u64("advice_p99_us", self.advice_latency_us.p99())
             .emit();
     }
 

@@ -3,9 +3,9 @@
 //! [`Service`] owns the tenant registry and processes request lines in
 //! batches. Within a batch, per-tenant event queues are built in arrival
 //! order and then flushed across the `prefetch-pool` workers — one tenant
-//! is one work item, so the pool's work stealing spreads thousands of
-//! tenants over the cores while each tenant's own events stay strictly
-//! ordered. Every flush runs under its own `catch_unwind`: a panicking
+//! is one work item, so the pool spreads thousands of tenants over the
+//! cores while each tenant's own events stay strictly ordered. Every
+//! flush runs under its own `catch_unwind`: a panicking
 //! tenant (chaos hook or real policy bug) is retired to
 //! [`Slot::Quarantined`] and reported with a typed `PANIC` response; its
 //! siblings — including those sharing the same worker — never notice.
@@ -52,13 +52,10 @@ use crate::report::report_suffix;
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
 use crate::wal::{Durability, RecoveryReport, WalOpts, WalRecord};
 use prefetch_hash::FxHashMap;
-use prefetch_telemetry::registry::DEFAULT_SHARDS;
-use prefetch_telemetry::{log as tlog, Histogram, MetricsRegistry};
-use std::cell::Cell;
+use prefetch_telemetry::{log as tlog, MetricsRegistry};
 use std::collections::hash_map::Entry;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Identifies the connection a request arrived on, so responses can be
@@ -222,8 +219,8 @@ struct Batch {
 
 /// What one tenant's batch flush produced.
 struct TenantFlush {
+    /// One `ADV` line per event served, in order.
     responses: Vec<(ConnId, String)>,
-    latencies_us: Vec<u64>,
     /// The tenant's re-priced reservation, `(old, new)` bytes, measured
     /// under the lock the flush held. `(0, 0)` — nothing to apply — when
     /// the flush panicked: quarantine releases the whole reservation.
@@ -243,7 +240,6 @@ pub struct Service {
     pub(crate) admission: Admission,
     /// Service-wide counters (readable between batches).
     pub stats: ServiceStats,
-    pub(crate) advice_latency_us: Histogram,
     shutdown: bool,
     pub(crate) started: Instant,
     /// Durability layer; `None` when no WAL directory is configured or
@@ -254,7 +250,8 @@ pub struct Service {
     pub(crate) wal_disabled: Option<String>,
     /// Report of the recovery pass, when one ran.
     pub(crate) recovery: Option<RecoveryReport>,
-    /// Sharded metrics registry; built only when `metrics_out` asks for
+    /// Metrics registry, written only by the dispatch thread at drain
+    /// boundaries (see `report`); built only when `metrics_out` asks for
     /// recording, so the plain path stays unmetered.
     pub(crate) registry: Option<MetricsRegistry>,
     /// Service-wide reject tally by [`RejectReason`] code.
@@ -273,7 +270,6 @@ impl Service {
     /// warning and a `wal=degraded` marker in `BYE` — losing durability
     /// must never take down an otherwise healthy advisor.
     pub fn new(opts: ServeOpts) -> std::io::Result<Self> {
-        install_quiet_panic_hook();
         if let Some(dir) = &opts.advice_dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -293,14 +289,13 @@ impl Service {
             },
             None => None,
         };
-        let registry = opts.metrics_out.as_ref().map(|_| MetricsRegistry::new(DEFAULT_SHARDS));
+        let registry = opts.metrics_out.as_ref().map(|_| MetricsRegistry::new());
         Ok(Service {
             admission: Admission::new(opts.admission),
             opts,
             tenants: Vec::new(),
             index: FxHashMap::default(),
             stats: ServiceStats::default(),
-            advice_latency_us: Histogram::new(),
             shutdown: false,
             started: Instant::now(),
             wal,
@@ -664,7 +659,7 @@ impl Service {
         }
         // Closing drops the state: drain its last batch's metric deltas
         // first.
-        self.publish(&self.tenants[i].name, &state.pending_metrics);
+        self.publish(tenant, state.pending_metrics.take());
         let line = state.final_line();
         self.persist_tree(&state);
         // Snapshot first, then the durable C: a crash in between replays
@@ -721,10 +716,7 @@ impl Service {
         events: &[(ConnId, u64)],
         flush: TenantFlush,
     ) {
-        self.stats.events += flush.latencies_us.len() as u64;
-        for us in &flush.latencies_us {
-            self.advice_latency_us.record(*us);
-        }
+        self.stats.events += flush.responses.len() as u64;
         self.recharge(flush.repriced);
         if self.opts.echo_advice {
             batch.out.extend(flush.responses);
@@ -773,7 +765,7 @@ impl Service {
             if let Some(fr) = state.flight() {
                 trace = fr.dump_lines();
             }
-            self.publish(name, &state.pending_metrics);
+            self.publish(name, state.pending_metrics.take());
             self.admission.release(state.charged_bytes);
             (events, skipped, shed, queue_hwm) =
                 (state.seq, state.skipped, state.shed, state.queue_hwm);
@@ -820,60 +812,22 @@ impl Service {
     }
 }
 
-thread_local! {
-    /// True while this thread runs tenant code under [`catch_quiet`]:
-    /// the panic hook stays silent (the panic becomes a typed `PANIC`
-    /// response and a quarantine, so the default hook's backtrace spam
-    /// would only obscure the service's real output).
-    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
-}
-
-fn install_quiet_panic_hook() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Run tenant code under `catch_unwind` with the panic hook silenced;
-/// a panic comes back as its payload, rendered the way the sweep harness
-/// does.
-pub(crate) fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-    let result = catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
 /// Apply one tenant's queued events in order, under `catch_unwind`.
 ///
 /// Responses produced before a panic are preserved: the flush-local
-/// vectors live outside the unwinding closure, and a panic fires inside
+/// vector lives outside the unwinding closure, and a panic fires inside
 /// `process_event_full`, before that event pushes anything — so a tenant
 /// that dies mid-batch still delivers the advice it computed.
 /// Registry-bound measurements fold into the tenant's own
-/// `PendingMetrics` under the slot lock the flush holds — the shared
-/// registry is never touched here; the snapshot/exposition paths drain
-/// it later, and the quarantine drain publishes what a dying tenant
-/// served before its panic. Runs on a pool worker; touches only the one slot it was
-/// given, and holds its lock from the first event to the last.
+/// `PendingMetrics` under the slot lock the flush holds — the registry is
+/// never touched here; the dispatch thread drains them at the next
+/// snapshot/exposition, and the quarantine drain publishes what a dying
+/// tenant served before its panic. Nothing here reads the wall clock.
+/// Runs on a pool worker; touches only the one slot it was given, and
+/// holds its lock from the first event to the last.
 fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) -> TenantFlush {
     let mut flush = TenantFlush {
         responses: Vec::with_capacity(events.len()),
-        latencies_us: Vec::with_capacity(events.len()),
         repriced: (0, 0),
         panicked: None,
     };
@@ -885,15 +839,12 @@ fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) 
     if let Some(fr) = state.flight_mut() {
         fr.record_kv("dispatch", "events", events.len() as u64);
     }
-    let served = catch_quiet(|| {
+    let served = prefetch_pool::catch_quiet(|| {
         for (conn, block) in events {
-            let t0 = Instant::now();
             let outcome = state.process_event_full(*block);
-            let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             if metrics_on {
-                state.pending_metrics.fold(&outcome);
+                state.pending_metrics.get_or_insert_with(Default::default).fold(&outcome);
             }
-            flush.latencies_us.push(us);
             flush.responses.push((*conn, outcome.line));
         }
     });
@@ -906,7 +857,10 @@ fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) 
             }
             flush.repriced = state.reprice();
         }
-        Err(message) => flush.panicked = Some((flush.responses.len(), message)),
+        Err(payload) => {
+            let message = prefetch_pool::panic_message(&*payload);
+            flush.panicked = Some((flush.responses.len(), message));
+        }
     }
     flush
 }

@@ -13,7 +13,7 @@ use crate::protocol::RejectReason;
 use prefetch_core::policy::RefKind;
 use prefetch_core::CalibrationTracker;
 use prefetch_sim::{PolicySpec, SimConfig, SimEvent, SimMetrics, SimObserver, Simulator};
-use prefetch_telemetry::FlightRecorder;
+use prefetch_telemetry::{FlightRecorder, Histogram};
 use prefetch_trace::{BlockId, TraceRecord};
 use prefetch_tree::PrefetchTree;
 use std::fs::File;
@@ -180,14 +180,16 @@ impl SimObserver for AdviceCapture {
 }
 
 /// Registry-bound metric deltas accumulated on the flush path (under
-/// the slot lock the flush already holds) and drained into the shared
-/// [`prefetch_telemetry::MetricsRegistry`] only at snapshot/exposition
-/// boundaries — so the per-event hot path never touches a shared lock
-/// at all. Only deterministic quantities live here (per-kind counts and
-/// *virtual* stall); wall-clock advice latency stays in the service-side
-/// histogram. Drains are commutative (counter sums, bucket-wise
-/// histogram merge), so published totals at a snapshot boundary are
-/// identical at any `--threads N`.
+/// the slot lock the flush already holds) and drained into the
+/// [`prefetch_telemetry::MetricsRegistry`] by the dispatch thread, only
+/// at snapshot/exposition boundaries — so the per-event hot path touches
+/// nothing shared. Only deterministic quantities live here (per-kind
+/// counts and *virtual* stall); the wall clock is never read. Drains are
+/// exact (counter sums, bucket-wise histogram merge with integer-valued
+/// sums), so published totals at a snapshot boundary are identical at
+/// any `--threads N` and any drain cadence. The size is fixed: a tenant
+/// that is never drained holds one histogram, however many events it
+/// serves.
 #[derive(Default)]
 pub struct PendingMetrics {
     /// Events processed since the last drain.
@@ -200,10 +202,8 @@ pub struct PendingMetrics {
     pub misses: u64,
     /// Prefetches issued.
     pub prefetches: u64,
-    /// Virtual stall per reference, whole microseconds. Kept as raw
-    /// samples — appends are sequential and cheap on the flush path —
-    /// and bucketed into the registry histogram only at drain time.
-    pub stall_us: Vec<u64>,
+    /// Virtual stall per reference, whole microseconds.
+    pub stall_us: Histogram,
 }
 
 impl PendingMetrics {
@@ -218,12 +218,7 @@ impl PendingMetrics {
         self.prefetches += outcome.prefetched as u64;
         // Whole microseconds of *virtual* stall: no wall clock, so merged
         // histograms are bit-identical across runs.
-        self.stall_us.push((outcome.stall_ms * 1000.0).round() as u64);
-    }
-
-    /// Whether any event was folded since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.events == 0
+        self.stall_us.record((outcome.stall_ms * 1000.0).round() as u64);
     }
 }
 
@@ -260,8 +255,9 @@ pub struct TenantState {
     /// worker count, so this is deterministic at any `--threads N`.
     pub queue_hwm: u64,
     /// Metric deltas awaiting the next registry drain (see
-    /// [`PendingMetrics`]); untouched when metrics are off.
-    pub pending_metrics: PendingMetrics,
+    /// [`PendingMetrics`]): `None` until an event folds in after a drain,
+    /// and always when metrics are off.
+    pub pending_metrics: Option<Box<PendingMetrics>>,
     /// Flight recorder, when `--trace-ring` enabled tracing at admission.
     flight: Option<FlightRecorder>,
     advice_file: Option<BufWriter<File>>,
@@ -307,7 +303,7 @@ impl TenantState {
             recovered: "none",
             wal_state: "off",
             queue_hwm: 0,
-            pending_metrics: PendingMetrics::default(),
+            pending_metrics: None,
             flight: None,
             advice_file,
         })
@@ -621,6 +617,31 @@ mod tests {
         assert!(saw_prefetch, "tree policy should advise prefetches on an evicting loop");
         assert!(a.stats_line().starts_with("STATS a events=10"));
         assert!(a.final_line().contains("quarantined=false"));
+    }
+
+    #[test]
+    fn undrained_pending_metrics_do_not_grow_with_events() {
+        use crate::service::{lock_slot, ServeOpts, Service};
+        const EVENTS: u64 = 100_000;
+        // Metrics on, `metrics_every` 0, no `METRICS` verb: nothing drains
+        // before shutdown. The file is only written by `drain`.
+        let out = std::env::temp_dir().join(format!("pfserve-pending-{}", std::process::id()));
+        let opts = ServeOpts { metrics_out: Some(out), echo_advice: false, ..ServeOpts::default() };
+        let mut service = Service::new(opts).unwrap();
+        service.process_batch(&[(0, "OPEN t".to_string())]);
+        let blocks: Vec<u64> = (0..EVENTS).map(|i| (i * i) % 97).collect();
+        for chunk in blocks.chunks(1000) {
+            let lines: Vec<_> = chunk.iter().map(|b| (0, format!("EV t {b}"))).collect();
+            service.process_batch(&lines);
+        }
+        let mut slot = lock_slot(&service.tenants[0].slot);
+        let pending = slot.live().unwrap().pending_metrics.as_ref().expect("metrics are on");
+        assert_eq!(pending.events, EVENTS);
+        assert_eq!(pending.stall_us.count(), EVENTS);
+        // The backlog is one fixed-layout histogram: even written out in
+        // full it is bounded by the bucket count, not the event count.
+        let words = pending.stall_us.to_words().len();
+        assert!(words <= 6 + 2 * prefetch_telemetry::histogram::BUCKETS, "{words} words pending");
     }
 
     #[test]

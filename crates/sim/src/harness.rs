@@ -24,7 +24,7 @@
 //! cell list is a caller bug, detected up front before any work runs.
 //!
 //! [`run_source_guarded`] is the single-run counterpart (`pfsim`); both
-//! run [`crate::runner`]'s one run body inside `quiet_catch`.
+//! run [`crate::runner`]'s one run body inside [`prefetch_pool::catch_quiet`].
 
 use crate::checkpoint::{cell_fingerprint, CheckpointJournal, JournalEntry};
 use crate::config::{SimConfig, SimConfigError};
@@ -36,11 +36,9 @@ use prefetch_trace::{Trace, TraceSource};
 use prefetch_tree::PrefetchTree;
 use prefetch_wal::Tail;
 use std::any::Any;
-use std::cell::Cell;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -339,54 +337,20 @@ impl HarnessOpts {
 // Panic isolation
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// True while this thread runs a cell under `quiet_catch`: the panic
-    /// hook stays silent (the panic becomes a typed `SweepError`, so the
-    /// default hook's backtrace spam would only obscure real output).
-    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
-}
-
-fn install_quiet_panic_hook() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
 /// Payload thrown by [`DeadlineGuard`]; recognized by `classify_panic` so
 /// a deadline cut-off is not misreported as a crash.
 struct DeadlinePayload {
     limit_ms: u64,
 }
 
+/// The typed [`SweepError`] for what [`prefetch_pool::catch_quiet`] caught:
+/// each run has its own panic domain, so a panic (including the deadline
+/// payload) never unwinds into — and aborts — the sweep.
 fn classify_panic(payload: Box<dyn Any + Send>) -> SweepError {
-    if let Some(d) = payload.downcast_ref::<DeadlinePayload>() {
-        return SweepError::DeadlineExceeded { limit_ms: d.limit_ms };
+    match payload.downcast_ref::<DeadlinePayload>() {
+        Some(d) => SweepError::DeadlineExceeded { limit_ms: d.limit_ms },
+        None => SweepError::Panicked { message: prefetch_pool::panic_message(&*payload) },
     }
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    };
-    SweepError::Panicked { message }
-}
-
-/// Run `f` in its own panic domain: a panic (including the deadline
-/// payload) comes back as a typed [`SweepError`] instead of unwinding
-/// into — and aborting — the sweep.
-fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, SweepError> {
-    install_quiet_panic_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-    let outcome = catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
-    outcome.map_err(classify_panic)
 }
 
 // ---------------------------------------------------------------------------
@@ -464,8 +428,11 @@ pub fn run_source_guarded<S: TraceSource>(
 ) -> Result<(SimResult, Option<PrefetchTree>), SweepError> {
     config.validate().map_err(SweepError::InvalidConfig)?;
     let mut guarded = (DeadlineGuard::new(deadline_ms), extra);
-    quiet_catch(|| run_body(source, config, None, &mut guarded, warm_tree, want_tree))?
-        .map_err(|e| SweepError::TraceIo { message: e.to_string() })
+    prefetch_pool::catch_quiet(|| {
+        run_body(source, config, None, &mut guarded, warm_tree, want_tree)
+    })
+    .map_err(classify_panic)?
+    .map_err(|e| SweepError::TraceIo { message: e.to_string() })
 }
 
 fn attempt_cell(
@@ -478,11 +445,12 @@ fn attempt_cell(
     let mut attempt = 0;
     loop {
         attempt += 1;
-        let outcome = quiet_catch(|| {
+        let outcome = prefetch_pool::catch_quiet(|| {
             let mut guard = DeadlineGuard::new(opts.deadline_ms);
             run_body(&mut trace.source(), config, Some(name.clone()), &mut guard, None, false)
                 .expect("in-memory sources cannot fail")
-        });
+        })
+        .map_err(classify_panic);
         match outcome {
             Ok((result, _)) => return (Ok(result), attempt),
             Err(error) => {

@@ -11,13 +11,12 @@
 //! * [`log`] — a structured logging facade: leveled events with `key=value`
 //!   fields, rendered to a human sink on stderr and (optionally) a JSONL
 //!   file sink, so every harness outcome is a typed, greppable record.
-//! * [`phase`] — [`PhaseTimer`]/[`ScopeGuard`] profiling over the
-//!   simulator's five hot phases, with a disabled ("NullTelemetry") path
-//!   that costs one branch per probe so tier-1 timing is unaffected.
-//! * [`registry`] — a lock-sharded live [`MetricsRegistry`] keyed by
-//!   `(tenant, metric)`, sharded by tenant hash so snapshots stay
-//!   bit-identical at any worker count, with JSONL and Prometheus-style
-//!   renderers.
+//! * [`phase`] — [`PhaseTimer`] profiling over the simulator's five hot
+//!   phases, with a disabled ("NullTelemetry") path that costs one branch
+//!   per probe so tier-1 timing is unaffected.
+//! * [`registry`] — a live [`MetricsRegistry`] keyed by `(tenant,
+//!   metric)`: a plainly owned map with one writer, with JSONL and
+//!   Prometheus-style renderers.
 //! * [`flight`] — the [`FlightRecorder`], a fixed-size per-tenant ring of
 //!   request-lifecycle trace events stamped with sequence numbers (never
 //!   wall clock), dumped on panic/WAL-degrade for post-mortem context.
@@ -32,5 +31,5 @@ pub mod registry;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use histogram::Histogram;
-pub use phase::{Phase, PhaseTimer, PhaseTimes, ScopeGuard};
+pub use phase::{Phase, PhaseTimer, PhaseTimes};
 pub use registry::{MetricSet, MetricValue, MetricsRegistry, Snapshot};

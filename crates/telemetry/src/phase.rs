@@ -8,12 +8,9 @@
 //! single branch on a bool, so uninstrumented runs pay effectively
 //! nothing.
 //!
-//! Two probe styles are offered:
-//!
-//! * explicit [`PhaseTimer::begin`] / [`PhaseTimer::end`] around a region
-//!   (the token is `None` when disabled, so `end` is a no-op);
-//! * RAII [`PhaseTimer::scope`], which returns a [`ScopeGuard`] that
-//!   charges the phase on drop.
+//! A probe is an explicit [`PhaseTimer::begin`] / [`PhaseTimer::end`] pair
+//! around a region (the token is `None` when disabled, so `end` is a
+//! no-op).
 
 use std::time::Instant;
 
@@ -146,34 +143,9 @@ impl PhaseTimer {
         }
     }
 
-    /// RAII probe: charges `phase` when the guard drops.
-    pub fn scope(&mut self, phase: Phase) -> ScopeGuard<'_> {
-        let start = self.begin();
-        ScopeGuard { timer: self, phase, start }
-    }
-
     /// The accumulated table.
     pub fn times(&self) -> PhaseTimes {
         self.times
-    }
-
-    /// Fold a table into this timer (e.g. a policy's engine-side times
-    /// into the simulator's own).
-    pub fn absorb(&mut self, other: &PhaseTimes) {
-        self.times.merge(other);
-    }
-}
-
-/// RAII guard from [`PhaseTimer::scope`]; charges its phase on drop.
-pub struct ScopeGuard<'a> {
-    timer: &'a mut PhaseTimer,
-    phase: Phase,
-    start: Option<Instant>,
-}
-
-impl Drop for ScopeGuard<'_> {
-    fn drop(&mut self) {
-        self.timer.end(self.phase, self.start.take());
     }
 }
 
@@ -188,10 +160,6 @@ mod tests {
         let tok = t.begin();
         assert!(tok.is_none());
         t.end(Phase::TreeUpdate, tok);
-        {
-            let _g = t.scope(Phase::CacheOps);
-            std::hint::black_box(0u64);
-        }
         assert!(t.times().is_zero());
     }
 
@@ -204,16 +172,6 @@ mod tests {
         t.end(Phase::CostBenefit, tok);
         assert!(t.times().get(Phase::CostBenefit) > 0);
         assert_eq!(t.times().get(Phase::TreeUpdate), 0);
-    }
-
-    #[test]
-    fn scope_guard_charges_on_drop() {
-        let mut t = PhaseTimer::new(true);
-        {
-            let _g = t.scope(Phase::IoSubmission);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(t.times().get(Phase::IoSubmission) > 0);
     }
 
     #[test]

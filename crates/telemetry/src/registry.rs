@@ -1,47 +1,39 @@
-//! Lock-sharded live metrics registry.
+//! Live metrics registry.
 //!
 //! Keys are `(tenant, metric)`; values are counters, gauges (integer and
-//! float), and the existing mergeable log-scaled [`Histogram`]s. The
-//! registry is sharded so `prefetch-pool` workers flushing different
-//! tenants almost never contend on the hot path, and — critically for the
-//! service's any-`--threads` bit-identity contract — the shard is chosen
-//! by a deterministic hash of the **tenant key**, not the worker id.
-//! Every `(tenant, metric)` cell therefore lives in exactly one shard and
-//! is updated in the tenant's own event order regardless of how many
-//! workers exist, so float accumulation order (the one non-commutative
-//! operation in play) is identical at any thread count and snapshots are
-//! byte-identical.
+//! float), and the mergeable log-scaled [`Histogram`]s. The registry is a
+//! plainly owned map with one writer: `pfserve` folds measurements into
+//! each tenant's own pending deltas on the flush path and drains them
+//! here, on the dispatch thread, only at snapshot/exposition boundaries
+//! and when a tenant's state is dropped. Every `(tenant, metric)` cell is
+//! therefore updated in the tenant's own event order whatever the worker
+//! count, so float accumulation order (the one non-commutative operation
+//! in play) never varies and snapshots are byte-identical.
 //!
-//! Reads merge all shards into one sorted view ([`MetricsRegistry::
-//! snapshot`]); the snapshot renders to a JSONL schema
-//! ([`Snapshot::render_jsonl`], `pfmetrics/v1`) and a Prometheus-style
-//! text exposition ([`Snapshot::render_prometheus`]). Both renderings are
-//! byte-stable: entries sort by `(metric, tenant)` and floats print via
-//! Rust's shortest-round-trip formatter.
+//! Reads collect one sorted view ([`MetricsRegistry::snapshot`]); the
+//! snapshot renders to a JSONL schema ([`Snapshot::render_jsonl`],
+//! `pfmetrics/v1`) and a Prometheus-style text exposition
+//! ([`Snapshot::render_prometheus`]). Both renderings are byte-stable:
+//! entries sort by `(metric, tenant)` and floats print via Rust's
+//! shortest-round-trip formatter.
 
 use crate::histogram::Histogram;
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::Mutex;
 
 /// Schema tag stamped on every JSONL metrics line.
 pub const METRICS_SCHEMA: &str = "pfmetrics/v1";
 
-/// Default shard count (power of two; ~1/64 collision odds between any
-/// two concurrently-flushed tenants).
-pub const DEFAULT_SHARDS: usize = 64;
-
 /// One metric cell.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
-    /// Monotonically increasing count (merge: sum).
+    /// Monotonically increasing count.
     Counter(u64),
-    /// Last-written integer level (merge: max — the only cross-shard
-    /// combination that is order-independent for a level).
+    /// Last-written (or high-water) integer level.
     Gauge(u64),
-    /// Last-written float level (merge: keep larger; set is last-write).
+    /// Last-written float level.
     FGauge(f64),
-    /// Log-scaled sample distribution (merge: element-wise sum).
+    /// Log-scaled sample distribution.
     Histogram(Histogram),
 }
 
@@ -53,19 +45,6 @@ impl MetricValue {
             MetricValue::Gauge(_) => "gauge",
             MetricValue::FGauge(_) => "fgauge",
             MetricValue::Histogram(_) => "histogram",
-        }
-    }
-
-    /// Fold `other` into `self`. Shards never share a `(tenant, metric)`
-    /// cell, so this only runs if a caller merges snapshots from separate
-    /// registries; the fold is commutative so any merge order agrees.
-    pub fn merge(&mut self, other: &MetricValue) {
-        match (self, other) {
-            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(*b),
-            (MetricValue::FGauge(a), MetricValue::FGauge(b)) => *a = a.max(*b),
-            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-            (slot, other) => *slot = other.clone(),
         }
     }
 }
@@ -141,26 +120,13 @@ impl MetricSet {
         }
     }
 
-    /// Record every sample in `samples` into histogram `name` with a
-    /// single cell lookup (the per-sample loop a batch flush would
-    /// otherwise pay walks the metric map once per sample).
-    pub fn record_many(&mut self, name: &'static str, samples: &[u64]) {
-        if samples.is_empty() {
-            return;
-        }
+    /// Fold `samples` into histogram `name` (creating it empty):
+    /// bucket-wise addition, the same cell state as recording each of
+    /// its samples here.
+    pub fn merge_histogram(&mut self, name: &'static str, samples: &Histogram) {
         match self.cell(name, || MetricValue::Histogram(Histogram::new())) {
-            MetricValue::Histogram(h) => {
-                for s in samples {
-                    h.record(*s);
-                }
-            }
-            other => {
-                let mut h = Histogram::new();
-                for s in samples {
-                    h.record(*s);
-                }
-                *other = MetricValue::Histogram(h);
-            }
+            MetricValue::Histogram(h) => h.merge(samples),
+            other => *other = MetricValue::Histogram(samples.clone()),
         }
     }
 
@@ -175,124 +141,44 @@ impl MetricSet {
     }
 }
 
-/// Deterministic tenant-key hash (FNV-1a; the std `HashMap` hasher is
-/// per-process randomized, which would be fine for shard *placement* but
-/// FNV keeps placement reproducible for tests and debugging too).
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a [`std::hash::Hasher`] for the in-shard tenant maps: SipHash is
-/// overkill for short protocol-validated tenant names and shows up on
-/// the per-batch flush path (two lookups per update). Std-only, keeping
-/// the crate dependency-free.
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-#[derive(Clone, Default)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-type ShardMap = HashMap<String, MetricSet, FnvBuild>;
-
-/// A lock-sharded `(tenant, metric)` → [`MetricValue`] registry.
+/// A `(tenant, metric)` → [`MetricValue`] registry with one owner.
 ///
-/// The hot path ([`MetricsRegistry::update`]) takes exactly one shard
-/// lock, chosen by tenant hash; see the module docs for why that (and not
-/// per-worker sharding) preserves bit-identical snapshots at any thread
-/// count.
+/// The global scope is the tenant `""`.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    shards: Vec<Mutex<ShardMap>>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry").field("shards", &self.shards.len()).finish()
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new(DEFAULT_SHARDS)
-    }
+    tenants: HashMap<String, MetricSet>,
 }
 
 impl MetricsRegistry {
-    /// A registry with `shards` lock shards (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        MetricsRegistry { shards: (0..shards).map(|_| Mutex::new(ShardMap::default())).collect() }
+    /// An empty registry.
+    pub fn new() -> Self {
+        MetricsRegistry::default()
     }
 
-    fn shard_for(&self, tenant: &str) -> &Mutex<ShardMap> {
-        &self.shards[(fnv1a(tenant) % self.shards.len() as u64) as usize]
-    }
-
-    /// Apply `f` to `tenant`'s [`MetricSet`] under its shard lock. This is
-    /// the hot-path entry point: batch all of a tenant's updates for one
-    /// flush into a single closure so the lock is taken once per batch.
-    /// The steady state (tenant already present) allocates nothing; only
-    /// a tenant's first update pays for the owned key.
-    pub fn update(&self, tenant: &str, f: impl FnOnce(&mut MetricSet)) {
-        let mut shard = self.shard_for(tenant).lock().unwrap_or_else(|e| e.into_inner());
-        if !shard.contains_key(tenant) {
-            shard.insert(tenant.to_string(), MetricSet::default());
+    /// Apply `f` to `tenant`'s [`MetricSet`]. The steady state (tenant
+    /// already present) allocates nothing; only a tenant's first update
+    /// pays for the owned key.
+    pub fn update(&mut self, tenant: &str, f: impl FnOnce(&mut MetricSet)) {
+        if !self.tenants.contains_key(tenant) {
+            self.tenants.insert(tenant.to_string(), MetricSet::default());
         }
-        f(shard.get_mut(tenant).expect("inserted above"));
+        f(self.tenants.get_mut(tenant).expect("inserted above"));
     }
 
-    /// Merge every shard into one deterministic point-in-time view,
-    /// sorted by `(metric, tenant)`. Collects into a `Vec` and sorts once
-    /// — far cheaper than a `BTreeMap` at snapshot cadence — and merges
-    /// adjacent duplicates, which can only arise if a caller somehow fed
-    /// one tenant into two shards (never within one registry).
+    /// One deterministic point-in-time view, sorted by `(metric,
+    /// tenant)`. Collects into a `Vec` and sorts once — far cheaper than
+    /// a `BTreeMap` at snapshot cadence.
     pub fn snapshot(&self) -> Snapshot {
         let mut entries: Vec<((&'static str, String), MetricValue)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (tenant, set) in shard.iter() {
-                entries.extend(
-                    set.iter().map(|(name, value)| ((name, tenant.clone()), value.clone())),
-                );
-            }
+        for (tenant, set) in &self.tenants {
+            entries.extend(set.iter().map(|(name, value)| ((name, tenant.clone()), value.clone())));
         }
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        entries.dedup_by(|dup, keep| {
-            let same = dup.0 == keep.0;
-            if same {
-                keep.1.merge(&dup.1);
-            }
-            same
-        });
         Snapshot { entries }
     }
 }
 
-/// A merged, sorted point-in-time view of a [`MetricsRegistry`].
+/// A sorted point-in-time view of a [`MetricsRegistry`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Sorted by `(metric, tenant)`, no duplicate keys.
@@ -347,8 +233,9 @@ impl Snapshot {
 
     /// Render the `pfmetrics/v1` JSONL schema: one object per `(metric,
     /// tenant)` line, sorted by `(metric, tenant)`. Scalars carry
-    /// `"value"`; histograms carry `count/sum/min/max/p50/p90/p99`. The
-    /// global scope (tenant `""`) renders as `"tenant":""`.
+    /// `"value"` (`null` for a non-finite float gauge); histograms carry
+    /// `count/sum/min/max/p50/p90/p99`. The global scope (tenant `""`)
+    /// renders as `"tenant":""`.
     pub fn render_jsonl(&self) -> String {
         // Rendering runs at snapshot cadence over O(tenants) lines, so it
         // writes straight into one buffer: no per-line temporaries.
@@ -367,6 +254,8 @@ impl Snapshot {
                 MetricValue::Counter(v) | MetricValue::Gauge(v) => {
                     let _ = write!(out, ",\"value\":{v}");
                 }
+                // JSON has no NaN or infinity.
+                MetricValue::FGauge(v) if !v.is_finite() => out.push_str(",\"value\":null"),
                 MetricValue::FGauge(v) => {
                     let _ = write!(out, ",\"value\":{v}");
                 }
@@ -470,7 +359,7 @@ mod tests {
 
     #[test]
     fn counters_gauges_and_histograms_round_trip() {
-        let reg = MetricsRegistry::new(8);
+        let mut reg = MetricsRegistry::new();
         reg.update("a", |m| {
             m.add("events", 3);
             m.gauge_max("queue_hwm", 7);
@@ -501,7 +390,7 @@ mod tests {
 
     #[test]
     fn snapshot_sorts_by_metric_then_tenant() {
-        let reg = MetricsRegistry::new(4);
+        let mut reg = MetricsRegistry::new();
         for tenant in ["zz", "aa", "mm"] {
             reg.update(tenant, |m| m.add("events", 1));
         }
@@ -519,29 +408,41 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_snapshot_bytes() {
-        let tenants: Vec<String> = (0..40).map(|i| format!("t{i:05}")).collect();
-        let mut renders = Vec::new();
-        for shards in [1, 2, 64, 129] {
-            let reg = MetricsRegistry::new(shards);
-            for (i, t) in tenants.iter().enumerate() {
-                reg.update(t, |m| {
-                    m.add("events", i as u64 + 1);
-                    m.fgauge_set("cal", i as f64 * 0.125);
-                    m.record("stall_us", (i as u64 * 37) % 5000);
-                });
+    fn merging_a_histogram_equals_recording_its_samples() {
+        let samples = [0u64, 7, 900, 15_000, 15_000, 1 << 40];
+        let mut recorded = MetricsRegistry::new();
+        let mut merged = MetricsRegistry::new();
+        let mut pending = Histogram::new();
+        for (i, s) in samples.into_iter().enumerate() {
+            recorded.update("a", |m| m.record("stall_us", s));
+            pending.record(s);
+            // Drain at an arbitrary boundary, then keep going.
+            if i == 2 {
+                merged.update("a", |m| m.merge_histogram("stall_us", &pending));
+                pending = Histogram::new();
             }
-            let snap = reg.snapshot();
-            renders.push((snap.render_jsonl(), snap.render_prometheus()));
         }
-        for pair in &renders[1..] {
-            assert_eq!(pair, &renders[0]);
-        }
+        merged.update("a", |m| m.merge_histogram("stall_us", &pending));
+        assert_eq!(merged.snapshot(), recorded.snapshot());
+    }
+
+    #[test]
+    fn non_finite_gauges_render_as_json_null() {
+        let mut reg = MetricsRegistry::new();
+        reg.update("a", |m| {
+            m.fgauge_set("err_inf", f64::INFINITY);
+            m.fgauge_set("err_nan", f64::NAN);
+            m.fgauge_set("err_ok", 0.5);
+        });
+        let jsonl = reg.snapshot().render_jsonl();
+        let values: Vec<&str> =
+            jsonl.lines().map(|l| l.rsplit_once("\"value\":").unwrap().1).collect();
+        assert_eq!(values, ["null}", "null}", "0.5}"]);
     }
 
     #[test]
     fn global_scope_renders_unlabeled_in_prometheus() {
-        let reg = MetricsRegistry::new(2);
+        let mut reg = MetricsRegistry::new();
         reg.update("", |m| m.add("sheds", 4));
         reg.update("t1", |m| m.add("sheds", 1));
         let text = reg.snapshot().render_prometheus();

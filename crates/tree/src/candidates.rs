@@ -191,37 +191,25 @@ impl PrefetchTree {
     }
 
     /// All candidates within `max_depth` edges of `anchor`, best-first by
-    /// probability. Convenience for analysis and the parametric baselines
-    /// (`tree-threshold`, `tree-children`); the cost-benefit policy uses
-    /// the incremental frontier instead.
-    ///
-    /// Selection runs on a [`std::collections::BinaryHeap`] — O((n + m)
-    /// log n) for n frontier entries and m pops, replacing a linear
-    /// `max_by` + `swap_remove` rescan per pop that was quadratic in the
-    /// frontier size. Output (including the order of equal-probability
-    /// candidates) is byte-identical to the historical loop: see
-    /// [`HeapFrontier`] for how its tie-breaking is replicated.
+    /// probability (equal probabilities: larger node id first). A
+    /// convenience for analysis, examples and tests; the policies use the
+    /// incremental frontier in `prefetch-core` instead.
     pub fn candidates_below(
         &self,
         anchor: NodeId,
         max_depth: u32,
         max_candidates: usize,
     ) -> Vec<Candidate> {
-        let mut seed: Vec<Candidate> = Vec::new();
-        self.child_candidates(anchor, 1.0, 0, &mut seed);
-        let mut frontier = HeapFrontier::new(seed);
-        let mut result: Vec<Candidate> = Vec::new();
+        let mut frontier = std::collections::BinaryHeap::new();
         let mut kids: Vec<Candidate> = Vec::new();
-        while let Some(c) = frontier.pop_max() {
-            if result.len() >= max_candidates {
-                break;
-            }
+        self.child_candidates(anchor, 1.0, 0, &mut kids);
+        frontier.extend(kids.drain(..).map(ByProbability));
+        let mut result: Vec<Candidate> = Vec::new();
+        while result.len() < max_candidates {
+            let Some(ByProbability(c)) = frontier.pop() else { break };
             if c.depth < max_depth {
-                kids.clear();
                 self.child_candidates(c.node, c.probability, c.depth, &mut kids);
-                for k in kids.drain(..) {
-                    frontier.push(k);
-                }
+                frontier.extend(kids.drain(..).map(ByProbability));
             }
             result.push(c);
         }
@@ -229,106 +217,28 @@ impl PrefetchTree {
     }
 }
 
-/// Sentinel position for removed frontier slots.
-const GONE: u32 = u32::MAX;
+/// Max-heap order for [`PrefetchTree::candidates_below`]: probability, then
+/// node id (a node is in the frontier at most once, so the order is total).
+struct ByProbability(Candidate);
 
-/// Heap key: probability first, then the candidate's *current position* in
-/// the mirrored vector. The historical selection loop used
-/// `iter().enumerate().max_by(total_cmp)` — which keeps the **last**
-/// maximal element — followed by `swap_remove`, so among equal
-/// probabilities the entry at the largest vector index won, and the
-/// relocation performed by `swap_remove` could change which entry that
-/// was on the next pop. Ordering by `(probability, position)` and
-/// re-keying the relocated entry reproduces those picks exactly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct FrontKey {
-    probability: f64,
-    pos: u32,
-    id: u32,
+impl PartialEq for ByProbability {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
 }
 
-impl Eq for FrontKey {}
+impl Eq for ByProbability {}
 
-impl PartialOrd for FrontKey {
+impl PartialOrd for ByProbability {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for FrontKey {
+impl Ord for ByProbability {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.probability
-            .total_cmp(&other.probability)
-            .then_with(|| self.pos.cmp(&other.pos))
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-/// Best-first frontier that replays the historical `Vec` + `max_by` +
-/// `swap_remove` selection through a heap.
-///
-/// `positions` mirrors the old vector: `positions[p]` is the id of the
-/// candidate the old loop would have had at index `p`. A pop performs a
-/// literal `swap_remove` on the mirror; the relocated candidate gets a
-/// fresh heap entry under its new position, and its old entry (still in
-/// the heap under the stale position) is discarded lazily via the
-/// `pos_of` check — `(id, pos)` pairs never repeat because a candidate's
-/// position only ever decreases.
-struct HeapFrontier {
-    heap: std::collections::BinaryHeap<FrontKey>,
-    /// All candidates ever pushed, addressed by id.
-    slots: Vec<Candidate>,
-    /// position → id: the mirror of the historical frontier vector.
-    positions: Vec<u32>,
-    /// id → current position (`GONE` once popped).
-    pos_of: Vec<u32>,
-}
-
-impl HeapFrontier {
-    fn new(seed: Vec<Candidate>) -> Self {
-        let mut f = HeapFrontier {
-            heap: std::collections::BinaryHeap::with_capacity(seed.len()),
-            slots: Vec::with_capacity(seed.len()),
-            positions: Vec::with_capacity(seed.len()),
-            pos_of: Vec::with_capacity(seed.len()),
-        };
-        for c in seed {
-            f.push(c);
-        }
-        f
-    }
-
-    fn push(&mut self, c: Candidate) {
-        let id = self.slots.len() as u32;
-        let pos = self.positions.len() as u32;
-        self.slots.push(c);
-        self.positions.push(id);
-        self.pos_of.push(pos);
-        self.heap.push(FrontKey { probability: c.probability, pos, id });
-    }
-
-    /// The candidate the historical loop's `max_by` + `swap_remove` would
-    /// have returned next.
-    fn pop_max(&mut self) -> Option<Candidate> {
-        loop {
-            let k = self.heap.pop()?;
-            if self.pos_of[k.id as usize] != k.pos {
-                continue; // superseded by a swap_remove relocation
-            }
-            // Mirror the swap_remove: the last entry moves into k.pos.
-            let last = self.positions.pop().expect("a live position implies a non-empty mirror");
-            if (k.pos as usize) < self.positions.len() {
-                self.positions[k.pos as usize] = last;
-                self.pos_of[last as usize] = k.pos;
-                self.heap.push(FrontKey {
-                    probability: self.slots[last as usize].probability,
-                    pos: k.pos,
-                    id: last,
-                });
-            }
-            self.pos_of[k.id as usize] = GONE;
-            return Some(self.slots[k.id as usize]);
-        }
+        let (a, b) = (&self.0, &other.0);
+        a.probability.total_cmp(&b.probability).then_with(|| a.node.0.cmp(&b.node.0))
     }
 }
 
@@ -403,59 +313,6 @@ mod tests {
         let mut out = Vec::new();
         t.child_candidates(c, 1.0, 0, &mut out);
         assert!(out.is_empty());
-    }
-
-    /// The historical O(n²) selection loop, kept verbatim as the oracle
-    /// for [`PrefetchTree::candidates_below`]'s heap rewrite.
-    fn candidates_below_reference(
-        t: &PrefetchTree,
-        anchor: NodeId,
-        max_depth: u32,
-        max_candidates: usize,
-    ) -> Vec<Candidate> {
-        let mut frontier: Vec<Candidate> = Vec::new();
-        t.child_candidates(anchor, 1.0, 0, &mut frontier);
-        let mut result: Vec<Candidate> = Vec::new();
-        while let Some((i, _)) =
-            frontier.iter().enumerate().max_by(|a, b| a.1.probability.total_cmp(&b.1.probability))
-        {
-            let c = frontier.swap_remove(i);
-            if result.len() >= max_candidates {
-                break;
-            }
-            if c.depth < max_depth {
-                t.child_candidates(c.node, c.probability, c.depth, &mut frontier);
-            }
-            result.push(c);
-        }
-        result
-    }
-
-    #[test]
-    fn heap_selection_output_is_unchanged() {
-        use rand::{Rng, SeedableRng};
-        // Equal probabilities are common in LZ trees (sibling weights tie
-        // constantly), so this exercises the tie-breaking replication, not
-        // just the ordering. Exact equality: same candidates, same order,
-        // same float bits.
-        let mut trees = vec![fig1_tree()];
-        for (seed, blocks, accesses) in [(8, 30, 20_000), (99, 6, 4_000), (5, 200, 10_000)] {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let mut t = PrefetchTree::new();
-            for _ in 0..accesses {
-                t.record_access(BlockId(rng.gen_range(0..blocks)));
-            }
-            trees.push(t);
-        }
-        for (ti, t) in trees.iter().enumerate() {
-            for max_depth in [1, 2, 3, 5] {
-                for max_candidates in [0, 1, 3, 17, 500] {
-                    let got = t.candidates_below(t.root(), max_depth, max_candidates);
-                    let want = candidates_below_reference(t, t.root(), max_depth, max_candidates);
-                    assert_eq!(got, want, "tree {ti}, depth {max_depth}, cap {max_candidates}");
-                }
-            }
-        }
     }
 
     /// Filter-after-full-enumeration oracle for the early exit: visit
