@@ -18,7 +18,6 @@ use crate::lru::LruCache;
 use crate::victim::VictimIndex;
 use prefetch_trace::BlockId;
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 /// Which partition a block lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,17 +239,6 @@ impl BufferCache {
         self.prefetch.peek(block)
     }
 
-    /// Mutable bookkeeping for a prefetched block (policies may refresh
-    /// probability/distance as the tree cursor moves). Returned through a
-    /// guard that re-registers the entry with the victim index when
-    /// dropped, so cost-ordering queries see the rewrite.
-    pub fn prefetch_meta_mut(&mut self, block: BlockId) -> Option<PrefetchMetaMut<'_>> {
-        if !self.prefetch.contains(block) {
-            return None;
-        }
-        Some(PrefetchMetaMut { cache: self, block })
-    }
-
     /// The block the exact Eq. 11 cost scan would evict at `period` with
     /// free window `x`: minimum `p_b/(d_remaining − x)`, ties broken toward
     /// the most recent insertion. Amortised O(log n) against the lazy
@@ -267,34 +255,6 @@ impl BufferCache {
     /// Iterate demand-cache blocks from MRU to LRU (diagnostics).
     pub fn demand_iter(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.demand.iter().map(|(b, _)| b)
-    }
-}
-
-/// Mutable access to a [`PrefetchMeta`], synchronising the victim index
-/// with whatever the caller wrote when the guard drops.
-pub struct PrefetchMetaMut<'a> {
-    cache: &'a mut BufferCache,
-    block: BlockId,
-}
-
-impl Deref for PrefetchMetaMut<'_> {
-    type Target = PrefetchMeta;
-
-    fn deref(&self) -> &PrefetchMeta {
-        self.cache.prefetch.peek(self.block).expect("guard holds a resident block")
-    }
-}
-
-impl DerefMut for PrefetchMetaMut<'_> {
-    fn deref_mut(&mut self) -> &mut PrefetchMeta {
-        self.cache.prefetch.peek_mut(self.block).expect("guard holds a resident block")
-    }
-}
-
-impl Drop for PrefetchMetaMut<'_> {
-    fn drop(&mut self) {
-        let meta = *self.cache.prefetch.peek(self.block).expect("guard holds a resident block");
-        self.cache.victims.get_mut().on_rewrite(self.block.0, &meta);
     }
 }
 
@@ -386,14 +346,6 @@ mod tests {
         assert_eq!(c.free_buffers(), 2);
         // Cancelling a block with no slot is a no-op.
         assert_eq!(c.cancel_prefetch(BlockId(4)), None);
-    }
-
-    #[test]
-    fn prefetch_meta_can_be_updated() {
-        let mut c = BufferCache::new(2);
-        c.insert_prefetch(BlockId(5), meta(0.3, 4));
-        c.prefetch_meta_mut(BlockId(5)).unwrap().distance = 3;
-        assert_eq!(c.prefetch_meta(BlockId(5)).unwrap().distance, 3);
     }
 
     #[test]

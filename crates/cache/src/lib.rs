@@ -31,7 +31,7 @@ pub mod lru;
 pub mod stack_distance;
 mod victim;
 
-pub use buffer_cache::{BufferCache, Partition, PrefetchMeta, PrefetchMetaMut};
+pub use buffer_cache::{BufferCache, Partition, PrefetchMeta};
 pub use fenwick::FenwickTree;
 pub use lru::LruCache;
 pub use stack_distance::StackDistanceEstimator;

@@ -14,6 +14,19 @@
 //! referenced since — its stack distance. Slots are compacted when the
 //! timeline fills.
 //!
+//! The state is bounded by the horizon, not by the run: only the
+//! `MAX_TRACKED + 1` most recently referenced distinct blocks are
+//! remembered. A block that has aged past that many successors could only
+//! ever come back at a distance beyond the last histogram bin, so it is
+//! forgotten when the `MAX_TRACKED + 2`-th distinct block arrives and its
+//! next reference counts as **cold** — "cold" means first-ever *or aged
+//! past the horizon*. Every distance `≤ MAX_TRACKED` is exact, so
+//! [`StackDistanceEstimator::hit_rate`] at `n ≤ MAX_TRACKED` and
+//! [`StackDistanceEstimator::marginal_hit_rate`] wherever its smoothing
+//! window ends below bin `MAX_TRACKED` (`n + n/16 ≤ MAX_TRACKED`, four
+//! times the paper's largest cache) are what an unbounded stack would
+//! report, bit for bit.
+//!
 //! Because workloads shift phase, the histogram supports exponential
 //! decay so the marginal hit rate tracks the *recent* stream (the paper
 //! computes its dynamic values "during execution").
@@ -24,15 +37,25 @@ use prefetch_hash::FxHashMap;
 /// Online LRU stack-distance histogram with exponential decay.
 #[derive(Clone, Debug)]
 pub struct StackDistanceEstimator {
-    /// block id → timeline slot of the most recent access
+    /// block id → timeline slot of the most recent access; never more than
+    /// `horizon + 1` entries
     last_access: FxHashMap<u64, u32>,
     /// 1 at live slots
     live: FenwickTree,
+    /// timeline: the block recorded at each slot below `time`
+    slot_block: Vec<u64>,
+    /// one bit per slot, set while the slot is its block's latest access
+    live_bits: Vec<u64>,
     /// next timeline slot
     time: u32,
-    /// decayed histogram over stack distances; last bin collects overflow
+    /// no live slot lies below this one
+    oldest: u32,
+    /// largest distance tracked; `MAX_TRACKED` outside tests
+    horizon: usize,
+    /// decayed histogram over stack distances `0..=horizon`
     hist: Vec<f64>,
-    /// decayed weight of cold (first-ever) references
+    /// decayed weight of cold references (first-ever, or aged past the
+    /// horizon)
     cold_weight: f64,
     /// total decayed weight (hist mass + cold mass)
     total_weight: f64,
@@ -43,9 +66,9 @@ pub struct StackDistanceEstimator {
 }
 
 impl StackDistanceEstimator {
-    /// Largest distance tracked exactly; deeper references land in the
-    /// overflow bin. 64 Ki bins comfortably covers the paper's largest
-    /// cache (16 Ki blocks) with a 4× margin.
+    /// Largest distance tracked; a block with more distinct successors
+    /// than this is forgotten and comes back cold. 64 Ki bins comfortably
+    /// covers the paper's largest cache (16 Ki blocks) with a 4× margin.
     pub const MAX_TRACKED: usize = 1 << 16;
 
     const INITIAL_TIMELINE: usize = 1 << 12;
@@ -58,11 +81,21 @@ impl StackDistanceEstimator {
     /// # Panics
     /// Panics unless `0 < decay <= 1`.
     pub fn new(decay: f64) -> Self {
+        Self::with_horizon(decay, Self::MAX_TRACKED)
+    }
+
+    /// [`Self::new`] with the horizon as a parameter, so tests can age
+    /// blocks out with streams of hundreds rather than 64 Ki blocks.
+    fn with_horizon(decay: f64, horizon: usize) -> Self {
         assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0,1], got {decay}");
         StackDistanceEstimator {
             last_access: FxHashMap::default(),
             live: FenwickTree::new(Self::INITIAL_TIMELINE),
+            slot_block: vec![0; Self::INITIAL_TIMELINE],
+            live_bits: vec![0; Self::INITIAL_TIMELINE.div_ceil(64)],
             time: 0,
+            oldest: 0,
+            horizon,
             hist: vec![0.0; 256],
             cold_weight: 0.0,
             total_weight: 0.0,
@@ -71,32 +104,40 @@ impl StackDistanceEstimator {
         }
     }
 
-    /// Record a reference to `block`; returns its stack distance
-    /// (`None` for a first-ever reference).
+    /// Record a reference to `block`; returns its stack distance (`None`
+    /// for a cold reference: first-ever, or aged past the horizon).
     pub fn record(&mut self, block: u64) -> Option<usize> {
-        if self.time as usize == self.live.len() {
+        if self.time as usize == self.slot_block.len() {
             self.compact();
         }
         let slot = self.time;
         self.time += 1;
+        self.slot_block[slot as usize] = block;
 
         let distance = match self.last_access.insert(block, slot) {
             Some(prev) => {
-                // Distinct blocks referenced strictly after `prev`.
-                let after = self.live.total() - self.live.prefix_sum(prev as usize);
-                self.live.add(prev as usize, -1);
+                // Distinct blocks referenced strictly after `prev`: the map
+                // holds one entry per live slot.
+                let after = self.last_access.len() as u64 - self.live.prefix_sum(prev as usize);
+                self.set_live(prev, false);
                 Some(after as usize)
             }
             None => None,
         };
-        self.live.add(slot as usize, 1);
+        self.set_live(slot, true);
+        if self.last_access.len() > self.horizon + 1 {
+            self.forget_oldest();
+        }
 
         let w = self.sample_weight;
         match distance {
-            Some(d) => {
-                let bin = d.min(Self::MAX_TRACKED);
+            Some(bin) => {
+                debug_assert!(
+                    bin <= self.horizon,
+                    "a tracked block has at most `horizon` successors"
+                );
                 if bin >= self.hist.len() {
-                    let new_len = (bin + 1).next_power_of_two().min(Self::MAX_TRACKED + 1);
+                    let new_len = (bin + 1).next_power_of_two().min(self.horizon + 1);
                     self.hist.resize(new_len.max(bin + 1), 0.0);
                 }
                 self.hist[bin] += w;
@@ -140,7 +181,8 @@ impl StackDistanceEstimator {
         mass / (hi - lo) as f64 / self.total_weight
     }
 
-    /// Fraction of references that were first-ever (compulsory).
+    /// Fraction of references that were cold: first-ever (compulsory) or
+    /// to a block that had aged past the horizon.
     pub fn cold_fraction(&self) -> f64 {
         if self.total_weight <= 0.0 {
             0.0
@@ -149,24 +191,61 @@ impl StackDistanceEstimator {
         }
     }
 
-    /// Number of references recorded (undecayed count of distinct blocks
-    /// currently tracked).
+    /// Number of distinct blocks currently tracked (at most
+    /// `MAX_TRACKED + 1`).
     pub fn tracked_blocks(&self) -> usize {
         self.last_access.len()
     }
 
-    /// Rebuild the timeline, remapping live slots to 0..live_count.
-    fn compact(&mut self) {
-        let mut live_slots: Vec<(u32, u64)> =
-            self.last_access.iter().map(|(&block, &slot)| (slot, block)).collect();
-        live_slots.sort_unstable();
-        let needed = (live_slots.len() * 2).max(Self::INITIAL_TIMELINE);
-        self.live = FenwickTree::new(needed);
-        for (new_slot, &(_, block)) in live_slots.iter().enumerate() {
-            self.last_access.insert(block, new_slot as u32);
-            self.live.add(new_slot, 1);
+    /// Mark `slot` live or dead in both the Fenwick tree and the bitmap.
+    fn set_live(&mut self, slot: u32, live: bool) {
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+        if live {
+            self.live.add(slot as usize, 1);
+            self.live_bits[word] |= bit;
+        } else {
+            self.live.add(slot as usize, -1);
+            self.live_bits[word] &= !bit;
         }
-        self.time = live_slots.len() as u32;
+    }
+
+    fn is_live(&self, slot: u32) -> bool {
+        self.live_bits[slot as usize / 64] & (1u64 << (slot % 64)) != 0
+    }
+
+    /// Forget the least recently referenced block: it has `horizon + 1`
+    /// distinct successors, so its next reference could not land in a bin.
+    fn forget_oldest(&mut self) {
+        while !self.is_live(self.oldest) {
+            self.oldest += 1;
+        }
+        self.last_access.remove(&self.slot_block[self.oldest as usize]);
+        self.set_live(self.oldest, false);
+        self.oldest += 1;
+    }
+
+    /// Rebuild the timeline, remapping live slots to 0..live_count in one
+    /// in-order walk.
+    fn compact(&mut self) {
+        let mut kept = 0u32;
+        for slot in self.oldest..self.time {
+            if self.is_live(slot) {
+                let block = self.slot_block[slot as usize];
+                self.slot_block[kept as usize] = block;
+                self.last_access.insert(block, kept);
+                kept += 1;
+            }
+        }
+        let needed = (kept as usize * 2).max(Self::INITIAL_TIMELINE);
+        self.slot_block.resize(needed, 0);
+        self.live = FenwickTree::new(needed);
+        self.live_bits.clear();
+        self.live_bits.resize(needed.div_ceil(64), 0);
+        for slot in 0..kept {
+            self.set_live(slot, true);
+        }
+        self.time = kept;
+        self.oldest = 0;
     }
 
     /// Divide all weights by the current sample weight to avoid overflow.
@@ -244,6 +323,108 @@ mod tests {
         }
         // 20k references over a 4096-slot initial timeline: compaction ran.
         assert!(e.time < 20_000);
+    }
+
+    /// What the estimator bounds: an LRU stack that never forgets, binning
+    /// every distance past the horizon into one overflow bin.
+    struct UnboundedStack {
+        mru_first: Vec<u64>,
+        hist: Vec<f64>,
+        total: f64,
+        weight: f64,
+        decay: f64,
+    }
+
+    impl UnboundedStack {
+        fn new(decay: f64, horizon: usize) -> Self {
+            UnboundedStack {
+                mru_first: Vec::new(),
+                hist: vec![0.0; horizon + 1],
+                total: 0.0,
+                weight: 1.0,
+                decay,
+            }
+        }
+
+        fn record(&mut self, block: u64) -> Option<usize> {
+            let distance = self.mru_first.iter().position(|&b| b == block);
+            if let Some(d) = distance {
+                self.mru_first.remove(d);
+                let overflow = self.hist.len() - 1;
+                self.hist[d.min(overflow)] += self.weight;
+            }
+            self.mru_first.insert(0, block);
+            self.total += self.weight;
+            self.weight /= self.decay;
+            if self.weight > 1e100 {
+                for h in &mut self.hist {
+                    *h /= self.weight;
+                }
+                self.total /= self.weight;
+                self.weight = 1.0;
+            }
+            distance
+        }
+
+        fn hit_rate(&self, n: usize) -> f64 {
+            self.hist[..n].iter().sum::<f64>() / self.total
+        }
+
+        /// Mean of the bins within ±max(1, n/16) of bin `n − 1`.
+        fn marginal_hit_rate(&self, n: usize) -> f64 {
+            let half = (n / 16).max(1);
+            let lo = (n - 1).saturating_sub(half);
+            let hi = n + half;
+            self.hist[lo..hi].iter().sum::<f64>() / (hi - lo) as f64 / self.total
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Forgetting blocks that aged past the horizon changes nothing a
+        /// reader at `n ≤ horizon` can see: on streams with several times
+        /// `horizon` distinct blocks (long enough to compact the timeline,
+        /// and to rescale at the steepest decay) every distance up to the
+        /// horizon, H(n) and the smoothed marginal are bit-equal to the
+        /// unbounded stack's, with never more than `horizon + 1` blocks
+        /// tracked.
+        #[test]
+        fn bounded_state_reads_like_the_unbounded_stack(
+            horizon in 4usize..48,
+            decay in 0usize..3,
+            blocks in proptest::collection::vec((0u64..8, 0u64..40, 0u64..400), 4500..9000),
+        ) {
+            let decay = [1.0, 0.9995, 0.9][decay];
+            let mut bounded = StackDistanceEstimator::with_horizon(decay, horizon);
+            let mut unbounded = UnboundedStack::new(decay, horizon);
+            for (i, &(which, near, far)) in blocks.iter().enumerate() {
+                // Mostly a small working set, with excursions over a range
+                // far wider than any horizon drawn.
+                let block = if which < 6 { near } else { 1000 + far };
+                let want = unbounded.record(block).filter(|&d| d <= horizon);
+                proptest::prop_assert!(bounded.record(block) == want, "reference {}", i);
+                proptest::prop_assert!(bounded.tracked_blocks() <= horizon + 1);
+                if i % 97 == 0 {
+                    for n in 0..=horizon {
+                        proptest::prop_assert!(
+                            bounded.hit_rate(n).to_bits() == unbounded.hit_rate(n).to_bits(),
+                            "H({}) after {} references", n, i
+                        );
+                    }
+                    // Every n whose smoothing window ends below the last
+                    // bin, which the unbounded stack fills with overflow.
+                    for n in (1..horizon).filter(|n| n + (n / 16).max(1) <= horizon) {
+                        proptest::prop_assert!(
+                            bounded.marginal_hit_rate(n).to_bits()
+                                == unbounded.marginal_hit_rate(n).to_bits(),
+                            "marginal({}) after {} references", n, i
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert!(unbounded.mru_first.len() > 2 * horizon);
+        }
     }
 
     #[test]

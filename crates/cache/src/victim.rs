@@ -31,7 +31,10 @@
 //! costs the most recently inserted block wins. Entries are invalidated
 //! lazily: each carries the insertion sequence number and the stored-key
 //! bits, and is discarded on pop if the live state disagrees (the block was
-//! referenced, evicted, re-inserted, or its meta rewritten).
+//! referenced, evicted or re-inserted, or its key refreshed). Copies that
+//! never reach the top are shed in bulk whenever a heap outgrows twice the
+//! resident count, so the index holds O(resident) entries however long
+//! the run.
 //!
 //! The index works in the ratio domain ρ rather than the engine's fully
 //! rounded cost domain. The two orders can disagree only when two distinct
@@ -50,7 +53,7 @@ use std::collections::BinaryHeap;
 struct EntryState {
     /// Insertion sequence number; also the recency tie-breaker.
     seq: u64,
-    /// `p_b` at insertion (or last meta rewrite).
+    /// `p_b` at insertion.
     probability: f64,
     /// `issued_at + distance`: the period the free window closes.
     due: u64,
@@ -96,6 +99,11 @@ impl Ord for FreshEntry {
     }
 }
 
+/// Heap entries tolerated beyond twice the resident count before stale
+/// copies are shed; keeps a near-empty partition from shedding on every
+/// operation.
+const SHED_SLACK: usize = 64;
+
 /// The lazy victim index. Maintained by [`crate::BufferCache`] on every
 /// prefetch-partition mutation; queried via
 /// [`crate::BufferCache::cheapest_prefetch_victim`].
@@ -135,30 +143,14 @@ impl VictimIndex {
             self.fresh.push(FreshEntry { key, seq, block });
             self.due.push(Reverse((due, seq, block)));
         }
+        self.shed_stale();
     }
 
     /// Drop a departed entry (referenced, evicted, or cancelled). Heap
-    /// copies are left behind and discarded lazily on pop.
+    /// copies are left behind: discarded on pop, or at the next shed.
     pub(crate) fn on_remove(&mut self, block: u64) {
         self.states.remove(&block);
-    }
-
-    /// Re-register `block` after its meta was rewritten in place, keeping
-    /// its insertion recency. Stale heap copies die via seq/key checks.
-    pub(crate) fn on_rewrite(&mut self, block: u64, meta: &PrefetchMeta) {
-        let Some(st) = self.states.get_mut(&block) else { return };
-        let seq = st.seq;
-        let due = meta.issued_at.saturating_add(u64::from(meta.distance));
-        let zeroed = meta.probability <= 0.0 || meta.probability.is_nan();
-        let key = if zeroed { 0.0 } else { meta.probability / f64::from(meta.distance) };
-        *st =
-            EntryState { seq, probability: meta.probability, due, zeroed, key_bits: key.to_bits() };
-        if zeroed {
-            self.zeroed.push((seq, block));
-        } else {
-            self.fresh.push(FreshEntry { key, seq, block });
-            self.due.push(Reverse((due, seq, block)));
-        }
+        self.shed_stale();
     }
 
     /// The block the exact Eq. 11 scan would pick at `period` with free
@@ -183,12 +175,13 @@ impl VictimIndex {
             }
             self.due.pop();
             if let Some(st) = self.states.get_mut(&block) {
-                if st.seq == seq && st.due == due && !st.zeroed {
+                if st.seq == seq && !st.zeroed {
                     st.zeroed = true;
                     self.zeroed.push((seq, block));
                 }
             }
         }
+        self.shed_stale();
 
         // (2) Any zero-cost entry beats every positive cost; the scan keeps
         // the first zero in MRU order, i.e. the largest seq.
@@ -225,12 +218,39 @@ impl VictimIndex {
         }
     }
 
+    /// Keep every heap within `2 · resident + SHED_SLACK` entries. A copy
+    /// whose entry has departed, or been superseded by a refreshed key or
+    /// a move to the zero set, is only discarded when it surfaces at the
+    /// top — and most never do, because the zero set answers most queries
+    /// — so without this each heap grows by one copy per prefetch ever
+    /// issued. Survivors are exactly the copies `query` would accept, with
+    /// their stored keys, and their order is total: answers and tie-breaks
+    /// do not change. A shed costs O(heap) and at least half the heap has
+    /// arrived or gone stale since the previous one: amortised O(1).
+    fn shed_stale(&mut self) {
+        let limit = 2 * self.states.len() + SHED_SLACK;
+        let states = &self.states;
+        if self.fresh.len() > limit {
+            self.fresh.retain(|e| is_live(states, e));
+        }
+        if self.due.len() > limit {
+            self.due.retain(|&Reverse((_, seq, block))| {
+                states.get(&block).is_some_and(|st| st.seq == seq && !st.zeroed)
+            });
+        }
+        if self.zeroed.len() > limit {
+            self.zeroed.retain(|&(seq, block)| {
+                states.get(&block).is_some_and(|st| st.seq == seq && st.zeroed)
+            });
+        }
+    }
+
     /// Pop fresh-heap entries until one matches the live state.
     fn pop_valid_fresh(&mut self) -> Option<FreshEntry> {
         loop {
             let e = *self.fresh.peek()?;
             self.fresh.pop();
-            if self.is_live(&e) {
+            if is_live(&self.states, &e) {
                 return Some(e);
             }
         }
@@ -241,19 +261,19 @@ impl VictimIndex {
     fn peek_valid_fresh(&mut self) -> Option<FreshEntry> {
         loop {
             let e = *self.fresh.peek()?;
-            if self.is_live(&e) {
+            if is_live(&self.states, &e) {
                 return Some(e);
             }
             self.fresh.pop();
         }
     }
+}
 
-    fn is_live(&self, e: &FreshEntry) -> bool {
-        match self.states.get(&e.block) {
-            Some(st) => st.seq == e.seq && !st.zeroed && st.key_bits == e.key.to_bits(),
-            None => false,
-        }
-    }
+/// Whether a fresh-heap copy is the current one for a resident entry.
+fn is_live(states: &FxHashMap<u64, EntryState>, e: &FreshEntry) -> bool {
+    states
+        .get(&e.block)
+        .is_some_and(|st| st.seq == e.seq && !st.zeroed && st.key_bits == e.key.to_bits())
 }
 
 #[cfg(test)]
@@ -281,9 +301,9 @@ mod tests {
 
     #[test]
     fn matches_the_exact_scan_under_churn() {
-        // Deterministic pseudo-random workload of inserts, removals, meta
-        // rewrites, and queries at advancing periods. `x` is fixed per
-        // index (it is a run constant in the engine — the query contract).
+        // Deterministic pseudo-random workload of inserts, removals and
+        // queries at advancing periods. `x` is fixed per index (it is a
+        // run constant in the engine — the query contract).
         for x in [0u32, 1, 2, 5] {
             let mut rng = 0x243f_6a88_85a3_08d3u64 ^ u64::from(x);
             let mut next = move || {
@@ -312,12 +332,6 @@ mod tests {
                         let (b, _) = live.remove(i);
                         idx.on_remove(b);
                     }
-                    7 if !live.is_empty() => {
-                        let i = (next() as usize) % live.len();
-                        let m = meta((next() % 1000) as f64 / 1000.0, (next() % 12) as u32, period);
-                        live[i].1 = m;
-                        idx.on_rewrite(live[i].0, &m);
-                    }
                     _ => period += next() % 3,
                 }
                 assert_eq!(
@@ -327,6 +341,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn heaps_hold_o_resident_entries_however_long_the_churn() {
+        // A 64-entry partition driven the way the engine drives it: insert
+        // while there is room, otherwise reference a resident block (a
+        // prefetch hit) or evict the index's own answer. Most queries are
+        // answered from the zero set, so fresh/due copies of departed
+        // entries never surface: only shedding bounds them.
+        const PARTITION: usize = 64;
+        let mut rng = 0x1319_8a2e_0370_7344u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut idx = VictimIndex::default();
+        let mut live: Vec<(u64, PrefetchMeta)> = Vec::new();
+        let mut period = 0u64;
+        let mut sheds = 0u32;
+        for step in 0..120_000u64 {
+            let before = idx.fresh.len() + idx.due.len() + idx.zeroed.len();
+            if live.len() < PARTITION && next() % 4 != 0 {
+                let m = meta((next() % 1000) as f64 / 1000.0, 1 + (next() % 40) as u32, period);
+                idx.on_insert(step, &m);
+                live.push((step, m));
+            } else if next() % 3 == 0 {
+                let i = (next() as usize) % live.len();
+                idx.on_remove(live.remove(i).0);
+            } else if let Some(victim) = idx.query(period, 1) {
+                live.retain(|&(b, _)| b != victim);
+                idx.on_remove(victim);
+            }
+            period += next() % 2;
+            assert_eq!(idx.query(period, 1), reference_pick(&live, period, 1), "step {step}");
+            let limit = 2 * live.len() + SHED_SLACK;
+            for (heap, len) in
+                [("fresh", idx.fresh.len()), ("due", idx.due.len()), ("zeroed", idx.zeroed.len())]
+            {
+                assert!(len <= limit, "{heap} heap holds {len} > {limit} at step {step}");
+            }
+            // More than the two pops a query can make: a bulk shed ran.
+            sheds += u32::from(idx.fresh.len() + idx.due.len() + idx.zeroed.len() + 16 < before);
+        }
+        assert!(sheds > 100, "the churn must cross many sheds, saw {sheds}");
     }
 
     #[test]

@@ -162,6 +162,9 @@ pub struct CostBenefitEngine {
     batch: CandidateBatch,
     /// Net-benefit output column, parallel to `batch`.
     net: Vec<f64>,
+    /// The benefit frontier's heap, empty between rounds: kept for its
+    /// allocation.
+    frontier: BinaryHeap<FrontierEntry>,
     /// `s`-derived memo: `ΔT_pf` table + frontier-seed cutoff.
     memo: PeriodMemo,
     quarantine: Quarantine,
@@ -196,6 +199,7 @@ impl CostBenefitEngine {
             period: 0,
             batch: CandidateBatch::new(),
             net: Vec::new(),
+            frontier: BinaryHeap::new(),
             memo,
             quarantine: Quarantine::default(),
             timer: PhaseTimer::null(),
@@ -336,9 +340,8 @@ impl CostBenefitEngine {
     /// the winning block's cost is then recomputed through the exact
     /// [`CostBenefitModel::prefetch_eject_cost`] arithmetic so the returned
     /// value is bit-identical to what the scan produced. Under
-    /// `debug_assertions` every answer is re-verified against the retained
-    /// exact scan. Public so the victim-selection microbenchmark can time
-    /// the heap path against [`Self::exact_prefetch_eject_scan`] directly.
+    /// `debug_assertions` every answer is re-verified against the exact
+    /// scan.
     pub fn best_prefetch_eject(&self, cache: &BufferCache) -> Option<(BlockId, f64)> {
         let block = if self.model.eject_scale() > 0.0 {
             cache.cheapest_prefetch_victim(self.period, self.model.config().x)?
@@ -351,7 +354,8 @@ impl CostBenefitEngine {
         let elapsed = self.period.saturating_sub(meta.issued_at);
         let remaining = (meta.distance as u64).saturating_sub(elapsed) as u32;
         let cost = self.model.prefetch_eject_cost(meta.probability, remaining);
-        debug_assert_eq!(
+        #[cfg(debug_assertions)]
+        assert_eq!(
             Some((block, cost.to_bits())),
             self.exact_prefetch_eject_scan(cache).map(|(b, c)| (b, c.to_bits())),
             "victim heap diverged from the exact Eq. 11 scan at period {}",
@@ -360,11 +364,11 @@ impl CostBenefitEngine {
         Some((block, cost))
     }
 
-    /// Reference implementation of the Eq. 11 victim choice: the exact
-    /// linear scan over the prefetch partition that
-    /// [`Self::best_prefetch_eject`] replaces. Kept public for equivalence
-    /// tests and the victim-selection microbenchmark.
-    pub fn exact_prefetch_eject_scan(&self, cache: &BufferCache) -> Option<(BlockId, f64)> {
+    /// Oracle for the Eq. 11 victim choice: the exact linear scan over the
+    /// prefetch partition that [`Self::best_prefetch_eject`] replaces.
+    /// Exists only for that function's `debug_assert` and the tests.
+    #[cfg(any(test, debug_assertions))]
+    fn exact_prefetch_eject_scan(&self, cache: &BufferCache) -> Option<(BlockId, f64)> {
         let mut best_pr: Option<(BlockId, f64)> = None;
         for (b, meta) in cache.prefetch_iter() {
             let elapsed = self.period.saturating_sub(meta.issued_at);
@@ -379,12 +383,21 @@ impl CostBenefitEngine {
 
     /// Cheapest replacement victim and its cost per Eq. 11 vs Eq. 13.
     /// Returns cost 0 with no victim when the cache has free buffers.
+    ///
+    /// Eq. 13 is priced lazily: an Eq. 11 cost of exactly `0.0` (an overdue
+    /// prefetch — the common case) wins `cp <= cd` against any Eq. 13 cost,
+    /// which is never negative, so the histogram window is not summed.
     pub fn cheapest_victim(&self, cache: &BufferCache) -> (Option<Victim>, f64) {
         if !cache.is_full() {
             return (None, 0.0);
         }
         // Eq. 11: cheapest prefetched block, via the lazy victim heap.
         let best_pr = self.best_prefetch_eject(cache);
+        if let Some((b, cp)) = best_pr {
+            if cp == 0.0 {
+                return (Some(Victim::Prefetch(b)), cp);
+            }
+        }
         // Eq. 13: shrink the demand cache at its current size.
         let dc = if cache.demand_len() > 1 {
             Some(self.model.demand_eject_cost(self.stack.marginal_hit_rate(cache.demand_len())))
@@ -426,6 +439,11 @@ impl CostBenefitEngine {
     /// will immediately occupy a demand buffer anyway).
     pub fn demand_victim(&self, cache: &BufferCache) -> (Victim, f64) {
         let best_pr = self.best_prefetch_eject(cache);
+        if let Some((b, cp)) = best_pr {
+            if cp == 0.0 {
+                return (Victim::Prefetch(b), cp);
+            }
+        }
         let cd = if cache.demand_len() > 0 {
             Some(self.model.demand_eject_cost(self.stack.marginal_hit_rate(cache.demand_len())))
         } else {
@@ -458,7 +476,7 @@ impl CostBenefitEngine {
         } else {
             self.tree.cursor()
         };
-        let mut frontier: BinaryHeap<FrontierEntry> = BinaryHeap::new();
+        let mut frontier = std::mem::take(&mut self.frontier);
         // Enumerate only children that could possibly have positive net
         // benefit (children are weight-sorted, so this is O(useful), not
         // O(fan-out) — the root can have tens of thousands of children).
@@ -539,6 +557,8 @@ impl CostBenefitEngine {
             self.expand(&cand, &mut frontier);
         }
 
+        frontier.clear();
+        self.frontier = frontier;
         self.model.observe_period(issued);
         self.period += 1;
     }
@@ -751,6 +771,82 @@ mod tests {
             scan.map(|(b, c)| (b, c.to_bits())),
             "heap and scan must still agree after the period advances"
         );
+    }
+
+    /// Eq. 13 exactly as the eager comparison prices it.
+    fn eq13(e: &CostBenefitEngine, cache: &BufferCache) -> f64 {
+        e.model.demand_eject_cost(e.stack.marginal_hit_rate(cache.demand_len()))
+    }
+
+    /// `cheapest_victim` on a full cache with both sides priced up front.
+    fn eager_cheapest_victim(e: &CostBenefitEngine, cache: &BufferCache) -> (Option<Victim>, f64) {
+        let dc = (cache.demand_len() > 1).then(|| eq13(e, cache));
+        match (e.best_prefetch_eject(cache), dc) {
+            (Some((b, cp)), Some(cd)) if cp <= cd => (Some(Victim::Prefetch(b)), cp),
+            (_, Some(cd)) => (Some(Victim::DemandLru), cd),
+            (Some((b, cp)), None) => (Some(Victim::Prefetch(b)), cp),
+            (None, None) => (None, f64::INFINITY),
+        }
+    }
+
+    /// `demand_victim` with both sides priced up front.
+    fn eager_demand_victim(e: &CostBenefitEngine, cache: &BufferCache) -> (Victim, f64) {
+        let cd = (cache.demand_len() > 0).then(|| eq13(e, cache));
+        match (e.best_prefetch_eject(cache), cd) {
+            (Some((b, cp)), Some(cd)) if cp <= cd => (Victim::Prefetch(b), cp),
+            (_, Some(cd)) => (Victim::DemandLru, cd),
+            (Some((b, cp)), None) => (Victim::Prefetch(b), cp),
+            (None, None) => unreachable!("a full cache holds a block in some partition"),
+        }
+    }
+
+    #[test]
+    fn lazy_eq13_picks_what_the_eager_comparison_picks() {
+        use crate::policy::{EnginePolicy, PrefetchPolicy, RefContext};
+        use prefetch_cache::buffer_cache::RefOutcome;
+        use prefetch_trace::synth::TraceKind;
+        // The `tests/policy_golden.rs` traces and cache under
+        // `tree-next-limit`: every demand-miss victim, and the replacement
+        // cost at every full-cache period, priced both ways.
+        for kind in [TraceKind::Cad, TraceKind::Cello] {
+            let mut policy =
+                EnginePolicy::tree_next_limit(SystemParams::patterson(), EngineConfig::default());
+            let mut cache = BufferCache::new(128);
+            let (mut skipped, mut priced) = (0u32, 0u32);
+            let mut tally = |cost: f64, prefetch: bool| match prefetch && cost == 0.0 {
+                true => skipped += 1,
+                false => priced += 1,
+            };
+            for (period, block) in kind.generate(20_000, 42).blocks().enumerate() {
+                let served = match cache.reference(block) {
+                    RefOutcome::DemandHit => RefKind::DemandHit,
+                    RefOutcome::PrefetchHit(_) => RefKind::PrefetchHit,
+                    RefOutcome::Miss => {
+                        if cache.is_full() {
+                            let e = policy.engine();
+                            let (victim, cost) = e.demand_victim(&cache);
+                            let (want, want_cost) = eager_demand_victim(e, &cache);
+                            assert_eq!((victim, cost.to_bits()), (want, want_cost.to_bits()));
+                            tally(cost, matches!(victim, Victim::Prefetch(_)));
+                            crate::policy::apply_victim(victim, &mut cache);
+                        }
+                        cache.insert_demand(block);
+                        RefKind::Miss
+                    }
+                };
+                if cache.is_full() {
+                    let e = policy.engine();
+                    let (victim, cost) = e.cheapest_victim(&cache);
+                    let (want, want_cost) = eager_cheapest_victim(e, &cache);
+                    assert_eq!((victim, cost.to_bits()), (want, want_cost.to_bits()));
+                    tally(cost, matches!(victim, Some(Victim::Prefetch(_))));
+                }
+                let ctx =
+                    RefContext { block, kind: served, next_block: None, period: period as u64 };
+                policy.after_reference(&ctx, &mut cache, &mut PeriodActivity::default());
+            }
+            assert!(skipped > 100 && priced > 100, "{kind:?}: {skipped} skipped, {priced} priced");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::clock::VirtualClock;
 use crate::config::SimConfig;
 use crate::observer::{DiskSummary, SimEvent};
+use prefetch_cache::{BufferCache, Partition};
 use prefetch_core::{RetryPolicy, SystemParams};
 use prefetch_hash::FxHashMap;
 use prefetch_trace::BlockId;
@@ -47,7 +48,9 @@ pub struct FiniteIo {
     /// Whether the array actually injects faults (retry and quarantine
     /// bookkeeping engage only then).
     pub faults_active: bool,
-    /// Completion time of each outstanding prefetch, by block.
+    /// Completion time of each outstanding prefetch, by block. A prefetch
+    /// hit consumes its entry; [`IoSubsystem::forget_departed_prefetches`]
+    /// drops those of blocks evicted unreferenced.
     pub prefetch_completion: FxHashMap<u64, f64>,
 }
 
@@ -218,6 +221,20 @@ impl IoSubsystem {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Keep the completion map O(cache): once it outgrows twice the cache,
+    /// drop every block no longer in the prefetch partition. Such an entry
+    /// is never read — only a prefetch hit reads one, and a block can only
+    /// re-enter the partition through [`Self::submit_prefetches`], which
+    /// overwrites it — so results do not depend on when this runs.
+    pub fn forget_departed_prefetches(&mut self, cache: &BufferCache) {
+        if let IoSubsystem::Finite(io) = self {
+            if io.prefetch_completion.len() > 2 * cache.capacity() {
+                io.prefetch_completion
+                    .retain(|&b, _| cache.whereis(BlockId(b)) == Some(Partition::Prefetch));
             }
         }
     }

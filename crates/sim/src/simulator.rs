@@ -186,6 +186,7 @@ impl Simulator {
             let quarantined = self.policy.note_prefetch_fault(b);
             obs.on_event(&SimEvent::PrefetchFault { period, block: b, quarantined });
         }
+        self.io.forget_departed_prefetches(&self.cache);
 
         // Advance the virtual clock by the period's foreground work
         // (Figure 3): the cache read, the prefetch initiations, and the
@@ -276,6 +277,22 @@ mod tests {
         cfg.validate().unwrap();
         let mut source = trace.source();
         Simulator::run(&mut source, &cfg, &mut NullObserver).unwrap();
+    }
+
+    #[test]
+    fn finite_disk_completion_map_is_bounded_by_the_cache() {
+        // Most cello prefetches are evicted unreferenced; each used to
+        // leave its completion time behind for the rest of the run.
+        let trace = TraceKind::Cello.generate(30_000, 5);
+        const CACHE: usize = 64;
+        let cfg = SimConfig::new(CACHE, PolicySpec::TreeNextLimit).with_disks(4);
+        cfg.validate().unwrap();
+        let mut sim = Simulator::new(&cfg);
+        for rec in trace.records() {
+            sim.step(*rec, None, &mut NullObserver);
+            let IoSubsystem::Finite(io) = &sim.io else { panic!("--disks builds the finite path") };
+            assert!(io.prefetch_completion.len() <= 2 * CACHE);
+        }
     }
 
     #[test]
