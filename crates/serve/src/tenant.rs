@@ -136,11 +136,16 @@ impl TenantSpec {
 
     /// Rough resident bytes this tenant may reach, charged against the
     /// server's aggregate memory budget at admission time. Per tree node:
-    /// 40 paper bytes plus arena/edge-map/LRU overhead (~96 B total); per
-    /// cache block: LRU + prefetch metadata (~64 B); plus a fixed floor
-    /// for the simulator itself. This pessimistic estimate only gates the
-    /// `OPEN`; afterwards the reservation is re-priced to the tenant's
-    /// measured [`TenantState::resident_bytes`] at every flush.
+    /// 96 B — the 40-byte node, its position and slab slot, and a share of
+    /// the wide-node index. That is *below* what a tree full at the
+    /// default 4 096-node budget is charged, 104–120 B/node (133–136
+    /// before the 40-byte node): `PrefetchTree::bytes_in_use` counts
+    /// capacity, and 4 096 nodes plus the root and one transient
+    /// overshoot double the node vector to 8 192 slots. Per cache block:
+    /// LRU + prefetch metadata (~64 B); plus a fixed floor for the
+    /// simulator itself. The estimate only gates the `OPEN`; afterwards
+    /// the reservation is re-priced to the tenant's measured
+    /// [`TenantState::resident_bytes`] at every flush.
     pub fn estimated_bytes(&self) -> u64 {
         const NODE_BYTES: u64 = 96;
         let nodes = self.node_limit.min(1 << 32) as u64;

@@ -129,7 +129,8 @@ pub fn snapshot(traces: &TraceSet, opts: &ExperimentOpts) -> Report {
         ]);
     }
     r.note(
-        "exact_bytes is PrefetchTree::bytes_in_use (SoA arena + child slab + edge index); \
+        "exact_bytes is PrefetchTree::bytes_in_use (40 B nodes + positions + child slab + the \
+         wide-node index, each charged at its capacity); \
          paper_bytes is the 40 B/node estimate of Section 9.3. ratio < 1 means the canonical \
          Huffman frame paid for itself; tiny trees fall back to the raw codec.",
     );

@@ -34,7 +34,7 @@ pub struct Candidate {
 }
 
 /// Struct-of-arrays candidate buffer: the fields of [`Candidate`] as
-/// parallel columns, in the arena's SoA style. The cost-benefit engine
+/// parallel columns. The cost-benefit engine
 /// owns one as scratch and hands the probability/depth columns straight to
 /// the batched pricing loop (`prefetch-core::kernel`) — with no AoS→SoA
 /// transpose on the hot path.

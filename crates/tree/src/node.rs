@@ -1,20 +1,20 @@
 //! Node identity for the arena-backed tree.
 //!
-//! The seed kept a `Node` struct per tree node (scalars plus a `Vec<u32>`
-//! of children); storage now lives in the struct-of-arrays
-//! [`crate::arena::Arena`], and this module keeps only what identifies a
-//! node and the paper's per-node memory constant.
+//! Storage lives in [`crate::arena::Arena`]; this module keeps only what
+//! identifies a node and the paper's per-node memory constant.
 //!
 //! Children-index invariant (held by the arena for every live node `c`
-//! with parent `p`): `children(p)[pos_in_parent(c)] == c`, so child
-//! removal is O(1) lookup + O(shifted suffix).
+//! with parent `p`): `children(p)[pos_in_parent[c]] == c`, so child
+//! removal is O(1) lookup + O(shifted suffix); `pos_in_parent` is the one
+//! per-node field the arena keeps outside the node.
 
 /// Sentinel for "no node".
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// The per-node memory the paper's Figure 13 assumes (Section 9.3);
-/// [`crate::PrefetchTree::approx_memory_bytes`] accounts memory the same
-/// way, while `bytes_in_use()` reports the arena's exact footprint.
+/// The per-node memory the paper's Figure 13 assumes (Section 9.3), and
+/// the size of one arena node (asserted there at compile time).
+/// [`crate::PrefetchTree::approx_memory_bytes`] accounts memory this way,
+/// while `bytes_in_use()` adds everything around the nodes.
 pub(crate) const PAPER_BYTES: usize = 40;
 
 /// Opaque handle to a node in a [`crate::PrefetchTree`] arena.

@@ -61,7 +61,7 @@ pub struct SnapshotInfo {
 
 /// Complete decoded tree state: the bridge between the byte format and
 /// `PrefetchTree::{to_raw, from_raw}`. Parents, positions, child-slot
-/// geometry, and the edge index are *derived* (and validated) from the
+/// geometry, and the wide-node index are *derived* (and validated) from the
 /// children lists on restore rather than trusted from the wire.
 #[derive(Clone, Debug)]
 pub(crate) struct RawTree {

@@ -1,7 +1,7 @@
 //! The prefetch tree proper: LZ78 parsing, weights, probabilities, and LRU
 //! node limiting.
 
-use crate::arena::Arena;
+use crate::arena::{Arena, Node, MAX_FANOUT};
 use crate::node::{NodeId, NIL, PAPER_BYTES};
 use crate::snap::RawTree;
 use crate::stats::TreeStats;
@@ -43,11 +43,12 @@ pub enum OverflowPolicy {
 
 /// The LZ prefetch tree.
 ///
-/// See the crate docs for semantics. Node storage is the struct-of-arrays
-/// [`Arena`] (parallel field vectors plus one shared child slab); all
-/// operations are O(1) amortized except candidate enumeration
-/// (proportional to candidates returned) and node eviction (bounded leaf
-/// scan).
+/// See the crate docs for semantics. Node storage is the [`Arena`] (one
+/// vector of 40-byte nodes plus one shared child slab); all operations are
+/// O(1) amortized except candidate enumeration (proportional to candidates
+/// returned), child lookup below a narrow node (a scan of at most 16
+/// children, almost always ended by the first) and node eviction (bounded
+/// leaf scan).
 #[derive(Clone, Debug)]
 pub struct PrefetchTree {
     arena: Arena,
@@ -136,7 +137,7 @@ impl PrefetchTree {
 
     /// Visit count of a node.
     pub fn weight(&self, n: NodeId) -> u64 {
-        self.arena.weights[n.0 as usize]
+        self.arena.nodes[n.0 as usize].weight
     }
 
     /// The block a node represents (`None` for the root).
@@ -144,13 +145,13 @@ impl PrefetchTree {
         if n.0 == 0 {
             None
         } else {
-            Some(BlockId(self.arena.blocks[n.0 as usize]))
+            Some(BlockId(self.arena.nodes[n.0 as usize].block))
         }
     }
 
     /// Parent of a node (`None` for the root).
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        let p = self.arena.parents[n.0 as usize];
+        let p = self.arena.nodes[n.0 as usize].parent;
         if p == NIL {
             None
         } else {
@@ -165,12 +166,12 @@ impl PrefetchTree {
 
     /// The child of `n` representing `block`, if present.
     pub fn child_by_block(&self, n: NodeId, block: BlockId) -> Option<NodeId> {
-        self.arena.edges.get(&(n.0, block.0)).map(|&c| NodeId(c))
+        self.arena.find_child(n.0, block.0).map(NodeId)
     }
 
     /// The child taken on the most recent visit to `n`.
     pub fn last_visited_child(&self, n: NodeId) -> Option<NodeId> {
-        let c = self.arena.lvc[n.0 as usize];
+        let c = self.arena.nodes[n.0 as usize].lvc;
         if c == NIL {
             None
         } else {
@@ -182,18 +183,19 @@ impl PrefetchTree {
     /// `child` follows `parent` (paper Section 2). Returns 0 for a
     /// zero-weight parent.
     pub fn child_probability(&self, parent: NodeId, child: NodeId) -> f64 {
-        debug_assert_eq!(self.arena.parents[child.0 as usize], parent.0);
-        let pw = self.arena.weights[parent.0 as usize];
+        debug_assert_eq!(self.arena.nodes[child.0 as usize].parent, parent.0);
+        let pw = self.arena.nodes[parent.0 as usize].weight;
         if pw == 0 {
             0.0
         } else {
-            self.arena.weights[child.0 as usize] as f64 / pw as f64
+            self.arena.nodes[child.0 as usize].weight as f64 / pw as f64
         }
     }
 
     /// Approximate resident memory of the tree, counting 40 bytes per node
-    /// the way the paper's Figure 13 does. For the arena's true footprint
-    /// use [`PrefetchTree::bytes_in_use`].
+    /// the way the paper's Figure 13 does — the size of one arena node. For
+    /// the footprint including child lists, positions, the wide-node index
+    /// and unused `Vec` capacity use [`PrefetchTree::bytes_in_use`].
     pub fn approx_memory_bytes(&self) -> usize {
         self.node_count() * PAPER_BYTES
     }
@@ -211,11 +213,11 @@ impl PrefetchTree {
         self.stats.accesses += 1;
         if self.fresh_substring {
             // Root weight counts substrings started.
-            self.arena.weights[0] += 1;
+            self.arena.nodes[0].weight += 1;
             self.fresh_substring = false;
         }
         let cur = self.cursor;
-        let existing = self.arena.edges.get(&(cur, block.0)).copied();
+        let existing = self.arena.find_child(cur, block.0);
 
         // Table 2: was the request predictable from the current position?
         let predictable = existing.is_some();
@@ -224,10 +226,10 @@ impl PrefetchTree {
         }
 
         // Table 3: does this visit repeat the node's last-visited child?
-        let lvc = self.arena.lvc[cur as usize];
+        let lvc = self.arena.nodes[cur as usize].lvc;
         let lvc_repeat = if lvc != NIL {
             self.stats.lvc_opportunities += 1;
-            let repeat = self.arena.blocks[lvc as usize] == block.0 && existing == Some(lvc);
+            let repeat = existing == Some(lvc);
             if repeat {
                 self.stats.lvc_repeats += 1;
             }
@@ -239,7 +241,7 @@ impl PrefetchTree {
         match existing {
             Some(child) => {
                 self.increment_child_weight(cur, child);
-                self.arena.lvc[cur as usize] = child;
+                self.arena.nodes[cur as usize].lvc = child;
                 self.cursor = child;
                 self.touch_lru(child);
                 AccessOutcome { predictable, lvc_repeat, created_node: false, reset: false }
@@ -261,8 +263,8 @@ impl PrefetchTree {
                     };
                 }
                 let child = self.create_child(cur, block);
-                self.arena.weights[child as usize] = 1;
-                self.arena.lvc[cur as usize] = child;
+                self.arena.nodes[child as usize].weight = 1;
+                self.arena.nodes[cur as usize].lvc = child;
                 self.touch_lru(child);
                 // Novel access ends the substring: back to the root.
                 self.cursor = 0;
@@ -301,7 +303,7 @@ impl PrefetchTree {
     /// O(log k) via binary search, O(1) data movement.
     fn increment_child_weight(&mut self, parent: u32, child: u32) {
         let pos = self.arena.pos_in_parent[child as usize] as usize;
-        let w = self.arena.weights[child as usize];
+        let w = self.arena.nodes[child as usize].weight;
         // Leftmost index in 0..=pos whose weight equals w (the weight
         // class is contiguous because the list is sorted descending).
         let class_start = {
@@ -309,7 +311,7 @@ impl PrefetchTree {
             let mut hi = pos;
             while lo < hi {
                 let mid = (lo + hi) / 2;
-                if self.arena.weights[self.arena.child_at(parent, mid) as usize] > w {
+                if self.arena.nodes[self.arena.child_at(parent, mid) as usize].weight > w {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -323,14 +325,13 @@ impl PrefetchTree {
             self.arena.pos_in_parent[other as usize] = pos as u32;
             self.arena.pos_in_parent[child as usize] = class_start as u32;
         }
-        self.arena.weights[child as usize] = w + 1;
+        self.arena.nodes[child as usize].weight = w + 1;
     }
 
     fn create_child(&mut self, parent: u32, block: BlockId) -> u32 {
-        let pos = self.arena.ch_len[parent as usize];
+        let pos = self.arena.nodes[parent as usize].ch_len() as u32;
         let idx = self.arena.alloc(block, parent, pos);
         self.arena.child_push(parent, idx);
-        self.arena.edges.insert((parent, block.0), idx);
         self.stats.nodes_created += 1;
         idx
     }
@@ -339,24 +340,26 @@ impl PrefetchTree {
     fn touch_lru(&mut self, n: u32) {
         debug_assert_ne!(n, 0, "root is not in the LRU list");
         // Unlink if present.
-        let (prev, next) = (self.arena.lru_prev[n as usize], self.arena.lru_next[n as usize]);
+        let node = &self.arena.nodes[n as usize];
+        let (prev, next) = (node.lru_prev, node.lru_next);
         if prev != NIL || next != NIL || self.lru_head == n {
             if prev != NIL {
-                self.arena.lru_next[prev as usize] = next;
+                self.arena.nodes[prev as usize].lru_next = next;
             } else {
                 self.lru_head = next;
             }
             if next != NIL {
-                self.arena.lru_prev[next as usize] = prev;
+                self.arena.nodes[next as usize].lru_prev = prev;
             } else {
                 self.lru_tail = prev;
             }
         }
         // Push front.
-        self.arena.lru_prev[n as usize] = NIL;
-        self.arena.lru_next[n as usize] = self.lru_head;
+        let node = &mut self.arena.nodes[n as usize];
+        node.lru_prev = NIL;
+        node.lru_next = self.lru_head;
         if self.lru_head != NIL {
-            self.arena.lru_prev[self.lru_head as usize] = n;
+            self.arena.nodes[self.lru_head as usize].lru_prev = n;
         }
         self.lru_head = n;
         if self.lru_tail == NIL {
@@ -365,19 +368,21 @@ impl PrefetchTree {
     }
 
     fn unlink_lru(&mut self, n: u32) {
-        let (prev, next) = (self.arena.lru_prev[n as usize], self.arena.lru_next[n as usize]);
+        let node = &self.arena.nodes[n as usize];
+        let (prev, next) = (node.lru_prev, node.lru_next);
         if prev != NIL {
-            self.arena.lru_next[prev as usize] = next;
+            self.arena.nodes[prev as usize].lru_next = next;
         } else if self.lru_head == n {
             self.lru_head = next;
         }
         if next != NIL {
-            self.arena.lru_prev[next as usize] = prev;
+            self.arena.nodes[next as usize].lru_prev = prev;
         } else if self.lru_tail == n {
             self.lru_tail = prev;
         }
-        self.arena.lru_prev[n as usize] = NIL;
-        self.arena.lru_next[n as usize] = NIL;
+        let node = &mut self.arena.nodes[n as usize];
+        node.lru_prev = NIL;
+        node.lru_next = NIL;
     }
 
     /// Enforce the node limit by evicting least-recently-visited leaves
@@ -400,7 +405,7 @@ impl PrefetchTree {
                 if self.arena.is_leaf(candidate) && candidate != self.cursor {
                     break candidate;
                 }
-                candidate = self.arena.lru_prev[candidate as usize];
+                candidate = self.arena.nodes[candidate as usize].lru_prev;
                 scanned += 1;
             };
             if victim != NIL {
@@ -426,7 +431,7 @@ impl PrefetchTree {
             if n == a {
                 return true;
             }
-            n = self.arena.parents[n as usize];
+            n = self.arena.nodes[n as usize].parent;
         }
         false
     }
@@ -434,18 +439,16 @@ impl PrefetchTree {
     fn remove_leaf(&mut self, n: u32) {
         debug_assert!(self.arena.is_leaf(n));
         debug_assert_ne!(n, 0);
-        let parent = self.arena.parents[n as usize];
+        let parent = self.arena.nodes[n as usize].parent;
         let pos = self.arena.pos_in_parent[n as usize] as usize;
-        let block = self.arena.blocks[n as usize];
         // Shifting removal keeps the children sorted by weight; the
         // arena refreshes the shifted suffix's positions. Eviction only
         // happens under a node limit, which also bounds the fan-out.
         debug_assert_eq!(self.arena.child_at(parent, pos), n);
         self.arena.child_remove_at(parent, pos);
-        if self.arena.lvc[parent as usize] == n {
-            self.arena.lvc[parent as usize] = NIL;
+        if self.arena.nodes[parent as usize].lvc == n {
+            self.arena.nodes[parent as usize].lvc = NIL;
         }
-        self.arena.edges.remove(&(parent, block));
         self.unlink_lru(n);
         self.arena.release(n);
         self.stats.nodes_evicted += 1;
@@ -490,11 +493,11 @@ impl PrefetchTree {
             lru_head: self.lru_head,
             lru_tail: self.lru_tail,
             stats: self.stats,
-            blocks: self.arena.blocks.clone(),
-            weights: self.arena.weights.clone(),
-            lvc: self.arena.lvc.clone(),
-            lru_prev: self.arena.lru_prev.clone(),
-            lru_next: self.arena.lru_next.clone(),
+            blocks: self.arena.nodes.iter().map(|x| x.block).collect(),
+            weights: self.arena.nodes.iter().map(|x| x.weight).collect(),
+            lvc: self.arena.nodes.iter().map(|x| x.lvc).collect(),
+            lru_prev: self.arena.nodes.iter().map(|x| x.lru_prev).collect(),
+            lru_next: self.arena.nodes.iter().map(|x| x.lru_next).collect(),
             children: (0..n).map(|i| self.arena.children(i as u32).to_vec()).collect(),
             free: self.arena.free.clone(),
         }
@@ -503,7 +506,7 @@ impl PrefetchTree {
     /// Rebuild a tree from a decoded [`RawTree`], validating every
     /// structural invariant so corrupt or adversarial snapshots fail with
     /// an error instead of panicking (or worse, yielding a tree that
-    /// panics later). Child slots and the edge index are rebuilt
+    /// panics later). Child slots and the wide-node index are rebuilt
     /// compactly; node ids, child order, LRU order, free-list order, the
     /// parse position and statistics are restored verbatim, so continued
     /// training is bit-identical to the snapshotted tree's future.
@@ -551,6 +554,9 @@ impl PrefetchTree {
                     return Err("freed node has children");
                 }
                 continue;
+            }
+            if kids.len() > MAX_FANOUT {
+                return Err("too many children under one node");
             }
             let mut prev_weight = u64::MAX;
             let mut child_sum = 0u64;
@@ -624,27 +630,27 @@ impl PrefetchTree {
 
         // Rebuild child slots compactly (minimal power-of-two class per
         // list — slab geometry is not behavior, see DESIGN.md §12) and the
-        // edge index.
+        // wide-node index. Nothing above made node 0 anyone's child, so
+        // the root's parent and position are NIL.
         let mut arena = Arena::with_root();
-        arena.blocks = raw.blocks;
-        arena.weights = raw.weights;
-        arena.parents = parents;
+        arena.nodes = (0..n)
+            .map(|i| {
+                let mut node = Node::new(raw.blocks[i], parents[i]);
+                node.weight = raw.weights[i];
+                node.lvc = raw.lvc[i];
+                node.lru_prev = raw.lru_prev[i];
+                node.lru_next = raw.lru_next[i];
+                node
+            })
+            .collect();
         arena.pos_in_parent = pos_in_parent;
-        arena.lvc = raw.lvc;
-        arena.lru_prev = raw.lru_prev;
-        arena.lru_next = raw.lru_next;
-        arena.ch_start = vec![0; n];
-        arena.ch_len = vec![0; n];
-        arena.ch_class = vec![crate::arena::NO_CLASS; n];
-        arena.parents[0] = NIL;
-        arena.pos_in_parent[0] = NIL;
         arena.free = raw.free;
         for (i, kids) in raw.children.iter().enumerate() {
             for &c in kids {
-                arena.child_push(i as u32, c);
-                if arena.edges.insert((i as u32, arena.blocks[c as usize]), c).is_some() {
+                if arena.find_child(i as u32, raw.blocks[c as usize]).is_some() {
                     return Err("duplicate child block");
                 }
+                arena.child_push(i as u32, c);
             }
         }
 
@@ -673,46 +679,53 @@ impl PrefetchTree {
     /// Validate internal invariants (test support; O(nodes)).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let mut is_live = vec![true; self.arena.len()];
+        for &f in &self.arena.free {
+            assert!(is_live[f as usize], "node {f} freed twice");
+            is_live[f as usize] = false;
+        }
         let mut live = 0usize;
-        for i in 0..self.arena.len() {
-            if self.arena.free.contains(&(i as u32)) {
-                continue;
-            }
+        let mut edges = 0usize;
+        for i in (0..self.arena.len()).filter(|&i| is_live[i]) {
             live += 1;
-            // Children sum ≤ weight; sorted by descending weight; edges
-            // map agrees.
+            // Children sum ≤ weight; sorted by descending weight; links
+            // and positions agree with the child list.
             let mut child_sum = 0u64;
             let mut prev_weight = u64::MAX;
             for (pos, &c) in self.arena.children(i as u32).iter().enumerate() {
-                assert_eq!(self.arena.parents[c as usize], i as u32, "parent link broken at {c}");
+                assert_eq!(
+                    self.arena.nodes[c as usize].parent, i as u32,
+                    "parent link broken at {c}"
+                );
                 assert_eq!(
                     self.arena.pos_in_parent[c as usize] as usize, pos,
                     "pos_in_parent broken at {c}"
                 );
-                assert_eq!(
-                    self.arena.edges.get(&(i as u32, self.arena.blocks[c as usize])),
-                    Some(&c),
-                    "edge map broken at {c}"
-                );
-                let w = self.arena.weights[c as usize];
+                assert!(is_live[c as usize], "freed node {c} is still a child of {i}");
+                edges += 1;
+                let w = self.arena.nodes[c as usize].weight;
                 assert!(w <= prev_weight, "children not weight-sorted at {i}");
                 prev_weight = w;
                 child_sum += w;
             }
             assert!(
-                child_sum <= self.arena.weights[i],
+                child_sum <= self.arena.nodes[i].weight,
                 "children weight {child_sum} exceeds node weight {} at {i}",
-                self.arena.weights[i]
+                self.arena.nodes[i].weight
             );
         }
         assert_eq!(live, self.node_count() + 1, "live node accounting broken");
-        assert_eq!(self.arena.edges.len(), self.node_count(), "edge count mismatch");
+        assert_eq!(edges, self.node_count(), "edge count mismatch");
+        self.arena.check_index(&is_live);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::WIDE_FANOUT;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// The paper's Figure 1(a): accesses (a)(ac)(ab)(aba)(abb)(b) with
     /// a=1, b=2, c=3.
@@ -1021,6 +1034,86 @@ mod tests {
         }
         assert_eq!(t.stats().nodes_capped, 0);
         assert_eq!(t.stats().nodes_evicted, 0);
+    }
+
+    /// `record_access` with every lookup checked against `model`, the
+    /// test's own `(parent, block) → child` map.
+    fn access_checked(t: &mut PrefetchTree, model: &mut HashMap<(u32, u64), u32>, block: u64) {
+        let cur = t.cursor;
+        let expected = model.get(&(cur, block)).copied();
+        assert_eq!(t.arena.find_child(cur, block), expected, "lookup of {block} under {cur}");
+        let out = t.record_access(BlockId(block));
+        assert_eq!(out.predictable, expected.is_some());
+        if out.created_node {
+            // A new child has the lowest weight: it is appended.
+            let child = *t.arena.children(cur).last().expect("a child was created");
+            assert!(model.insert((cur, block), child).is_none());
+        }
+    }
+
+    /// Evict leaves, chosen by walking down from the root along `picks`,
+    /// until the root has at most `target` children.
+    fn evict_checked(
+        t: &mut PrefetchTree,
+        model: &mut HashMap<(u32, u64), u32>,
+        picks: &[usize],
+        target: usize,
+    ) {
+        t.reset_cursor(); // the root is never a leaf here, so no victim is the cursor
+        let mut picks = picks.iter().cycle();
+        while t.arena.children(0).len() > target {
+            let mut leaf = 0;
+            while !t.arena.is_leaf(leaf) {
+                let kids = t.arena.children(leaf);
+                leaf = kids[picks.next().expect("picks is not empty") % kids.len()];
+            }
+            let (parent, block) = (t.arena.nodes[leaf as usize].parent, t.block(NodeId(leaf)));
+            let block = block.expect("a leaf below the root has a block").0;
+            assert_eq!(model.remove(&(parent, block)), Some(leaf));
+            t.remove_leaf(leaf);
+            assert_eq!(t.arena.find_child(parent, block), None, "evicted edge still found");
+        }
+    }
+
+    fn assert_every_edge_is_found(t: &PrefetchTree, model: &HashMap<(u32, u64), u32>) {
+        t.check_invariants();
+        assert_eq!(model.len(), t.node_count());
+        for (&(parent, block), &child) in model {
+            assert_eq!(t.arena.find_child(parent, block), Some(child));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Insert / hit / evict churn that takes the root (and, on the
+        /// narrower alphabets, its hot children) across the fan-out
+        /// threshold in both directions: grow past it, evict back under
+        /// it, regrow.
+        #[test]
+        fn find_child_agrees_with_an_edge_map_across_the_fanout_threshold(
+            alphabet in WIDE_FANOUT as u64 + 8..4 * WIDE_FANOUT as u64,
+            grow in proptest::collection::vec(any::<u64>(), 2_000..12_000),
+            picks in proptest::collection::vec(any::<usize>(), 1..64),
+            regrow in proptest::collection::vec(any::<u64>(), 500..2_000),
+        ) {
+            let mut t = PrefetchTree::new();
+            let mut model = HashMap::new();
+            for b in grow {
+                access_checked(&mut t, &mut model, b % alphabet);
+            }
+            prop_assert!(t.arena.children(0).len() > WIDE_FANOUT, "the root never grew wide");
+            assert_every_edge_is_found(&t, &model);
+
+            evict_checked(&mut t, &mut model, &picks, WIDE_FANOUT / 2);
+            assert_every_edge_is_found(&t, &model);
+
+            for b in regrow {
+                access_checked(&mut t, &mut model, b % alphabet);
+            }
+            prop_assert!(t.arena.children(0).len() > WIDE_FANOUT, "the root never regrew wide");
+            assert_every_edge_is_found(&t, &model);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Eviction churn under `OverflowPolicy::Evict`: long random streams
 //! against a tight node budget exercise the arena's free list (every
 //! evicted `NodeId` must be recycled, never leaked), the stats
-//! accounting identities, and the children/edge-index invariants after
+//! accounting identities, and the children/wide-node-index invariants after
 //! thousands of create/evict cycles.
 
 use prefetch_trace::BlockId;

@@ -42,3 +42,35 @@ fn golden_snapshot_continues_training_deterministically() {
     tree.write_snapshot(&mut b).unwrap();
     assert_eq!(a, b);
 }
+
+/// FNV-1a of `write_snapshot` after 10 k refs (seed 42), computed at the
+/// commit before the array-of-structs arena (PR 23). Snapshot bytes are a
+/// pure function of the access history, not of the arena layout: the
+/// evicting rows also pin what freed slots hold and the free-list order.
+#[test]
+fn snapshot_bytes_do_not_depend_on_the_arena_layout() {
+    use prefetch_trace::synth::TraceKind;
+    const PINNED: [(TraceKind, usize, u64); 4] = [
+        (TraceKind::Cad, usize::MAX, 0x101f_930d_5f44_259d),
+        (TraceKind::Cello, usize::MAX, 0x5d46_7055_3c30_7509),
+        (TraceKind::Cad, 512, 0x2a36_672d_5e37_594b),
+        (TraceKind::Cello, 512, 0x4bdb_76d3_cc58_7a91),
+    ];
+    for (kind, limit, pinned) in PINNED {
+        let mut tree = PrefetchTree::with_node_limit(limit);
+        for b in kind.generate(10_000, 42).blocks() {
+            tree.record_access(b);
+        }
+        let mut bytes = Vec::new();
+        tree.write_snapshot(&mut bytes).unwrap();
+        let mut fnv = prefetch_hash::Fnv64::new();
+        fnv.bytes(&bytes);
+        assert_eq!(
+            fnv.finish(),
+            pinned,
+            "{kind:?} limit {limit}: {:#018x} over {} bytes",
+            fnv.finish(),
+            bytes.len()
+        );
+    }
+}
