@@ -25,7 +25,6 @@
 //! | 4    | listener I/O error                   |
 
 use prefetch_serve::{ServeOpts, Service};
-use prefetch_wal::FsyncPolicy;
 use std::process::ExitCode;
 
 const EXIT_PANIC: u8 = 1;
@@ -48,9 +47,8 @@ fn usage() -> String {
      \x20             [--default-cache N] [--default-nodes N]\n\
      \x20             [--advice-dir DIR] [--snapshot-dir DIR]\n\
      \x20             [--wal-dir DIR] [--recover DIR]\n\
-     \x20             [--fsync always|never] [--fsync-every-n N]\n\
-     \x20             [--fsync-interval-ms N] [--checkpoint-every N]\n\
-     \x20             [--recover-cap-events N]\n\
+     \x20             [--fsync always|never|every-n=N|interval-ms=N]\n\
+     \x20             [--checkpoint-every N] [--recover-cap-events N]\n\
      \x20             [--metrics-out PATH] [--metrics-every N] [--trace-ring N]\n\
      \x20             [--log-json PATH] [--no-echo-advice] [--quiet]\n\
      \n\
@@ -59,9 +57,10 @@ fn usage() -> String {
      --snapshot-dir persists each tenant's prefetch tree (pftree-snap/v1)\n\
      at CLOSE/drain and warm-starts same-named tenants on OPEN.\n\
      --wal-dir logs every accepted event to a per-tenant write-ahead log\n\
-     (group-committed per batch; --fsync picks the durability/throughput\n\
-     point). After a crash, --recover DIR replays the logs through the\n\
-     real event path: tenant state, counters, and advice files come back\n\
+     (one write per tenant per batch, group-committed; --fsync picks the\n\
+     durability/throughput point and governs checkpoint files too).\n\
+     After a crash, --recover DIR replays the logs through the real\n\
+     event path: tenant state, counters, and advice files come back\n\
      bit-identical; damaged logs quarantine only their own tenant.\n\
      --recover-cap-events bounds replay; longer logs warm-start degraded\n\
      from their latest checkpoint (--checkpoint-every, 0 disables).\n\
@@ -139,23 +138,8 @@ fn parse_args() -> Result<Args, String> {
                 args.opts.wal.recover = true;
             }
             "--fsync" => {
-                args.opts.wal.fsync = match next_val(&mut it, "--fsync")?.as_str() {
-                    "always" => FsyncPolicy::Always,
-                    "never" => FsyncPolicy::Never,
-                    other => return Err(format!("--fsync {other:?} must be always or never")),
-                };
-            }
-            "--fsync-every-n" => {
-                let n: u64 = next_val(&mut it, "--fsync-every-n")?
-                    .parse()
-                    .map_err(|_| "--fsync-every-n needs an integer".to_string())?;
-                args.opts.wal.fsync = FsyncPolicy::EveryN(n);
-            }
-            "--fsync-interval-ms" => {
-                let ms: u64 = next_val(&mut it, "--fsync-interval-ms")?
-                    .parse()
-                    .map_err(|_| "--fsync-interval-ms needs an integer".to_string())?;
-                args.opts.wal.fsync = FsyncPolicy::IntervalMs(ms);
+                args.opts.wal.fsync =
+                    next_val(&mut it, "--fsync")?.parse().map_err(|e| format!("--fsync: {e}"))?;
             }
             "--checkpoint-every" => {
                 args.opts.wal.checkpoint_every =

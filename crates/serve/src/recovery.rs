@@ -145,7 +145,7 @@ impl Service {
         self.recharge(state.reprice());
         let idx = self.register(name, Slot::Live(Box::new(state)));
         if let (Some(w), Ok(log)) = (self.wal.as_mut(), resumed) {
-            w.logs.insert(idx, TenantLog { log, since_ckpt: 0 });
+            w.install(idx, TenantLog { log, since_ckpt: 0 });
         }
         self.stats.opens += 1;
     }

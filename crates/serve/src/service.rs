@@ -442,11 +442,11 @@ impl Service {
             batch.out.push((conn, format!("SHED {tenant} queue-full cap={cap}")));
         } else {
             queue.events.push((conn, block));
-            // Logged at accept time: the WAL holds exactly the events
+            // Logged at accept time (staged; the flush that applies the
+            // queue writes it first): the WAL holds exactly the events
             // that will be processed, in order.
             self.wal_append(i, &WalRecord::Event(block));
-            if self.opts.trace_ring > 0
-                && self.wal.as_ref().is_some_and(|w| w.logs.contains_key(&i))
+            if self.opts.trace_ring > 0 && self.wal.as_mut().is_some_and(|w| w.log_mut(i).is_some())
             {
                 if let Ok(state) = lock_slot(&self.tenants[i].slot).live() {
                     if let Some(fr) = state.flight_mut() {
@@ -574,7 +574,7 @@ impl Service {
         }
         let i = self.register(tenant, Slot::Live(Box::new(state)));
         if let (Some(w), Some(tl)) = (self.wal.as_mut(), tenant_log) {
-            w.logs.insert(i, tl);
+            w.install(i, tl);
         }
         self.stats.opens += 1;
         Ok(format!("OK open {tenant}"))
@@ -686,6 +686,11 @@ impl Service {
         if active.is_empty() {
             return;
         }
+        // Write-ahead: a tenant's records are in its file before its
+        // events are applied.
+        for (i, _) in &active {
+            self.wal_flush(*i);
+        }
         let tenants = &self.tenants;
         let metrics_on = self.registry.is_some();
         let flushes = prefetch_pool::run_indexed(active.len(), |j| {
@@ -704,6 +709,7 @@ impl Service {
             return;
         }
         let events = std::mem::take(&mut queue.events);
+        self.wal_flush(i);
         let flush = flush_tenant(&self.tenants[i].slot, &events, self.registry.is_some());
         self.absorb_flush(batch, i, &events, flush);
     }
@@ -802,7 +808,7 @@ impl Service {
     ) -> bool {
         let Some(&idx) = self.index.get(tenant) else { return false };
         let Some(w) = self.wal.as_mut() else { return false };
-        match w.logs.get_mut(&idx) {
+        match w.log_mut(idx) {
             Some(t) => {
                 t.log.set_faults(Some(faults));
                 true

@@ -6,30 +6,37 @@
 //! `O` record (the resolved [`TenantSpec`], re-encoded in the `OPEN`
 //! option grammar), one `E` record per accepted event, `S`/`H` markers
 //! for attributed skips and sheds (so `FINAL` counters survive a
-//! crash), `P` when the chaos hook arms, and `C` at close. Appends
-//! happen at *accept* time — before the event is processed — and a
-//! group-commit pass ([`prefetch_wal::GroupCommit`]) syncs dirty logs
-//! at each batch end, before the batch's responses are released; under
-//! `--fsync always` every acknowledged response is therefore durable.
+//! crash), `P` when the chaos hook arms, and `C` at close. A record is
+//! *staged* at accept time — a copy into the buffer the tenant's log owns,
+//! no allocation, no syscall — and the log is flushed, one `write_all`
+//! per tenant per batch, immediately before that tenant's queued events
+//! are applied: nothing is processed that is not in the file. A
+//! group-commit pass ([`prefetch_wal::GroupCommit`]) at each batch end
+//! flushes what is still staged and syncs dirty logs before the batch's
+//! responses are released; under `--fsync always` every acknowledged
+//! response is therefore durable. Batch size changes the number of
+//! writes, never a byte of a log.
 //!
 //! Recovery (`Service::recover`) replays each live log **in full**
 //! through a fresh tenant: a tenant's advice stream is a pure function
 //! of its own ordered events (the crate's determinism contract), so the
 //! replayed advice — file and counters — is bit-identical to the
 //! uninterrupted run. Periodic checkpoints (`<name>.ckpt.pftree`, with
-//! one `.prev` generation) exist to bound *degraded* recovery: a log
-//! longer than `--recover-cap-events` is not replayed but warm-started
-//! from the freshest readable checkpoint, trading the simulator's cache
-//! state for O(1) restart. Damage is classified by the scan: torn tails
-//! (crash artifacts) are truncated and the log resumes; corruption
-//! quarantines that one tenant with a typed [`RecoveryError`] while
-//! every sibling recovers normally.
+//! one `.prev` generation; tmp-write + rename, synced only as the
+//! `--fsync` policy syncs — under `never` not at all, and a snapshot that
+//! fails its fingerprint falls back a generation) exist to bound
+//! *degraded* recovery: a log longer than `--recover-cap-events` is not
+//! replayed but warm-started from the freshest readable checkpoint,
+//! trading the simulator's cache state for O(1) restart. Damage is
+//! classified by the scan: torn tails (crash artifacts) are truncated and
+//! the log resumes; corruption quarantines that one tenant with a typed
+//! [`RecoveryError`] while every sibling recovers normally.
 
 use crate::service::{lock_slot, Service};
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
 use prefetch_telemetry::log as tlog;
-use prefetch_wal::{AppendLog, FsyncPolicy, GroupCommit};
-use std::collections::BTreeMap;
+use prefetch_tree::{PrefetchTree, TreeIoError};
+use prefetch_wal::{atomic, AppendLog, FsyncPolicy, GroupCommit};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -93,6 +100,13 @@ pub enum WalRecord {
 impl WalRecord {
     /// Encode to the record payload (ASCII, one logical line).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Push the record payload onto `out` (which it only extends).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Open { spec, base } => {
                 let mut s = format!(
@@ -112,13 +126,28 @@ impl WalRecord {
                         spec.fault_rate, spec.fault_seed
                     ));
                 }
-                s.into_bytes()
+                out.extend_from_slice(s.as_bytes());
             }
-            WalRecord::Event(block) => format!("E {block}").into_bytes(),
-            WalRecord::Skip => b"S".to_vec(),
-            WalRecord::Shed => b"H".to_vec(),
-            WalRecord::PanicArm => b"P".to_vec(),
-            WalRecord::Close => b"C".to_vec(),
+            // One per event: rendered digit by digit, not through `fmt`.
+            WalRecord::Event(block) => {
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut rest = *block;
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                out.extend_from_slice(b"E ");
+                out.extend_from_slice(&digits[at..]);
+            }
+            WalRecord::Skip => out.push(b'S'),
+            WalRecord::Shed => out.push(b'H'),
+            WalRecord::PanicArm => out.push(b'P'),
+            WalRecord::Close => out.push(b'C'),
         }
     }
 
@@ -172,13 +201,15 @@ pub(crate) struct TenantLog {
 }
 
 /// The service's durability state: the WAL directory, every open
-/// tenant log (keyed by slot index), the group-commit tracker, and the
-/// counters surfaced in `BYE`.
+/// tenant log (at its tenant's slot index), the group-commit tracker, and
+/// the counters surfaced in `BYE`.
 pub(crate) struct Durability {
     dir: PathBuf,
     pub(crate) commit: GroupCommit,
     pub(crate) checkpoint_every: u64,
-    pub(crate) logs: BTreeMap<usize, TenantLog>,
+    logs: Vec<Option<TenantLog>>,
+    /// Every checkpoint snapshot is serialised into this one buffer.
+    snapshot: Vec<u8>,
     /// Records appended across all logs.
     pub(crate) appends: u64,
     /// Successful group-commit fsync passes (log-level syncs).
@@ -199,7 +230,8 @@ impl Durability {
             dir: dir.to_path_buf(),
             commit: GroupCommit::new(fsync),
             checkpoint_every,
-            logs: BTreeMap::new(),
+            logs: Vec::new(),
+            snapshot: Vec::new(),
             appends: 0,
             fsyncs: 0,
             sync_errors: 0,
@@ -235,7 +267,13 @@ impl Durability {
         self.dir.join(format!("{name}.ckpt.pftree.prev"))
     }
 
-    /// Create a fresh log for a newly admitted tenant and append its
+    /// Path of the checkpoint being written, renamed over
+    /// [`Durability::ckpt_path`] when complete.
+    fn ckpt_tmp_path(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.ckpt.pftree.tmp"))
+    }
+
+    /// Create a fresh log for a newly admitted tenant and stage its
     /// `O` record.
     pub(crate) fn create_log(
         &mut self,
@@ -244,23 +282,49 @@ impl Durability {
         base: bool,
     ) -> io::Result<TenantLog> {
         let mut log = AppendLog::create(&self.wal_path(name))?;
-        log.append(&WalRecord::Open { spec: spec.clone(), base }.encode())?;
+        let open = WalRecord::Open { spec: spec.clone(), base };
+        log.append_with(|buf| open.encode_into(buf))?;
         self.appends += 1;
         self.commit.note(1);
         Ok(TenantLog { log, since_ckpt: 0 })
     }
 
-    /// Append one record to a tenant's log (no-op when the tenant has no
-    /// log — already degraded). Errors must degrade the tenant.
+    /// The open log of the tenant at slot `idx`, if it has one.
+    pub(crate) fn log_mut(&mut self, idx: usize) -> Option<&mut TenantLog> {
+        self.logs.get_mut(idx)?.as_mut()
+    }
+
+    /// One past the highest slot index that ever had a log.
+    pub(crate) fn slots(&self) -> usize {
+        self.logs.len()
+    }
+
+    /// Enter a created or resumed log at its tenant's slot index.
+    pub(crate) fn install(&mut self, idx: usize, log: TenantLog) {
+        if self.logs.len() <= idx {
+            self.logs.resize_with(idx + 1, || None);
+        }
+        self.logs[idx] = Some(log);
+    }
+
+    /// Stage one record in a tenant's log — a copy into the buffer the
+    /// log owns (no-op when the tenant has no log — already degraded).
+    /// Errors must degrade the tenant.
     pub(crate) fn append(&mut self, idx: usize, record: &WalRecord) -> io::Result<()> {
-        let Some(t) = self.logs.get_mut(&idx) else { return Ok(()) };
-        t.log.append(&record.encode())?;
-        self.appends += 1;
-        self.commit.note(1);
+        let Some(t) = self.log_mut(idx) else { return Ok(()) };
+        t.log.append_with(|buf| record.encode_into(buf))?;
         if matches!(record, WalRecord::Event(_)) {
             t.since_ckpt += 1;
         }
+        self.appends += 1;
+        self.commit.note(1);
         Ok(())
+    }
+
+    /// Write a tenant's staged records to its file (one `write_all`).
+    /// Errors must degrade the tenant.
+    pub(crate) fn flush_log(&mut self, idx: usize) -> io::Result<()> {
+        self.log_mut(idx).map_or(Ok(()), |t| t.log.flush())
     }
 
     /// Delete every on-disk artifact of a closed tenant (log, base
@@ -268,7 +332,7 @@ impl Durability {
     /// gone either way, and a surviving log ends in `C`, which recovery
     /// treats as closed.
     pub(crate) fn retire(&mut self, idx: usize, name: &str) {
-        self.logs.remove(&idx);
+        self.drop_log(idx);
         for path in [
             self.wal_path(name),
             self.base_path(name),
@@ -295,15 +359,17 @@ impl Durability {
     /// degradation keeps the history for postmortem, quarantine keeps it
     /// so recovery reproduces the failure).
     pub(crate) fn drop_log(&mut self, idx: usize) {
-        self.logs.remove(&idx);
+        if let Some(log) = self.logs.get_mut(idx) {
+            *log = None;
+        }
     }
 
-    /// Sync one tenant's log now (close and quarantine seal their history
-    /// ahead of the group commit); counts like a group-commit sync and
-    /// returns whether the log is durable. `false` when the tenant has no
-    /// log.
+    /// Flush and sync one tenant's log now (close and quarantine seal
+    /// their history ahead of the group commit); counts like a
+    /// group-commit sync and returns whether the log is durable. `false`
+    /// when the tenant has no log.
     pub(crate) fn sync_log(&mut self, idx: usize) -> bool {
-        let Some(t) = self.logs.get_mut(&idx) else { return false };
+        let Some(t) = self.log_mut(idx) else { return false };
         let synced = t.log.sync().is_ok();
         if synced {
             self.fsyncs += 1;
@@ -317,7 +383,8 @@ impl Durability {
     /// (the caller degrades those tenants).
     pub(crate) fn sync_all(&mut self) -> Vec<usize> {
         let mut failed = Vec::new();
-        for (&idx, t) in self.logs.iter_mut() {
+        for (idx, t) in self.logs.iter_mut().enumerate() {
+            let Some(t) = t else { continue };
             if t.log.dirty() == 0 {
                 continue;
             }
@@ -337,18 +404,36 @@ impl Durability {
         if self.checkpoint_every == 0 {
             return Vec::new();
         }
-        let every = self.checkpoint_every;
-        self.logs
-            .iter_mut()
-            .filter_map(|(&idx, t)| {
-                if t.since_ckpt >= every {
-                    t.since_ckpt = 0;
-                    Some(idx)
-                } else {
-                    None
-                }
-            })
-            .collect()
+        let mut due = Vec::new();
+        for (idx, t) in self.logs.iter_mut().enumerate() {
+            let Some(t) = t else { continue };
+            if t.since_ckpt >= self.checkpoint_every {
+                t.since_ckpt = 0;
+                due.push(idx);
+            }
+        }
+        due
+    }
+
+    /// Whether the fsync policy syncs anything while serving; under
+    /// `never` a checkpoint is written and renamed but not synced.
+    pub(crate) fn syncs(&self) -> bool {
+        self.commit.policy() != FsyncPolicy::Never
+    }
+
+    /// Write one checkpoint generation of `tree`: rotate the previous one
+    /// aside, then tmp-write + rename a fresh `pftree-snap/v1`. The
+    /// directory is the caller's to sync, once per commit pass.
+    fn write_checkpoint(&mut self, name: &str, tree: &PrefetchTree) -> Result<(), TreeIoError> {
+        self.snapshot.clear();
+        tree.write_snapshot(&mut self.snapshot)?;
+        let ckpt = self.ckpt_path(name);
+        // Fails when there is no generation to rotate yet.
+        let _ = std::fs::rename(&ckpt, self.ckpt_prev_path(name));
+        let tmp = self.ckpt_tmp_path(name);
+        atomic::write_then_rename(&tmp, &ckpt, &self.snapshot, self.syncs())?;
+        self.checkpoints += 1;
+        Ok(())
     }
 }
 
@@ -482,13 +567,23 @@ pub(crate) fn apply_record(state: &mut TenantState, record: &WalRecord) -> bool 
 // ---------------------------------------------------------------------------
 
 impl Service {
-    /// Append one record to a tenant's WAL; an append failure degrades
+    /// Stage one record in a tenant's WAL; an append failure degrades
     /// that one tenant to in-memory-only (typed, logged, counted) while
     /// everything else keeps its durability.
     pub(crate) fn wal_append(&mut self, idx: usize, record: &WalRecord) {
         let Some(w) = self.wal.as_mut() else { return };
         if let Err(e) = w.append(idx, record) {
             self.degrade_tenant_wal(idx, &format!("append failed: {e}"));
+        }
+    }
+
+    /// Write a tenant's staged records ahead of applying its queued
+    /// events (the write-ahead order); a failure degrades that tenant
+    /// like a failed append.
+    pub(crate) fn wal_flush(&mut self, idx: usize) {
+        let Some(w) = self.wal.as_mut() else { return };
+        if let Err(e) = w.flush_log(idx) {
+            self.degrade_tenant_wal(idx, &format!("flush failed: {e}"));
         }
     }
 
@@ -512,6 +607,9 @@ impl Service {
     /// handle (the file stays for postmortem), flag the tenant, count it.
     fn degrade_tenant_wal(&mut self, idx: usize, reason: &str) {
         let Some(w) = self.wal.as_mut() else { return };
+        // What was staged ahead of the failure still belongs in the file
+        // (nothing is left to write when it was the flush that failed).
+        let _ = w.flush_log(idx);
         w.drop_log(idx);
         let tenant = &self.tenants[idx];
         let mut slot = lock_slot(&tenant.slot);
@@ -528,46 +626,52 @@ impl Service {
         }
     }
 
-    /// Batch-end durability pass: sync dirty logs when the group-commit
-    /// policy says so (a failed sync degrades its tenant), then write
-    /// any due checkpoint snapshots.
+    /// Batch-end durability pass: flush what is still staged (`O`, `S`,
+    /// `H` and `P` records — events were flushed ahead of their own
+    /// processing), sync dirty logs when the group-commit policy says so
+    /// (a failed flush or sync degrades its tenant), then write any due
+    /// checkpoint snapshots.
     pub(crate) fn wal_commit_pass(&mut self) {
-        let (sync_failures, ckpt_due) = {
-            let Some(w) = self.wal.as_mut() else { return };
-            let failures = if w.commit.due() { w.sync_all() } else { Vec::new() };
-            (failures, w.checkpoint_due())
-        };
+        for idx in 0..self.wal.as_ref().map_or(0, Durability::slots) {
+            self.wal_flush(idx);
+        }
+        let Some(w) = self.wal.as_mut() else { return };
+        let sync_failures = if w.commit.due() { w.sync_all() } else { Vec::new() };
+        let ckpt_due = w.checkpoint_due();
         for idx in sync_failures {
             self.degrade_tenant_wal(idx, "fsync failed");
         }
+        let mut renamed = false;
         for idx in ckpt_due {
-            self.checkpoint_tenant(idx);
+            renamed |= self.checkpoint_tenant(idx);
+        }
+        // One directory sync covers every rename of the pass.
+        if let Some(w) = self.wal.as_ref().filter(|w| renamed && w.syncs()) {
+            atomic::sync_dir(w.dir());
         }
     }
 
-    /// Write one tenant's periodic checkpoint: rotate the previous
-    /// generation aside, then save a fresh `pftree-snap/v1`. Failures
-    /// only warn — checkpoints accelerate degraded recovery, they are
-    /// not load-bearing for the sound (full-replay) path.
-    fn checkpoint_tenant(&mut self, idx: usize) {
+    /// Write one tenant's periodic checkpoint and return whether a new
+    /// generation was renamed into place. Failures only warn —
+    /// checkpoints accelerate degraded recovery, they are not
+    /// load-bearing for the sound (full-replay) path, and a snapshot that
+    /// fails its fingerprint falls back a generation.
+    fn checkpoint_tenant(&mut self, idx: usize) -> bool {
         let tenant = &self.tenants[idx];
-        let Some(w) = self.wal.as_mut() else { return };
-        let (ckpt, prev) = (w.ckpt_path(&tenant.name), w.ckpt_prev_path(&tenant.name));
+        let Some(w) = self.wal.as_mut() else { return false };
         let mut slot = lock_slot(&tenant.slot);
-        let Some(tree) = slot.live().ok().and_then(|state| state.tree()) else { return };
-        if ckpt.exists() {
-            let _ = std::fs::rename(&ckpt, &prev);
-        }
-        match tree.save_snapshot(&ckpt) {
-            Ok(_) => {
-                w.checkpoints += 1;
+        let Some(tree) = slot.live().ok().and_then(|state| state.tree()) else { return false };
+        match w.write_checkpoint(&tenant.name, tree) {
+            Ok(()) => {
                 tlog::info("serve_wal_checkpoint").str("tenant", tenant.name.to_string()).emit();
+                true
             }
             Err(e) => {
                 tlog::warn("serve_wal_checkpoint_failed")
                     .str("tenant", tenant.name.to_string())
                     .str("error", e.to_string())
                     .emit();
+                false
             }
         }
     }

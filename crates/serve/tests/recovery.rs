@@ -13,7 +13,7 @@
 
 use prefetch_disk::DurabilityFaultPlan;
 use prefetch_serve::{ServeOpts, Service, TenantDefaults, TenantSpec, WalOpts, WalRecord};
-use prefetch_wal::{AppendLog, FsyncPolicy};
+use prefetch_wal::{AppendFault, AppendLog, FsyncPolicy, WriteFaults};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -83,6 +83,22 @@ fn baseline(root: &Path, lines: &[String]) {
     let _ = s.drain();
 }
 
+/// The blocks of the `E` records in `tenant`'s log as the file stands
+/// (`None` when there is no file); the scan must not call it corrupt.
+fn logged_events(wal: &Path, tenant: &str) -> Option<Vec<u64>> {
+    let path = wal.join(format!("{tenant}.wal"));
+    if !path.exists() {
+        return None;
+    }
+    let scan = prefetch_wal::scan(&path).unwrap();
+    assert!(scan.resumable(), "{tenant}: {:?}", scan.tail);
+    let event = |payload: &Vec<u8>| match WalRecord::decode(payload).unwrap() {
+        WalRecord::Event(block) => Some(block),
+        _ => None,
+    };
+    Some(scan.records.iter().filter_map(event).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
@@ -129,6 +145,115 @@ proptest! {
                 cut
             );
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Write-ahead order at any batch size: when `process_batch` returns,
+    /// each tenant's file holds exactly the events acknowledged so far —
+    /// whether its records were flushed at batch end, by `METRICS` (the
+    /// early `flush_queued`) or by a tenant verb (`flush_inline`). A short
+    /// write landing mid-batch costs the victim its log from that record
+    /// on, and nothing else: what it staged before is on disk, every
+    /// event is still served, the siblings never notice.
+    #[test]
+    fn acknowledged_events_are_on_disk_after_every_batch(
+        chunk in 1usize..24,
+        verb_at in (0usize..96, 0usize..96, 0usize..96, 0usize..96),
+        arm_after in 0usize..100,
+        seed in 0u64..1000,
+    ) {
+        let root = tmp_dir(&format!("ahead-{chunk}-{arm_after}-{seed}"));
+        let wal = root.join("wal");
+        let mut o = opts(&root.join("advice"), &wal);
+        o.echo_advice = true;
+        let mut s = Service::new(o).expect("service");
+
+        // t0 is the fault's victim (and takes the STATS), t1 the plain
+        // sibling, t2 panics, t3 closes.
+        let verbs = [(verb_at.0, "STATS t0"), (verb_at.1, "METRICS"), (verb_at.2, "PANIC t2"),
+            (verb_at.3, "CLOSE t3")];
+        feed(&mut s, &script(4, 0), 4);
+        let mut lines = Vec::new();
+        for (i, ev) in script(4, 24)[4..].iter().enumerate() {
+            lines.extend(verbs.iter().filter(|(at, _)| *at == i).map(|(_, verb)| verb.to_string()));
+            lines.push(ev.clone());
+        }
+        let plan = DurabilityFaultPlan {
+            seed,
+            short_write_rate: 0.15,
+            ..DurabilityFaultPlan::disabled()
+        };
+        // The fault stream is a function of the append sequence alone, so
+        // a clone says which append after arming it will tear.
+        let mut probe = plan.injector(0);
+        let tears = (0..24u64)
+            .position(|i| matches!(probe.on_append(i, 16), Some(AppendFault::ShortWrite { .. })));
+        let mut armed_at = None;
+
+        let mut sent: [Vec<u64>; 4] = Default::default();
+        let mut acked = [0usize; 4];
+        let mut poisoned = false;
+        let mut closed = false;
+        for (n, batch) in lines.chunks(chunk).enumerate() {
+            let tagged: Vec<(u64, String)> = batch.iter().map(|l| (0, l.clone())).collect();
+            for line in batch {
+                if let Some(ev) = line.strip_prefix("EV t") {
+                    let (t, block) = ev.split_once(' ').unwrap();
+                    sent[t.parse::<usize>().unwrap()].push(block.parse().unwrap());
+                }
+            }
+            for (_, response) in s.process_batch(&tagged) {
+                if let Some(adv) = response.strip_prefix("ADV t") {
+                    acked[adv[..1].parse::<usize>().unwrap()] += 1;
+                }
+                poisoned |= response.starts_with("PANIC t2 ");
+                closed |= response.starts_with("FINAL t3 ");
+            }
+
+            // t0: everything up to the torn record, served regardless.
+            let on_disk = match (armed_at, tears) {
+                (Some(at), Some(k)) => sent[0].len().min(at + k),
+                _ => sent[0].len(),
+            };
+            prop_assert_eq!(acked[0], sent[0].len());
+            prop_assert_eq!(logged_events(&wal, "t0"), Some(sent[0][..on_disk].to_vec()));
+            // t1: exactly what was acknowledged, which is everything.
+            prop_assert_eq!(acked[1], sent[1].len());
+            prop_assert_eq!(logged_events(&wal, "t1"), Some(sent[1].clone()));
+            // t2: the poisonous event is logged (recovery must reproduce
+            // the panic) and so is what was queued behind it; the log
+            // stays, and stays a prefix of what was sent.
+            let t2 = logged_events(&wal, "t2").expect("a quarantined log is kept");
+            prop_assert!(t2.len() >= acked[2] + usize::from(poisoned));
+            prop_assert_eq!(&t2[..], &sent[2][..t2.len()]);
+            if !poisoned {
+                prop_assert_eq!(t2.len(), sent[2].len());
+            }
+            // t3: acknowledged events until the sealed `C` retires the log.
+            match logged_events(&wal, "t3") {
+                None => {
+                    prop_assert!(closed, "only CLOSE removes a log");
+                }
+                Some(t3) => {
+                    prop_assert!(!closed, "a closed log is retired");
+                    prop_assert_eq!(&t3[..], &sent[3][..acked[3]]);
+                }
+            }
+
+            if n == arm_after % lines.len().div_ceil(chunk) {
+                prop_assert!(s.inject_wal_faults("t0", Box::new(plan.injector(0))));
+                armed_at = Some(sent[0].len());
+            }
+        }
+
+        let finals = s.drain();
+        let wal_of = |t: &str| {
+            let line = finals.iter().find(|l| l.starts_with(&format!("FINAL {t} "))).unwrap();
+            line.split_ascii_whitespace().find_map(|kv| kv.strip_prefix("wal=")).unwrap().to_string()
+        };
+        let torn = matches!((armed_at, tears), (Some(at), Some(k)) if at + k < sent[0].len());
+        prop_assert_eq!(wal_of("t0"), if torn { "degraded" } else { "on" });
+        prop_assert_eq!(wal_of("t1"), "on");
         let _ = fs::remove_dir_all(&root);
     }
 }
@@ -437,6 +562,66 @@ fn over_cap_recovery_degrades_from_checkpoint() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Under `--fsync never` a checkpoint is written and renamed but never
+/// synced, so a machine crash can leave the name on an empty or partial
+/// file. Such a snapshot fails its header or fingerprint check and the
+/// degraded path falls back a generation: to `.prev`, and cold when that
+/// is damaged too — told apart here by the advice the restored tenant
+/// goes on to give.
+#[test]
+fn damaged_checkpoints_under_fsync_never_fall_back_a_generation() {
+    let root = tmp_dir("ckpt-never");
+    let wal = root.join("wal");
+    let mut o = opts(&root.join("advice"), &wal);
+    o.wal.fsync = FsyncPolicy::Never;
+    o.wal.checkpoint_every = 25;
+    {
+        let mut s = Service::new(o.clone()).unwrap();
+        feed(&mut s, &script(1, 60), 4);
+        // Crash: no drain.
+    }
+    let newest = fs::read(wal.join("t0.ckpt.pftree")).expect("two generations were written");
+    let previous = fs::read(wal.join("t0.ckpt.pftree.prev")).expect("two generations");
+    assert_ne!(newest, previous);
+
+    // Recover a copy of the directory whose two generations hold `ckpt`
+    // and `prev` (`None` = no such file); the advice for 30 more events.
+    let advice_after = |tag: &str, ckpt: Option<&[u8]>, prev: Option<&[u8]>| {
+        let case = root.join(tag);
+        fs::create_dir_all(&case).unwrap();
+        fs::copy(wal.join("t0.wal"), case.join("t0.wal")).unwrap();
+        for (name, bytes) in [("t0.ckpt.pftree", ckpt), ("t0.ckpt.pftree.prev", prev)] {
+            if let Some(bytes) = bytes {
+                fs::write(case.join(name), bytes).unwrap();
+            }
+        }
+        let mut ropts = opts(&root.join(format!("advice-{tag}")), &case);
+        ropts.echo_advice = true;
+        ropts.wal.fsync = FsyncPolicy::Never;
+        ropts.wal.recover = true;
+        ropts.wal.recover_cap_events = 3;
+        let mut s = Service::new(ropts).unwrap();
+        let report = s.recover();
+        assert_eq!((report.degraded, report.quarantined), (1, 0), "{tag}: {:?}", report.errors);
+        let more: Vec<(u64, String)> = script(1, 90)[61..].iter().map(|l| (0, l.clone())).collect();
+        let advice: Vec<String> = s.process_batch(&more).into_iter().map(|(_, l)| l).collect();
+        let finals = s.drain();
+        assert!(finals[0].contains(" events=90 ") && finals[0].contains(" recovered=degraded "));
+        advice
+    };
+    let from_newest = advice_after("newest", Some(&newest), Some(&previous));
+    let from_prev = advice_after("prev-only", None, Some(&previous));
+    let cold = advice_after("cold", None, None);
+    assert_ne!(from_newest, from_prev, "the probe must tell the generations apart");
+    assert_ne!(from_prev, cold, "the probe must tell a restored tree from none");
+
+    let half = &newest[..newest.len() / 2];
+    assert_eq!(advice_after("zero-length", Some(&[]), Some(&previous)), from_prev);
+    assert_eq!(advice_after("half-written", Some(half), Some(&previous)), from_prev);
+    assert_eq!(advice_after("both-damaged", Some(half), Some(&[])), cold);
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The `key=` counter of a `BYE` line.
 fn bye_field(bye: &str, key: &str) -> u64 {
     let value = bye
@@ -447,8 +632,10 @@ fn bye_field(bye: &str, key: &str) -> u64 {
 }
 
 /// The fsync policy moves only the number of syncs: the same script logs
-/// the same appends under `always` and `never`, `always` syncs strictly
-/// more often, and `--recover` over the `always` directory replays it.
+/// the same appends under `always` and `never`; `always` syncs every
+/// dirty log at every batch end (3 logs × 6 batches, as before records
+/// were staged), `never` only at the drain, once per log — checkpoints
+/// add none; and `--recover` over the `always` directory replays it.
 #[test]
 fn fsync_policy_changes_syncs_not_appends_and_the_log_replays() {
     let root = tmp_dir("fsync");
@@ -456,6 +643,7 @@ fn fsync_policy_changes_syncs_not_appends_and_the_log_replays() {
     let drained_bye = |policy: FsyncPolicy, wal: &Path| {
         let mut o = opts(&root.join("advice"), wal);
         o.wal.fsync = policy;
+        o.wal.checkpoint_every = 10;
         let mut s = Service::new(o).unwrap();
         feed(&mut s, &lines, 16);
         s.drain().pop().expect("drain ends with BYE")
@@ -464,10 +652,10 @@ fn fsync_policy_changes_syncs_not_appends_and_the_log_replays() {
     let never = drained_bye(FsyncPolicy::Never, &root.join("wal-never"));
     assert!(bye_field(&always, "wal_appends") > 0, "{always}");
     assert_eq!(bye_field(&always, "wal_appends"), bye_field(&never, "wal_appends"));
-    assert!(
-        bye_field(&always, "wal_fsyncs") > bye_field(&never, "wal_fsyncs"),
-        "always: {always}\nnever: {never}"
-    );
+    assert!(bye_field(&never, "checkpoints") > 0, "{never}");
+    assert_eq!(bye_field(&always, "checkpoints"), bye_field(&never, "checkpoints"));
+    assert_eq!(bye_field(&always, "wal_fsyncs"), 18, "{always}");
+    assert_eq!(bye_field(&never, "wal_fsyncs"), 3, "{never}");
 
     let mut ropts = opts(&root.join("advice-rec"), &root.join("wal-always"));
     ropts.wal.recover = true;

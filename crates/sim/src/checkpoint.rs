@@ -33,7 +33,7 @@ use crate::metrics::SimMetrics;
 use prefetch_core::{EngineConfig, ModelConfig, RetryPolicy, SystemParams};
 use prefetch_disk::{DiskArrayConfig, FaultPlan, Striping};
 use prefetch_trace::Trace;
-use prefetch_wal::record::{encode_record, file_header};
+use prefetch_wal::record::{file_header, push_record};
 use prefetch_wal::Tail;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -419,7 +419,7 @@ impl CheckpointJournal {
         }
         let mut image = file_header().to_vec();
         for (&fingerprint, entry) in &state.entries {
-            image.extend_from_slice(&encode_record(&encode_payload(fingerprint, entry)));
+            push_record(&mut image, &encode_payload(fingerprint, entry));
         }
         prefetch_wal::atomic::replace_file_auto(&self.path, &image)
             .map_err(|e| CheckpointError::new(&self.path, &e))?;
@@ -529,7 +529,7 @@ mod tests {
     fn entry_round_trips_bit_exactly_through_the_record_codec() {
         let entry = JournalEntry { skipped_records: 17, metrics: sample_metrics() };
         let mut image = file_header().to_vec();
-        image.extend_from_slice(&encode_record(&encode_payload(0xdead_beef_0bad_f00d, &entry)));
+        push_record(&mut image, &encode_payload(0xdead_beef_0bad_f00d, &entry));
         let scan = prefetch_wal::scan_bytes(&image);
         assert_eq!(scan.tail, Tail::Clean);
         let (fp, back) = decode_payload(&scan.records[0]).expect("round trip");

@@ -7,22 +7,38 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-/// Write `bytes` to `tmp`, fsync, and atomically rename over `dst`.
-///
-/// The parent directory is fsync'd best-effort afterwards: where the
-/// platform honours it, the rename itself is durable; where it does not,
-/// the worst case is the previous file — never corruption.
-pub fn replace_file(tmp: &Path, dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Write `bytes` to `tmp` and rename it over `dst`, syncing the file first
+/// when `sync` is set. A reader never sees a half-written `dst` either
+/// way, and with the sync neither does a crash; without it a machine
+/// crash may leave the name on an empty or partial file, so only
+/// artifacts whose readers verify a fingerprint and have a fallback
+/// (pfserve's checkpoints under `--fsync never`) may skip it.
+pub fn write_then_rename(tmp: &Path, dst: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> {
     {
         let mut f = fs::File::create(tmp)?;
         f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(tmp, dst)?;
-    if let Some(dir) = dst.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
+        if sync {
+            f.sync_all()?;
         }
+    }
+    fs::rename(tmp, dst)
+}
+
+/// Fsync a directory, best-effort: where the platform honours it, the
+/// renames inside it are durable; where it does not, the worst case is
+/// the previous file — never corruption.
+pub fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// Write `bytes` to `tmp`, fsync, atomically rename over `dst`, and
+/// [`sync_dir`] the parent directory.
+pub fn replace_file(tmp: &Path, dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_then_rename(tmp, dst, bytes, true)?;
+    if let Some(dir) = dst.parent() {
+        sync_dir(dir);
     }
     Ok(())
 }

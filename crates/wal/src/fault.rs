@@ -9,8 +9,9 @@
 /// What to do to one append operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppendFault {
-    /// Write only the first `keep` bytes of the record buffer, then fail —
-    /// the torn tail a crash mid-append leaves behind.
+    /// Cut the record to its first `keep` bytes; the flush that writes it
+    /// (everything staged before it intact, this prefix last) then fails —
+    /// the torn tail a crash mid-flush leaves behind.
     ShortWrite {
         /// Bytes of the record buffer actually written.
         keep: usize,

@@ -5,14 +5,15 @@
 //! Two disciplines cover every durable artifact in the workspace:
 //!
 //! * **Append-only logs** ([`AppendLog`], [`record`]): fingerprinted,
-//!   length-prefixed binary records appended to a file and group-committed
-//!   under a configurable [`FsyncPolicy`]. Because an append is a single
-//!   prefix-write of one record buffer, a crash can only leave a *strict
-//!   prefix* of the bytes — so on open ([`scan`]) a record that extends
-//!   past EOF is a **torn tail** (truncated, work re-runs), while a
-//!   fully-present record whose FNV-1a fingerprint mismatches can only be
-//!   **corruption** (bit rot, a flipped bit) and is surfaced as a typed
-//!   [`Tail::Corrupt`] for the caller to quarantine.
+//!   length-prefixed binary records staged in memory, flushed to a file
+//!   and group-committed under a configurable [`FsyncPolicy`]. Because a
+//!   flush is a single prefix-write of whole records, a crash can only
+//!   leave a *strict prefix* of the bytes — so on open ([`scan`]) a
+//!   record that extends past EOF is a **torn tail** (truncated, work
+//!   re-runs), while a fully-present record whose FNV-1a fingerprint
+//!   mismatches can only be **corruption** (bit rot, a flipped bit) and
+//!   is surfaced as a typed [`Tail::Corrupt`] for the caller to
+//!   quarantine.
 //! * **Atomic replace-writes** ([`atomic::replace_file`]): whole-file
 //!   artifacts (checkpoint journals, tree snapshots) are written to a
 //!   sibling temp file, fsync'd, and renamed over the live file, so a

@@ -12,9 +12,10 @@
 //!
 //! ## Torn vs corrupt
 //!
-//! An append is one `write_all` of the complete record buffer, so a crash
-//! leaves a strict prefix of the appended bytes. The scanner exploits
-//! that to classify damage precisely:
+//! A flush is one `write_all` of whole records (every record staged since
+//! the last flush, back to back), so a crash leaves a strict prefix of
+//! the flushed bytes: some whole records, then at most one partial one.
+//! The scanner exploits that to classify damage precisely:
 //!
 //! * record extends past EOF, or an all-zero header at the tail (some
 //!   filesystems zero-fill recovered extents) → [`Tail::Torn`]: drop the
@@ -52,20 +53,30 @@ pub fn file_header() -> [u8; FILE_HEADER_LEN] {
     out
 }
 
-/// Render one record (header + payload) into a fresh buffer.
+/// Append one record to `buf` — header, then whatever payload `render`
+/// pushes — and return the record's length (header included). `render`
+/// must only extend `buf`.
 ///
 /// # Panics
 /// Panics on an empty payload or one longer than [`MAX_RECORD_LEN`].
-pub fn encode_record(payload: &[u8]) -> Vec<u8> {
+pub fn push_record_with(buf: &mut Vec<u8>, render: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    render(buf);
+    let (header, payload) = buf[start..].split_at_mut(RECORD_HEADER_LEN);
     assert!(
         !payload.is_empty() && payload.len() <= MAX_RECORD_LEN,
         "record payload must be 1..={MAX_RECORD_LEN} bytes"
     );
-    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fingerprint(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fingerprint(payload).to_le_bytes());
+    RECORD_HEADER_LEN + payload.len()
+}
+
+/// Append one record (header + `payload`) to `buf`; see
+/// [`push_record_with`].
+pub fn push_record(buf: &mut Vec<u8>, payload: &[u8]) -> usize {
+    push_record_with(buf, |buf| buf.extend_from_slice(payload))
 }
 
 /// How the scan ended.
@@ -220,7 +231,7 @@ mod tests {
     fn image(payloads: &[&[u8]]) -> Vec<u8> {
         let mut buf = file_header().to_vec();
         for p in payloads {
-            buf.extend_from_slice(&encode_record(p));
+            push_record(&mut buf, p);
         }
         buf
     }
