@@ -1,10 +1,11 @@
-//! Dependency-free scoped thread pool with deterministic, index-ordered
-//! result collection, and the workspace's one panic-capture helper.
+//! Dependency-free thread pool of long-lived helpers with deterministic,
+//! index-ordered result collection, and the workspace's one panic-capture
+//! helper.
 //!
-//! [`run_indexed`] evaluates `f(0), f(1), …, f(n-1)` across a set of scoped
-//! worker threads and returns the results **in index order**, so callers
-//! that previously ran a sequential `map` observe byte-identical output.
-//! The determinism contract:
+//! [`run_indexed`] evaluates `f(0), f(1), …, f(n-1)` on the calling thread
+//! and up to `threads − 1` helper threads, and returns the results **in
+//! index order**, so callers that previously ran a sequential `map`
+//! observe byte-identical output. The determinism contract:
 //!
 //! * Result `i` of the returned vector is exactly `f(i)` — scheduling never
 //!   reorders, drops, or duplicates work items.
@@ -16,17 +17,31 @@
 //!   payload downcasts keep working across the pool boundary.
 //! * `threads == 1` (or `n <= 1`) bypasses the pool entirely and runs the
 //!   plain sequential loop on the calling thread.
+//! * When the call returns, no helper holds anything of it: `f` and what
+//!   it captured are dropped on the calling thread, as a scoped pool would.
 //!
-//! Scheduling is one shared cursor: a worker claims the next unclaimed
+//! Scheduling is one shared cursor: a runner claims the next unclaimed
 //! index with a single `fetch_add`, so indices are claimed in increasing
 //! order and a slow item never strands the ones behind it. Work items are
 //! a tenant's batch flush (microseconds) or a sweep cell (milliseconds to
 //! minutes of simulation); one atomic add per item is below both.
 //!
+//! The helpers start once per process, lazily, and grow to the largest
+//! count any call has asked for; between calls they park on a condvar. A
+//! call opens `threads − 1` seats on itself, wakes the helpers and claims
+//! items itself straight away, so it costs one wake-up, not a spawn and a
+//! join, and the caller never sits idle while a helper wakes. A helper
+//! outlives the call it serves, which is why `f` and its results must be
+//! `'static`: safe Rust cannot lend a borrow to a thread that may outlive
+//! it, so callers share their data through an `Arc` instead. A call made
+//! from inside an item (nested) or from several threads at once always
+//! completes, because its caller can run every item alone; it gets those
+//! helpers that are idle while its seats are open.
+//!
 //! The pool size is a process-global knob ([`set_threads`]) rather than a
 //! per-call argument so that deep call chains (CLI → experiment grid →
 //! sweep) need no plumbing; `0` means "use
-//! [`std::thread::available_parallelism`]".
+//! [`std::thread::available_parallelism`]", read once per process.
 //!
 //! [`catch_quiet`] is how the callers that *contain* a panic (a sweep
 //! cell, a tenant flush) run their closure: under `catch_unwind`, with the
@@ -40,7 +55,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 /// Global thread-count setting; `0` = auto (available parallelism).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -59,9 +74,15 @@ pub fn configured_threads() -> usize {
 
 /// The number of workers a `run_indexed` call would use right now, after
 /// resolving `0` to the machine's available parallelism. Always ≥ 1.
+///
+/// The machine's parallelism is read on the first call that needs it and
+/// kept: the lookup reads cgroup files, far too slow to repeat per batch.
 pub fn effective_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
     match THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+        0 => {
+            *AUTO.get_or_init(|| std::thread::available_parallelism().map(usize::from).unwrap_or(1))
+        }
         n => n,
     }
 }
@@ -109,91 +130,259 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Evaluate `f(0..n)` on the configured number of threads and return the
 /// results in index order. See the module docs for the determinism and
-/// panic-propagation contract.
+/// panic-propagation contract, and for why the bounds are `'static`.
 pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
 {
-    let workers = effective_threads().min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
+    POOL.run(effective_threads(), n, f)
+}
+
+type Payload = Box<dyn Any + Send>;
+
+/// The process's helpers and the one pool [`run_indexed`] dispatches to.
+static POOL: Pool = Pool::new();
+
+/// A set of helper threads and the calls with seats open to them.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled when a call opens seats.
+    work: Condvar,
+}
+
+struct Queue {
+    /// Helper threads started so far; never shrinks.
+    helpers: usize,
+    /// Calls with seats no helper has taken yet, oldest first. A call's
+    /// entry leaves when its last seat is taken or its caller has claimed
+    /// past the end, whichever is first.
+    open: Vec<Seats>,
+}
+
+struct Seats {
+    call: Arc<dyn Task>,
+    left: usize,
+}
+
+/// One call as a helper sees it.
+trait Task: Send + Sync {
+    /// Claim and run items until the cursor passes the end, then report
+    /// the results to the caller — after dropping this handle, so the
+    /// caller's own is the last one.
+    fn serve(self: Arc<Self>);
+}
+
+/// One `run_indexed` call: the closure, the cursor, and where its runners
+/// report.
+struct Call<T, F> {
+    f: F,
+    n: usize,
+    /// Next unclaimed index. Claims are in increasing order, so every
+    /// index below a panicking one was claimed — and checked against
+    /// `min_panic` — before any panic at or above it could be recorded.
+    next: AtomicUsize,
+    /// Smallest panicking index seen so far (usize::MAX = none); lets
+    /// runners skip items that can no longer influence the outcome.
+    min_panic: AtomicUsize,
+    done: Arc<Done<T>>,
+}
+
+/// What one runner (the caller or a helper) produced: its items, and the
+/// first — hence smallest — index that panicked on it.
+struct Part<T> {
+    items: Vec<(usize, T)>,
+    panic: Option<(usize, Payload)>,
+}
+
+/// The results gathered so far; the caller waits on `reported`.
+struct Done<T> {
+    tally: Mutex<Tally<T>>,
+    reported: Condvar,
+}
+
+struct Tally<T> {
+    slots: Vec<Option<T>>,
+    panic: Option<(usize, Payload)>,
+    /// Helpers that have handed in their part.
+    reports: usize,
+}
+
+fn relock<G>(r: Result<G, PoisonError<G>>) -> G {
+    // Every guarded update leaves its data valid at every step; poison
+    // only means an unrelated thread died holding the lock.
+    r.unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    const fn new() -> Self {
+        Pool { queue: Mutex::new(Queue { helpers: 0, open: Vec::new() }), work: Condvar::new() }
     }
 
-    // Next unclaimed index. Claims are in increasing order, so every
-    // index below a panicking one was claimed — and checked against
-    // `min_panic` — before any panic at or above it could be recorded.
-    let next = AtomicUsize::new(0);
-    // Smallest panicking index seen so far (usize::MAX = none); lets
-    // workers skip items that can no longer influence the outcome.
-    let min_panic = AtomicUsize::new(usize::MAX);
-    let panic_slot: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        relock(self.queue.lock())
+    }
 
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, f) = (&next, &f);
-                let (min_panic, panic_slot) = (&min_panic, &panic_slot);
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // An item above the smallest recorded panic can
-                        // neither be returned nor beat that panic.
-                        if i > min_panic.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(v) => out.push((i, v)),
-                            Err(payload) => {
-                                min_panic.fetch_min(i, Ordering::Relaxed);
-                                let mut slot = panic_slot.lock().unwrap();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, payload)),
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => {
-                    for (i, v) in part {
-                        debug_assert!(slots[i].is_none(), "index {i} produced twice");
-                        slots[i] = Some(v);
-                    }
+    /// `run_indexed` on `workers` runners of this pool: the caller plus up
+    /// to `workers − 1` of its helpers, started here on first need.
+    fn run<T, F>(&'static self, workers: usize, n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        let seats = workers.min(n).saturating_sub(1);
+        if seats == 0 {
+            return (0..n).map(f).collect();
+        }
+        let call = Arc::new(Call {
+            f,
+            n,
+            next: AtomicUsize::new(0),
+            min_panic: AtomicUsize::new(usize::MAX),
+            done: Arc::new(Done {
+                tally: Mutex::new(Tally {
+                    slots: (0..n).map(|_| None).collect(),
+                    panic: None,
+                    reports: 0,
+                }),
+                reported: Condvar::new(),
+            }),
+        });
+        {
+            let mut queue = self.queue();
+            while queue.helpers < seats {
+                let spawned = std::thread::Builder::new()
+                    .name("prefetch-pool".into())
+                    .spawn(move || self.help());
+                if spawned.is_err() {
+                    // The caller can run every item alone.
+                    break;
                 }
-                // The worker loop only panics outside `catch_unwind` on
-                // internal errors (poisoned lock, allocation failure);
-                // surface those as-is.
-                Err(payload) => resume_unwind(payload),
+                queue.helpers += 1;
+            }
+            queue.open.push(Seats { call: call.clone(), left: seats });
+        }
+        if seats == 1 {
+            self.work.notify_one();
+        } else {
+            self.work.notify_all();
+        }
+
+        let mine = call.claim();
+        // Close the seats: from here on no helper can join, so the ones
+        // that did are exactly the reports to wait for.
+        let joined = {
+            let mut queue = self.queue();
+            let this = Arc::as_ptr(&call) as *const ();
+            match queue.open.iter().position(|s| Arc::as_ptr(&s.call) as *const () == this) {
+                Some(k) => seats - queue.open.remove(k).left,
+                None => seats,
+            }
+        };
+        let (slots, panic) = {
+            let done = &call.done;
+            let mut tally = relock(done.tally.lock());
+            tally.absorb(mine);
+            while tally.reports < joined {
+                tally = relock(done.reported.wait(tally));
+            }
+            (std::mem::take(&mut tally.slots), tally.panic.take())
+        };
+        drop(call);
+        if let Some((_, payload)) = panic {
+            drop(slots);
+            resume_unwind(payload);
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| v.unwrap_or_else(|| panic!("pool lost item {i}")))
+            .collect()
+    }
+
+    /// A helper's life: take a seat on the oldest open call, serve it,
+    /// park when there is none. Helpers live as long as the process and
+    /// are never joined; nothing they run unwinds out of `serve`, since
+    /// every item runs under `catch_unwind`.
+    fn help(&self) {
+        let mut queue = self.queue();
+        loop {
+            let Some(seats) = queue.open.first_mut() else {
+                queue = relock(self.work.wait(queue));
+                continue;
+            };
+            seats.left -= 1;
+            let call =
+                if seats.left == 0 { queue.open.remove(0).call } else { Arc::clone(&seats.call) };
+            drop(queue);
+            call.serve();
+            queue = self.queue();
+        }
+    }
+}
+
+impl<T, F: Fn(usize) -> T> Call<T, F> {
+    fn claim(&self) -> Part<T> {
+        let mut part = Part { items: Vec::new(), panic: None };
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return part;
+            }
+            // An item above the smallest recorded panic can neither be
+            // returned nor beat that panic.
+            if i > self.min_panic.load(Ordering::Relaxed) {
+                continue;
+            }
+            match catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
+                Ok(v) => part.items.push((i, v)),
+                Err(payload) => {
+                    self.min_panic.fetch_min(i, Ordering::Relaxed);
+                    part.panic = Some((i, payload));
+                }
             }
         }
-    });
-
-    if let Some((_, payload)) = panic_slot.into_inner().unwrap() {
-        drop(slots);
-        resume_unwind(payload);
     }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| v.unwrap_or_else(|| panic!("pool lost item {i}")))
-        .collect()
+}
+
+impl<T, F> Task for Call<T, F>
+where
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
+{
+    fn serve(self: Arc<Self>) {
+        let done = Arc::clone(&self.done);
+        let part = self.claim();
+        drop(self);
+        let mut tally = relock(done.tally.lock());
+        tally.absorb(part);
+        tally.reports += 1;
+        drop(tally);
+        done.reported.notify_one();
+    }
+}
+
+impl<T> Tally<T> {
+    fn absorb(&mut self, part: Part<T>) {
+        for (i, v) in part.items {
+            debug_assert!(self.slots[i].is_none(), "index {i} produced twice");
+            self.slots[i] = Some(v);
+        }
+        if let Some((i, payload)) = part.panic {
+            if self.panic.as_ref().is_none_or(|(j, _)| i < *j) {
+                self.panic = Some((i, payload));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     /// Serialise tests that touch the global thread knob.
     static KNOB: Mutex<()> = Mutex::new(());
@@ -217,9 +406,10 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
-        let counts: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
+        let counts: Arc<Vec<AtomicU64>> = Arc::new((0..257).map(|_| AtomicU64::new(0)).collect());
+        let shared = Arc::clone(&counts);
         with_threads(4, || {
-            run_indexed(counts.len(), |i| counts[i].fetch_add(1, Ordering::Relaxed))
+            run_indexed(counts.len(), move |i| shared[i].fetch_add(1, Ordering::Relaxed))
         });
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
@@ -295,11 +485,12 @@ mod tests {
     fn indices_below_a_panic_all_run() {
         // Sequential semantics: everything left of the surfaced panic has
         // observably executed.
-        let ran: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        let ran: Arc<Vec<AtomicU64>> = Arc::new((0..40).map(|_| AtomicU64::new(0)).collect());
+        let shared = Arc::clone(&ran);
         let result = with_threads(4, || {
             catch_unwind(AssertUnwindSafe(|| {
-                run_indexed(ran.len(), |i| {
-                    ran[i].fetch_add(1, Ordering::Relaxed);
+                run_indexed(ran.len(), move |i| {
+                    shared[i].fetch_add(1, Ordering::Relaxed);
                     if i == 25 {
                         panic!("stop");
                     }
@@ -331,5 +522,99 @@ mod tests {
         set_threads(0);
         assert!(effective_threads() >= 1);
         assert_eq!(configured_threads(), 0);
+    }
+
+    #[test]
+    fn auto_threads_are_resolved_once() {
+        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(0);
+        let first = effective_threads();
+        assert!((0..1_000).all(|_| effective_threads() == first));
+        set_threads(first + 3);
+        assert_eq!(effective_threads(), first + 3);
+        set_threads(0);
+        assert_eq!(configured_threads(), 0, "0 still means auto");
+        assert_eq!(effective_threads(), first);
+    }
+
+    // The tests below run on pools of their own, so the helper set they
+    // observe is the one their calls grew.
+
+    #[test]
+    fn helpers_outlive_the_call() {
+        static PRIVATE: Pool = Pool::new();
+        // The thread every item of every call ran on.
+        let seen: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+        for call in 0..1_000 {
+            let seen_by_items = Arc::clone(&seen);
+            let got = PRIVATE.run(4, 16, move |i| {
+                seen_by_items.lock().unwrap().insert(std::thread::current().id());
+                std::hint::black_box((0..200).fold(i, |a, b| a ^ b));
+                i * call
+            });
+            assert_eq!(got, (0..16).map(|i| i * call).collect::<Vec<_>>());
+        }
+        let mut ids = seen.lock().unwrap().clone();
+        ids.remove(&std::thread::current().id());
+        assert!(ids.len() <= 3, "1 000 calls ran on {} helper threads", ids.len());
+        assert_eq!(PRIVATE.queue().helpers, 3);
+        assert!(PRIVATE.queue().open.is_empty(), "a returned call left its seats open");
+    }
+
+    #[test]
+    fn a_nested_call_returns() {
+        static PRIVATE: Pool = Pool::new();
+        let got = PRIVATE.run(4, 8, |i| PRIVATE.run(4, 8, move |j| i * 8 + j));
+        let want: Vec<Vec<usize>> = (0..8).map(|i| (0..8).map(|j| i * 8 + j).collect()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_results() {
+        static PRIVATE: Pool = Pool::new();
+        let start = Arc::new(Barrier::new(2));
+        let callers: Vec<_> = [(2, 1_000), (4, 2_000)]
+            .into_iter()
+            .map(|(workers, base)| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for round in 0..200 {
+                        let got = PRIVATE.run(workers, 37, move |i| base + round * 100 + i);
+                        let want: Vec<usize> = (0..37).map(|i| base + round * 100 + i).collect();
+                        assert_eq!(got, want, "workers={workers} round={round}");
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("a concurrent caller failed");
+        }
+    }
+
+    #[test]
+    fn helpers_serve_the_call_after_a_panic() {
+        static PRIVATE: Pool = Pool::new();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            PRIVATE.run(4, 32, |i| {
+                if i == 5 {
+                    panic!("item {i}");
+                }
+                i
+            })
+        }));
+        assert!(panicked.is_err());
+
+        // Items 0 and 1 meet at a barrier: a runner holds one item at a
+        // time, so the call finishes only if a helper runs one of them
+        // while the caller runs the other.
+        let meet = Arc::new(Barrier::new(2));
+        let got = PRIVATE.run(4, 32, move |i| {
+            if i < 2 {
+                meet.wait();
+            }
+            i
+        });
+        assert_eq!(got, (0..32).collect::<Vec<_>>());
     }
 }

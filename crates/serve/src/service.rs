@@ -159,13 +159,14 @@ impl Slot {
     }
 }
 
-/// One tenant's registry entry. The mutex makes the slot shareable with
-/// pool workers; it is uncontended (a tenant is flushed by exactly one
-/// worker per batch) and poison is always recovered — a panic inside a
-/// flush is the *expected* failure mode this service exists to contain.
+/// One tenant's registry entry. The `Arc` lets a flush hand the slot to
+/// a pool helper, which outlives the batch; the mutex is uncontended (a
+/// tenant is flushed by exactly one worker per batch) and poison is
+/// always recovered — a panic inside a flush is the *expected* failure
+/// mode this service exists to contain.
 pub(crate) struct Tenant {
     pub(crate) name: Arc<str>,
-    pub(crate) slot: Mutex<Slot>,
+    pub(crate) slot: Arc<Mutex<Slot>>,
     /// Refusals addressed to this name, by [`RejectReason`] code.
     pub(crate) rejects: [u64; N_REJECT_REASONS],
 }
@@ -215,6 +216,14 @@ struct Batch {
     /// whatever the worker count.
     order: Vec<usize>,
     out: Vec<(ConnId, String)>,
+}
+
+/// One tenant's share of a pool flush: its registry index, its slot,
+/// and the events to apply.
+struct Flushing {
+    i: usize,
+    slot: Arc<Mutex<Slot>>,
+    events: Vec<(ConnId, u64)>,
 }
 
 /// What one tenant's batch flush produced.
@@ -502,7 +511,7 @@ impl Service {
                 let i = self.tenants.len();
                 self.tenants.push(Tenant {
                     name: Arc::from(name),
-                    slot: Mutex::new(slot),
+                    slot: Arc::new(Mutex::new(slot)),
                     rejects: [0; N_REJECT_REASONS],
                 });
                 self.index.insert(name.to_string(), i);
@@ -675,12 +684,13 @@ impl Service {
     /// one work item; results come back in first-appearance order, so
     /// the response stream is independent of the worker count.
     fn flush_queued(&mut self, batch: &mut Batch) {
-        let active: Vec<(usize, Vec<(ConnId, u64)>)> = batch
+        let active: Arc<[Flushing]> = batch
             .order
             .iter()
             .filter_map(|&i| {
                 let events = std::mem::take(&mut batch.queues.get_mut(&i)?.events);
-                (!events.is_empty()).then_some((i, events))
+                let slot = &self.tenants[i].slot;
+                (!events.is_empty()).then(|| Flushing { i, slot: Arc::clone(slot), events })
             })
             .collect();
         if active.is_empty() {
@@ -688,17 +698,17 @@ impl Service {
         }
         // Write-ahead: a tenant's records are in its file before its
         // events are applied.
-        for (i, _) in &active {
-            self.wal_flush(*i);
+        for a in active.iter() {
+            self.wal_flush(a.i);
         }
-        let tenants = &self.tenants;
         let metrics_on = self.registry.is_some();
-        let flushes = prefetch_pool::run_indexed(active.len(), |j| {
-            let (i, events) = &active[j];
-            flush_tenant(&tenants[*i].slot, events, metrics_on)
+        let shared = Arc::clone(&active);
+        let flushes = prefetch_pool::run_indexed(active.len(), move |j| {
+            let a = &shared[j];
+            flush_tenant(&a.slot, &a.events, metrics_on)
         });
-        for ((i, events), flush) in active.iter().zip(flushes) {
-            self.absorb_flush(batch, *i, events, flush);
+        for (a, flush) in active.iter().zip(flushes) {
+            self.absorb_flush(batch, a.i, &a.events, flush);
         }
     }
 

@@ -23,6 +23,7 @@ use crate::report::Report;
 use crate::sweep::SweepCell;
 use prefetch_trace::synth::TraceKind;
 use prefetch_trace::Trace;
+use std::sync::Arc;
 
 /// Options shared by all experiments.
 #[derive(Clone, Debug)]
@@ -87,7 +88,7 @@ impl ExperimentOpts {
     /// simply absent from the output (experiments render them as `NA`);
     /// the details land in [`HarnessOpts::log`]. The only hard error — a
     /// malformed cell list — is an experiment bug, so it panics here.
-    pub fn run_cells(&self, traces: &[Trace], cells: &[(usize, SimConfig)]) -> Vec<SweepCell> {
+    pub fn run_cells(&self, traces: &Arc<[Trace]>, cells: &[(usize, SimConfig)]) -> Vec<SweepCell> {
         run_cells_checkpointed(traces, cells, &self.harness)
             .expect("experiment built an invalid cell list")
             .completed_cells()
@@ -96,8 +97,9 @@ impl ExperimentOpts {
 
 /// The four synthetic traces, generated once and shared by experiments.
 pub struct TraceSet {
-    /// Traces in [`TraceKind::ALL`] order.
-    pub traces: Vec<Trace>,
+    /// Traces in [`TraceKind::ALL`] order, shared with the sweep's pool
+    /// helpers without a copy.
+    pub traces: Arc<[Trace]>,
 }
 
 impl TraceSet {

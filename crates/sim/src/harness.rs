@@ -543,37 +543,26 @@ fn open_journal(dir: &Path, log: &SweepLog) -> Option<CheckpointJournal> {
     Some(journal)
 }
 
-/// Run an explicit list of (trace index, config) cells in parallel,
-/// preserving input order in the output: the crate's one sweep.
-///
-/// Every cell terminates in one of the four [`CellStatus`] states; the
-/// only `Err` is [`SweepError::BadTraceIndex`], raised before any work.
-pub fn run_cells_checkpointed(
-    traces: &[Trace],
-    cells: &[(usize, SimConfig)],
-    opts: &HarnessOpts,
-) -> Result<SweepRun, SweepError> {
-    if let Some(&(index, _)) = cells.iter().find(|&&(ti, _)| ti >= traces.len()) {
-        return Err(SweepError::BadTraceIndex { index, traces: traces.len() });
-    }
-    // One shared name allocation per trace: every cell clones an `Arc`
-    // pointer instead of the name string.
-    let names: Vec<Arc<str>> = traces.iter().map(|t| Arc::from(t.meta().name.as_str())).collect();
-    tlog::debug("sweep_start")
-        .u64("cells", cells.len() as u64)
-        .u64("traces", traces.len() as u64)
-        .bool("checkpointed", opts.checkpoint_dir.is_some())
-        .emit();
-    let journal = opts.checkpoint_dir.as_deref().and_then(|dir| open_journal(dir, &opts.log));
+/// What a sweep's pool runners share: the cells, their traces, and how
+/// each cell is run and journaled.
+struct Sweep {
+    traces: Arc<[Trace]>,
+    cells: Vec<(usize, SimConfig)>,
+    /// One shared name allocation per trace: every cell clones an `Arc`
+    /// pointer instead of the name string.
+    names: Vec<Arc<str>>,
+    journal: Option<CheckpointJournal>,
+    opts: HarnessOpts,
+}
 
-    let outcomes = prefetch_pool::run_indexed(cells.len(), |i| {
-        let (trace_index, config) = cells[i];
-        let trace = &traces[trace_index];
-        let name = &names[trace_index];
+impl Sweep {
+    /// Run (or restore, or skip) cell `i`.
+    fn cell(&self, i: usize) -> CellOutcome {
+        let (trace_index, config) = self.cells[i];
+        let (trace, name, opts) = (&self.traces[trace_index], &self.names[trace_index], &self.opts);
+        let journal = self.journal.as_ref();
         let fp = cell_fingerprint(trace, &config);
-        let (status, attempts, restored) = if let Some(entry) =
-            journal.as_ref().and_then(|j| j.lookup(fp))
-        {
+        let (status, attempts, restored) = if let Some(entry) = journal.and_then(|j| j.lookup(fp)) {
             let result = SimResult {
                 config,
                 trace: name.clone(),
@@ -592,7 +581,7 @@ pub fn run_cells_checkpointed(
                         skipped_records: result.skipped_records,
                         metrics: result.metrics,
                     };
-                    if let Some(Err(e)) = journal.as_ref().map(|j| j.record(fp, entry)) {
+                    if let Some(Err(e)) = journal.map(|j| j.record(fp, entry)) {
                         tlog::warn("checkpoint_write_failed").str("error", e.to_string()).emit();
                         opts.log.note(format!("checkpoint write failed: {e}"));
                     }
@@ -605,14 +594,46 @@ pub fn run_cells_checkpointed(
         };
         cell_status_record(fp, name, &status, attempts, restored).emit();
         CellOutcome { trace_index, config, status, attempts, restored }
+    }
+}
+
+/// Run an explicit list of (trace index, config) cells in parallel,
+/// preserving input order in the output: the crate's one sweep.
+///
+/// The traces come behind an `Arc` because the pool's helpers outlive
+/// the call: the sweep hands them a handle instead of a copy.
+/// Every cell terminates in one of the four [`CellStatus`] states; the
+/// only `Err` is [`SweepError::BadTraceIndex`], raised before any work.
+pub fn run_cells_checkpointed(
+    traces: &Arc<[Trace]>,
+    cells: &[(usize, SimConfig)],
+    opts: &HarnessOpts,
+) -> Result<SweepRun, SweepError> {
+    if let Some(&(index, _)) = cells.iter().find(|&&(ti, _)| ti >= traces.len()) {
+        return Err(SweepError::BadTraceIndex { index, traces: traces.len() });
+    }
+    tlog::debug("sweep_start")
+        .u64("cells", cells.len() as u64)
+        .u64("traces", traces.len() as u64)
+        .bool("checkpointed", opts.checkpoint_dir.is_some())
+        .emit();
+    let sweep = Arc::new(Sweep {
+        traces: Arc::clone(traces),
+        cells: cells.to_vec(),
+        names: traces.iter().map(|t| Arc::from(t.meta().name.as_str())).collect(),
+        journal: opts.checkpoint_dir.as_deref().and_then(|dir| open_journal(dir, &opts.log)),
+        opts: opts.clone(),
     });
 
-    if let Some(Err(e)) = journal.as_ref().map(CheckpointJournal::flush) {
+    let shared = Arc::clone(&sweep);
+    let outcomes = prefetch_pool::run_indexed(cells.len(), move |i| shared.cell(i));
+
+    if let Some(Err(e)) = sweep.journal.as_ref().map(CheckpointJournal::flush) {
         tlog::warn("checkpoint_flush_failed").str("error", e.to_string()).emit();
         opts.log.note(format!("checkpoint flush failed: {e}"));
     }
     let run = SweepRun { cells: outcomes };
-    opts.log.absorb(&run, &names);
+    opts.log.absorb(&run, &sweep.names);
     Ok(run)
 }
 
@@ -640,7 +661,8 @@ mod tests {
 
     #[test]
     fn uncheckpointed_run_matches_the_plain_sweep_bit_for_bit() {
-        let traces = vec![TraceKind::Cad.generate(2000, 1), TraceKind::Snake.generate(2000, 2)];
+        let traces: Arc<[Trace]> =
+            Arc::new([TraceKind::Cad.generate(2000, 1), TraceKind::Snake.generate(2000, 2)]);
         let configs =
             vec![SimConfig::new(64, PolicySpec::NoPrefetch), SimConfig::new(64, PolicySpec::Tree)];
         let cells = grid(&traces, &configs);
@@ -657,7 +679,7 @@ mod tests {
 
     #[test]
     fn bad_trace_index_is_a_typed_error_before_any_work() {
-        let traces = vec![TraceKind::Cad.generate(100, 3)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(100, 3)]);
         let err = run_cells_checkpointed(
             &traces,
             &[
@@ -673,7 +695,7 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_fails_alone_while_siblings_complete() {
-        let traces = vec![TraceKind::Cad.generate(1500, 5)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(1500, 5)]);
         let cells = vec![
             (0, SimConfig::new(64, PolicySpec::Tree)),
             (0, SimConfig::new(64, PolicySpec::PanicProbe { after: 100 })),
@@ -697,7 +719,7 @@ mod tests {
 
     #[test]
     fn persistent_panics_burn_every_attempt() {
-        let traces = vec![TraceKind::Cad.generate(500, 5)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(500, 5)]);
         let cells = vec![(0, SimConfig::new(64, PolicySpec::PanicProbe { after: 1 }))];
         let opts = HarnessOpts { max_attempts: 3, ..HarnessOpts::default() };
         let run = run_cells_checkpointed(&traces, &cells, &opts).unwrap();
@@ -708,7 +730,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_skipped_without_attempts() {
-        let traces = vec![TraceKind::Cad.generate(500, 5)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(500, 5)]);
         // Active faults without disks: fails validation deterministically.
         let bad = SimConfig::new(64, PolicySpec::Tree).with_fault_rate(1, 0.5);
         let run = run_cells_checkpointed(
@@ -727,7 +749,7 @@ mod tests {
     #[test]
     fn a_one_ms_deadline_times_out_a_large_cell() {
         // 300k references through the tree policy takes well over 1 ms.
-        let traces = vec![TraceKind::Cad.generate(300_000, 5)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(300_000, 5)]);
         let cells = vec![(0, SimConfig::new(4096, PolicySpec::TreeNextLimit))];
         let opts = HarnessOpts { deadline_ms: Some(1), max_attempts: 1, ..HarnessOpts::default() };
         let run = run_cells_checkpointed(&traces, &cells, &opts).unwrap();
@@ -741,7 +763,7 @@ mod tests {
     #[test]
     fn checkpointed_rerun_restores_instead_of_recomputing() {
         let dir = tmp_dir("restore");
-        let traces = vec![TraceKind::Sitar.generate(2000, 9)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Sitar.generate(2000, 9)]);
         let configs =
             vec![SimConfig::new(64, PolicySpec::Tree), SimConfig::new(128, PolicySpec::Tree)];
         let cells = grid(&traces, &configs);
@@ -764,7 +786,7 @@ mod tests {
     #[test]
     fn failed_cells_are_not_journaled_and_rerun_on_resume() {
         let dir = tmp_dir("failrerun");
-        let traces = vec![TraceKind::Cad.generate(800, 4)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(800, 4)]);
         let probe = SimConfig::new(64, PolicySpec::PanicProbe { after: 10 });
         let good = SimConfig::new(64, PolicySpec::Tree);
         let opts = HarnessOpts { max_attempts: 1, ..HarnessOpts::checkpointed(&dir) };
@@ -787,7 +809,7 @@ mod tests {
         let dir = tmp_dir("degrade");
         fs::create_dir_all(dir.parent().unwrap()).unwrap();
         fs::write(&dir, b"not a directory").unwrap();
-        let traces = vec![TraceKind::Cad.generate(500, 2)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(500, 2)]);
         let opts = HarnessOpts::checkpointed(&dir);
         let run =
             run_cells_checkpointed(&traces, &[(0, SimConfig::new(64, PolicySpec::Tree))], &opts)
@@ -818,7 +840,7 @@ mod tests {
 
         // Every accessor must keep working on the poisoned lock.
         log.note("sibling cell still logs".into());
-        let traces = vec![TraceKind::Cad.generate(500, 1)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(500, 1)]);
         let cells = vec![(0usize, SimConfig::new(32, PolicySpec::NoPrefetch))];
         let opts = HarnessOpts { log: Arc::clone(&log), ..HarnessOpts::default() };
         let run = run_cells_checkpointed(&traces, &cells, &opts).unwrap();

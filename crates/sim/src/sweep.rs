@@ -44,13 +44,14 @@ mod tests {
     use std::sync::Arc;
 
     /// The sweep with default options, as every experiment runs it.
-    fn sweep(traces: &[Trace], cells: &[(usize, SimConfig)]) -> Vec<SweepCell> {
+    fn sweep(traces: &Arc<[Trace]>, cells: &[(usize, SimConfig)]) -> Vec<SweepCell> {
         run_cells_checkpointed(traces, cells, &HarnessOpts::default()).unwrap().completed_cells()
     }
 
     #[test]
     fn grid_preserves_order_and_matches_serial_runs() {
-        let traces = vec![TraceKind::Cad.generate(2000, 1), TraceKind::Sitar.generate(2000, 1)];
+        let traces: Arc<[Trace]> =
+            Arc::new([TraceKind::Cad.generate(2000, 1), TraceKind::Sitar.generate(2000, 1)]);
         let configs =
             [SimConfig::new(64, PolicySpec::NoPrefetch), SimConfig::new(64, PolicySpec::Tree)];
         // Order: (t0,c0), (t0,c1), (t1,c0), (t1,c1).
@@ -68,7 +69,7 @@ mod tests {
 
     #[test]
     fn run_cells_executes_exact_list() {
-        let traces = vec![TraceKind::Cad.generate(1000, 2)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(1000, 2)]);
         let cells = vec![
             (0usize, SimConfig::new(32, PolicySpec::NextLimit)),
             (0usize, SimConfig::new(64, PolicySpec::NextLimit)),
@@ -81,7 +82,7 @@ mod tests {
 
     #[test]
     fn cells_of_one_trace_share_the_name_allocation() {
-        let traces = vec![TraceKind::Snake.generate(500, 4)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Snake.generate(500, 4)]);
         let cells = vec![
             (0usize, SimConfig::new(32, PolicySpec::NoPrefetch)),
             (0usize, SimConfig::new(64, PolicySpec::NextLimit)),
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn bad_trace_index_is_a_typed_error() {
-        let traces = vec![TraceKind::Cad.generate(100, 3)];
+        let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(100, 3)]);
         let cells = [(1, SimConfig::new(32, PolicySpec::NoPrefetch))];
         let err = run_cells_checkpointed(&traces, &cells, &HarnessOpts::default()).unwrap_err();
         assert_eq!(err, SweepError::BadTraceIndex { index: 1, traces: 1 });

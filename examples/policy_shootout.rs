@@ -7,6 +7,7 @@
 //! ```
 
 use predictive_prefetch::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -25,7 +26,7 @@ fn main() {
     ];
 
     println!("generating 4 traces × {refs} refs ...");
-    let traces: Vec<Trace> = TraceKind::ALL.iter().map(|k| k.generate(refs, 2024)).collect();
+    let traces: Arc<[Trace]> = TraceKind::ALL.iter().map(|k| k.generate(refs, 2024)).collect();
 
     let cells: Vec<(usize, SimConfig)> = (0..traces.len())
         .flat_map(|ti| specs.iter().map(move |&s| (ti, SimConfig::new(cache, s))))

@@ -8,6 +8,7 @@ use predictive_prefetch::sim::checkpoint::JOURNAL_FILE;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Fresh scratch directory under the system temp dir; removed on drop.
 struct Scratch(PathBuf);
@@ -65,10 +66,10 @@ proptest! {
         kill_frac in 0.0f64..1.0,
     ) {
         let scratch = Scratch::new("resume");
-        let traces = vec![
+        let traces: Arc<[Trace]> = Arc::new([
             TraceKind::Cad.generate(refs, seed),
             TraceKind::Snake.generate(refs, seed.wrapping_add(1)),
-        ];
+        ]);
         let configs = grid(&[64, 256]);
         let cells = cells_of(&traces, &configs);
         let k = ((cells.len() as f64) * kill_frac) as usize;
@@ -112,7 +113,7 @@ proptest! {
 #[test]
 fn panicking_cell_fails_alone_and_resume_skips_completed_siblings() {
     let scratch = Scratch::new("panic");
-    let traces = vec![TraceKind::Cad.generate(1500, 7)];
+    let traces: Arc<[Trace]> = Arc::new([TraceKind::Cad.generate(1500, 7)]);
     let cells = vec![
         (0, SimConfig::new(64, PolicySpec::Tree)),
         (0, SimConfig::new(64, PolicySpec::PanicProbe { after: 50 })),
@@ -154,7 +155,7 @@ fn panicking_cell_fails_alone_and_resume_skips_completed_siblings() {
 #[test]
 fn torn_journal_tail_loses_at_most_one_cell() {
     let scratch = Scratch::new("torn");
-    let traces = vec![TraceKind::Sitar.generate(1000, 3)];
+    let traces: Arc<[Trace]> = Arc::new([TraceKind::Sitar.generate(1000, 3)]);
     let configs = grid(&[64]);
     let cells = cells_of(&traces, &configs);
     let opts = HarnessOpts::checkpointed(&scratch.0);
@@ -182,7 +183,7 @@ fn torn_journal_tail_loses_at_most_one_cell() {
 #[test]
 fn flipped_bit_keeps_the_verified_prefix_and_reruns_the_rest() {
     let scratch = Scratch::new("bitflip");
-    let traces = vec![TraceKind::Sitar.generate(1000, 3)];
+    let traces: Arc<[Trace]> = Arc::new([TraceKind::Sitar.generate(1000, 3)]);
     let cells = cells_of(&traces, &grid(&[64]));
     assert_eq!(cells.len(), 3);
     let first = run_cells_checkpointed(&traces, &cells, &HarnessOpts::checkpointed(&scratch.0))

@@ -14,7 +14,7 @@ use predictive_prefetch::sim::checkpoint::JOURNAL_FILE;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static KNOB: Mutex<()> = Mutex::new(());
 
@@ -96,10 +96,10 @@ proptest! {
         refs in 600usize..1500,
         threads in 2usize..6,
     ) {
-        let traces = vec![
+        let traces: Arc<[Trace]> = Arc::new([
             TraceKind::Cad.generate(refs, seed),
             TraceKind::Snake.generate(refs, seed.wrapping_add(1)),
-        ];
+        ]);
         let mut cells = Vec::new();
         for ti in 0..traces.len() {
             for &cache in &[64usize, 256] {
@@ -146,7 +146,8 @@ proptest! {
 /// events) always completes and a long one always times out.
 #[test]
 fn deadline_guard_cell_times_out_identically_across_thread_counts() {
-    let traces = vec![TraceKind::Cad.generate(200, 11), TraceKind::Cad.generate(20_000, 11)];
+    let traces: Arc<[Trace]> =
+        Arc::new([TraceKind::Cad.generate(200, 11), TraceKind::Cad.generate(20_000, 11)]);
     let cells = vec![
         (0, SimConfig::new(64, PolicySpec::Tree)),
         (1, SimConfig::new(64, PolicySpec::Tree)),
