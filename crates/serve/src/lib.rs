@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod lines;
 pub mod listener;
 pub mod loadgen;
 pub mod protocol;

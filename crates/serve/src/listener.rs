@@ -1,84 +1,84 @@
 //! Front ends feeding request lines into a [`Service`].
 //!
-//! Two listeners share one service core:
+//! Two listeners share one service core, `Service::process_lines`:
 //!
-//! * **stdin** — reads request lines from standard input in batches and
-//!   writes responses to standard output; `SHUTDOWN` or EOF drains.
-//!   This is the mode the load generator and the CI chaos job use.
+//! * **stdin** — [`run_stdin`], which is [`run_stream`] over standard
+//!   input and output: reads request lines in batches and writes each
+//!   batch's responses with one write; `SHUTDOWN` or EOF drains. This is
+//!   the mode the load generator and the CI chaos job use.
 //! * **unix socket** — accepts any number of client connections on a
-//!   `SOCK_STREAM` unix socket; each connection gets a reader thread
-//!   that tags lines with its [`ConnId`] so responses route back to the
-//!   right client. The accept/dispatch loop is single-threaded; the
+//!   `SOCK_STREAM` unix socket; each connection gets a reader thread that
+//!   sends chunks of whole lines tagged with its
+//!   [`ConnId`](crate::ConnId), so responses route back to the right
+//!   client. The accept/dispatch loop is single-threaded; the
 //!   parallelism lives in the service's batch flush.
 //!
+//! Either way a batch is read into one reused `LineBuf` and answered
+//! into another, and each connection gets its share of the answers in one
+//! write: nothing on the line path is allocated per line.
+//!
 //! Listener failures are their own fault domain: a client disconnecting
-//! mid-request, a write to a closed socket, or a poisoned writer-registry
-//! lock never take down the service — the connection is dropped and the
-//! remaining clients keep streaming.
+//! mid-request or a write to a closed socket never takes down the
+//! service — the connection is dropped and the remaining clients keep
+//! streaming.
 
-use crate::service::{ConnId, Service};
-use std::io::{BufRead, BufReader, Write};
+use crate::lines::LineBuf;
+use crate::service::Service;
+use std::io::{self, BufRead, Write};
 
 /// How often the service emits a live `serve_stats` telemetry record.
 const STATS_EVERY_BATCHES: u64 = 64;
 
 /// Drive the service from stdin, writing responses to stdout. Returns
 /// when the input ends or a `SHUTDOWN` request drains the service.
-pub fn run_stdin(service: &mut Service, batch: usize) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut lines: Vec<(ConnId, String)> = Vec::with_capacity(batch);
-    let (mut input, mut buf) = (stdin.lock(), Vec::new());
-    while let Some(line) = read_line_lossy(&mut input, &mut buf)? {
-        lines.push((0, line));
+pub fn run_stdin(service: &mut Service, batch: usize) -> io::Result<()> {
+    let stdout = io::stdout();
+    let served = run_stream(service, io::stdin().lock(), io::BufWriter::new(stdout.lock()), batch);
+    prefetch_telemetry::log::flush();
+    served
+}
+
+/// Drive the service from `input`, `batch` lines at a time (a batch of 0
+/// is a batch of 1), writing each batch's responses to `output` with one
+/// write and a flush. Returns when the input ends or a `SHUTDOWN` request
+/// drains the service; lines behind a `SHUTDOWN` in its own batch are
+/// answered, later ones are not read. `\n` or `\r\n` ends a line, a last
+/// line may lack it, and a line that is not UTF-8 draws `ERR parse`.
+pub fn run_stream(
+    service: &mut Service,
+    mut input: impl BufRead,
+    mut output: impl Write,
+    batch: usize,
+) -> io::Result<()> {
+    let (mut lines, mut out) = (LineBuf::new(), LineBuf::new());
+    while lines.read_line(0, &mut input)? {
         if lines.len() >= batch {
-            pump(service, &mut lines, &mut out)?;
+            pump(service, &mut lines, &mut out, &mut output)?;
             if service.shutdown_requested() {
                 break;
             }
         }
     }
     if !service.shutdown_requested() && !lines.is_empty() {
-        pump(service, &mut lines, &mut out)?;
+        pump(service, &mut lines, &mut out, &mut output)?;
     }
     for line in service.drain() {
-        writeln!(out, "{line}")?;
+        writeln!(output, "{line}")?;
     }
-    out.flush()?;
-    prefetch_telemetry::log::flush();
-    Ok(())
-}
-
-/// Read one line as `BufRead::lines` does, but decode it lossily: bytes
-/// that are not UTF-8 reach `parse_line` as U+FFFD and are answered with
-/// a typed `ERR parse`, where `lines()` would end the stream with an I/O
-/// error. `None` at end of input.
-fn read_line_lossy(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<String>> {
-    buf.clear();
-    if input.read_until(b'\n', buf)? == 0 {
-        return Ok(None);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-    }
-    Ok(Some(String::from_utf8_lossy(buf).into_owned()))
+    output.flush()
 }
 
 fn pump(
     service: &mut Service,
-    lines: &mut Vec<(ConnId, String)>,
-    out: &mut impl Write,
-) -> std::io::Result<()> {
-    let responses = service.process_batch(lines);
+    lines: &mut LineBuf,
+    out: &mut LineBuf,
+    output: &mut impl Write,
+) -> io::Result<()> {
+    service.process_lines(lines, out);
     lines.clear();
-    for (_, line) in responses {
-        writeln!(out, "{line}")?;
-    }
-    out.flush()?;
+    output.write_all(out.as_bytes())?;
+    out.clear();
+    output.flush()?;
     if service.stats.batches.is_multiple_of(STATS_EVERY_BATCHES) {
         service.log_live_stats();
     }
@@ -91,38 +91,70 @@ pub use unix::run_unix;
 #[cfg(unix)]
 mod unix {
     use super::*;
+    use crate::service::ConnId;
+    use prefetch_telemetry::log as tlog;
     use std::collections::HashMap;
+    use std::io::Read;
+    use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::Path;
-    use std::sync::mpsc::{self, RecvTimeoutError};
-    use std::sync::{Arc, Mutex};
+    use std::sync::mpsc::{self, SyncSender};
+    use std::thread::JoinHandle;
     use std::time::Duration;
 
     /// What a reader thread reports to the dispatch loop.
     enum Inbound {
-        Line(ConnId, String),
+        /// Whole lines from one connection; the last lacks its `\n` only
+        /// when the client ended mid-line.
+        Lines(ConnId, Vec<u8>),
         Hangup(ConnId),
+    }
+
+    /// A connected client: its write half, its reader thread, and its
+    /// share of the batch being answered.
+    struct Client {
+        stream: UnixStream,
+        reader: JoinHandle<()>,
+        out: Vec<u8>,
+    }
+
+    impl Client {
+        /// End the connection and wait for its reader, which then reads
+        /// the end of its input. The reader must not be blocked sending:
+        /// call this once its hangup has arrived, or once the receiving
+        /// end of the channel is gone.
+        fn close(self) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+            if self.reader.join().is_err() {
+                tlog::warn("serve_reader_panicked").emit();
+            }
+        }
     }
 
     /// Serve on a unix socket at `path` until a `SHUTDOWN` request.
     ///
     /// One reader thread per connection feeds a single dispatch loop
     /// that batches up to `batch` lines (or whatever arrived within the
-    /// batching window) into each `process_batch` call.
-    pub fn run_unix(service: &mut Service, path: &Path, batch: usize) -> std::io::Result<()> {
+    /// batching window) into each `process_lines` call. A client that
+    /// hangs up still gets the answers to every line it sent.
+    pub fn run_unix(service: &mut Service, path: &Path, batch: usize) -> io::Result<()> {
         // A stale socket file from a killed process must not block
         // restart — that is the crash-recovery path the chaos job tests.
         match std::fs::remove_file(path) {
             Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::sync_channel::<Inbound>(batch.max(1) * 4);
-        let writers: Arc<Mutex<HashMap<ConnId, UnixStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let cap = batch.max(1);
+        let (tx, rx) = mpsc::sync_channel::<Inbound>(cap * 4);
+        let mut clients: HashMap<ConnId, Client> = HashMap::new();
         let mut next_conn: ConnId = 1;
-        let mut lines: Vec<(ConnId, String)> = Vec::with_capacity(batch);
+        let (mut lines, mut out) = (LineBuf::new(), LineBuf::new());
+        // A chunk the last batch could not take whole, and where its
+        // untaken lines start.
+        let mut carry: Option<(ConnId, Vec<u8>, usize)> = None;
 
         loop {
             // Accept whatever is waiting (non-blocking).
@@ -131,49 +163,50 @@ mod unix {
                     Ok((stream, _)) => {
                         let conn = next_conn;
                         next_conn += 1;
-                        let reader = stream.try_clone()?;
-                        lock_writers(&writers).insert(conn, stream);
+                        let input = stream.try_clone()?;
                         let tx = tx.clone();
-                        std::thread::spawn(move || {
-                            let (mut input, mut buf) = (BufReader::new(reader), Vec::new());
-                            while let Ok(Some(line)) = read_line_lossy(&mut input, &mut buf) {
-                                if tx.send(Inbound::Line(conn, line)).is_err() {
-                                    return;
-                                }
-                            }
-                            let _ = tx.send(Inbound::Hangup(conn));
-                        });
+                        let reader = std::thread::spawn(move || read_chunks(conn, input, &tx));
+                        clients.insert(conn, Client { stream, reader, out: Vec::new() });
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) => return Err(e),
                 }
             }
 
-            // Gather a batch (bounded wait so accepts stay responsive).
+            // Gather a batch (bounded wait so accepts stay responsive). A
+            // hangup ends it: the lines before it are answered while the
+            // client is still registered.
             let deadline = Duration::from_millis(20);
-            loop {
-                match rx.recv_timeout(deadline) {
-                    Ok(Inbound::Line(conn, line)) => {
-                        lines.push((conn, line));
-                        if lines.len() >= batch {
+            let mut hangup = None;
+            while lines.len() < cap {
+                let (conn, chunk, at) = match carry.take() {
+                    Some(carried) => carried,
+                    None => match rx.recv_timeout(deadline) {
+                        Ok(Inbound::Lines(conn, chunk)) => (conn, chunk, 0),
+                        Ok(Inbound::Hangup(conn)) => {
+                            hangup = Some(conn);
                             break;
                         }
-                    }
-                    Ok(Inbound::Hangup(conn)) => {
-                        lock_writers(&writers).remove(&conn);
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
+                        Err(_) => break,
+                    },
+                };
+                let at = lines.push_lines(conn, &chunk, at, cap);
+                if at < chunk.len() {
+                    carry = Some((conn, chunk, at));
                 }
             }
 
             if !lines.is_empty() {
-                let responses = service.process_batch(&lines);
+                service.process_lines(&lines, &mut out);
                 lines.clear();
-                route(&writers, responses);
+                route(&mut clients, &out);
+                out.clear();
                 if service.stats.batches.is_multiple_of(STATS_EVERY_BATCHES) {
                     service.log_live_stats();
                 }
+            }
+            if let Some(client) = hangup.and_then(|conn| clients.remove(&conn)) {
+                client.close();
             }
             if service.shutdown_requested() {
                 break;
@@ -182,42 +215,69 @@ mod unix {
 
         // Graceful drain: the final reports go to every still-connected
         // client (each gets the complete picture).
-        let finals = service.drain();
-        let mut writers = lock_writers(&writers);
-        for (_, stream) in writers.iter_mut() {
-            let mut w = std::io::BufWriter::new(stream);
-            for line in &finals {
-                if writeln!(w, "{line}").is_err() {
-                    break;
-                }
-            }
-            let _ = w.flush();
+        let mut finals = Vec::new();
+        for line in service.drain() {
+            finals.extend_from_slice(line.as_bytes());
+            finals.push(b'\n');
         }
-        drop(writers);
+        // A reader still sending gives up once the receiver is gone.
+        drop(rx);
+        for (_, mut client) in clients.drain() {
+            let _ = client.stream.write_all(&finals);
+            client.close();
+        }
         let _ = std::fs::remove_file(path);
         prefetch_telemetry::log::flush();
         Ok(())
     }
 
-    fn lock_writers(
-        writers: &Mutex<HashMap<ConnId, UnixStream>>,
-    ) -> std::sync::MutexGuard<'_, HashMap<ConnId, UnixStream>> {
-        writers.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Write responses back to their connections; a dead client just
-    /// loses its responses, it cannot stall or crash the service.
-    fn route(writers: &Mutex<HashMap<ConnId, UnixStream>>, responses: Vec<(ConnId, String)>) {
-        let mut writers = lock_writers(writers);
-        let mut dead: Vec<ConnId> = Vec::new();
-        for (conn, line) in responses {
-            let Some(stream) = writers.get_mut(&conn) else { continue };
-            if writeln!(stream, "{line}").is_err() {
-                dead.push(conn);
+    /// A connection's reader thread: forward whatever arrives as chunks
+    /// of whole lines, then the hangup. A read error ends the connection
+    /// like a hangup, losing only the line it cut.
+    fn read_chunks(conn: ConnId, mut stream: UnixStream, tx: &SyncSender<Inbound>) {
+        let mut buf = [0u8; 64 * 1024];
+        let mut pending: Vec<u8> = Vec::new();
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => {
+                    if !pending.is_empty() && tx.send(Inbound::Lines(conn, pending)).is_err() {
+                        return;
+                    }
+                    break;
+                }
+                Ok(n) => {
+                    pending.extend_from_slice(&buf[..n]);
+                    if let Some(last) = pending.iter().rposition(|&b| b == b'\n') {
+                        let rest = pending.split_off(last + 1);
+                        let whole = std::mem::replace(&mut pending, rest);
+                        if tx.send(Inbound::Lines(conn, whole)).is_err() {
+                            return;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
         }
-        for conn in dead {
-            writers.remove(&conn);
+        let _ = tx.send(Inbound::Hangup(conn));
+    }
+
+    /// Write each client its share of the batch's responses in one write.
+    /// A client whose write fails loses its responses and cannot crash
+    /// the service: its connection is shut down, so its reader reports
+    /// the hangup that drops it.
+    fn route(clients: &mut HashMap<ConnId, Client>, responses: &LineBuf) {
+        for (conn, line) in responses.iter() {
+            if let Some(client) = clients.get_mut(&conn) {
+                client.out.extend_from_slice(line);
+                client.out.push(b'\n');
+            }
+        }
+        for client in clients.values_mut() {
+            if !client.out.is_empty() && client.stream.write_all(&client.out).is_err() {
+                let _ = client.stream.shutdown(Shutdown::Both);
+            }
+            client.out.clear();
         }
     }
 }

@@ -38,43 +38,56 @@
 //! HEALTH k=v ...                                  health summary (HEALTH)
 //! BYE k=v ...                                     drain complete
 //! ```
+//!
+//! On the wire a line is bytes. The listeners read each batch into one
+//! reused `LineBuf` and the service parses every line in place:
+//! a line that is valid UTF-8 is parsed where it lies, and only one that
+//! is not is decoded lossily (its bad bytes become U+FFFD), so it still
+//! draws its typed `ERR parse`. A [`Request`] borrows its tenant name and
+//! `OPEN` options from the line, so parsing an `EV` allocates nothing.
+//! Responses are rendered into one reused buffer per batch (`ADV` digit
+//! by digit, in place) and leave with one write per connection.
 
+use crate::lines::push_u64;
+use prefetch_trace::BlockId;
 use std::fmt;
+use std::io::Write;
 
 /// Maximum tenant-name length accepted by the protocol.
 pub const MAX_TENANT_NAME: usize = 64;
 
-/// A parsed request line.
+/// A parsed request line. It borrows the tenant name and the `OPEN`
+/// options from the line it was parsed from.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Admit a tenant with `key=value` options.
     Open {
         /// Tenant name.
-        tenant: String,
+        tenant: &'a str,
         /// Raw `key=value` options, in line order.
-        opts: Vec<(String, String)>,
+        opts: Vec<(&'a str, &'a str)>,
     },
     /// One access event for a tenant.
     Event {
         /// Tenant name.
-        tenant: String,
+        tenant: &'a str,
         /// Referenced block.
         block: u64,
     },
     /// Report live counters for a tenant.
     Stats {
         /// Tenant name.
-        tenant: String,
+        tenant: &'a str,
     },
     /// Drain a tenant and emit its final report.
     Close {
         /// Tenant name.
-        tenant: String,
+        tenant: &'a str,
     },
     /// Chaos hook: make the tenant's next event processing panic.
     Panic {
         /// Tenant name.
-        tenant: String,
+        tenant: &'a str,
     },
     /// Flush every pending event and emit a point-in-time metrics
     /// exposition (`METRIC` lines + `OK metrics` trailer).
@@ -96,6 +109,12 @@ pub struct ParseError {
     pub message: String,
 }
 
+impl ParseError {
+    fn new(tenant: Option<&str>, message: String) -> Self {
+        ParseError { tenant: tenant.map(str::to_owned), message }
+    }
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.message)
@@ -112,77 +131,117 @@ fn check_tenant_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
+type Fields<'a> = std::str::SplitAsciiWhitespace<'a>;
+
+/// The tenant field of a tenant verb.
+fn named_tenant<'a>(fields: &mut Fields<'a>, verb: &str) -> Result<&'a str, ParseError> {
+    let tenant =
+        fields.next().ok_or_else(|| ParseError::new(None, format!("{verb} needs a tenant")))?;
+    check_tenant_name(tenant).map_err(|message| ParseError::new(None, message))?;
+    Ok(tenant)
+}
+
+/// Every verb rejects trailing fields, charged to the tenant it named.
+fn no_more(
+    fields: &mut Fields<'_>,
+    tenant: Option<&str>,
+    verb: &str,
+    takes: &str,
+) -> Result<(), ParseError> {
+    match fields.next() {
+        None => Ok(()),
+        Some(_) => Err(ParseError::new(tenant, format!("{verb} takes {takes}"))),
+    }
+}
+
 /// Parse one request line. `Ok(None)` for blank lines and `#` comments.
-pub fn parse_line(line: &str) -> Result<Option<Request>, ParseError> {
+pub fn parse_line(line: &str) -> Result<Option<Request<'_>>, ParseError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
     let mut fields = line.split_ascii_whitespace();
     let verb = fields.next().expect("non-empty line has a first field");
-    let err = |tenant: Option<&str>, message: String| {
-        Err(ParseError { tenant: tenant.map(str::to_owned), message })
-    };
-    let named_tenant = |fields: &mut std::str::SplitAsciiWhitespace<'_>,
-                        verb: &str|
-     -> Result<String, ParseError> {
-        let t = fields.next().ok_or_else(|| ParseError {
-            tenant: None,
-            message: format!("{verb} needs a tenant"),
-        })?;
-        check_tenant_name(t).map_err(|message| ParseError { tenant: None, message })?;
-        Ok(t.to_owned())
-    };
-    // Every verb rejects trailing fields, charged to the tenant it named.
-    let ends = |fields: &mut std::str::SplitAsciiWhitespace<'_>,
-                tenant: Option<&str>,
-                takes: &str| match fields.next() {
-        None => Ok(()),
-        Some(_) => Err(ParseError {
-            tenant: tenant.map(str::to_owned),
-            message: format!("{verb} takes {takes}"),
-        }),
-    };
-    let only_tenant = |fields: &mut std::str::SplitAsciiWhitespace<'_>| {
-        let tenant = named_tenant(fields, verb)?;
-        ends(fields, Some(&tenant), "exactly a tenant")?;
-        Ok(tenant)
-    };
-    match verb {
+    let request = match verb {
         "OPEN" => {
-            let tenant = named_tenant(&mut fields, "OPEN")?;
+            let tenant = named_tenant(&mut fields, verb)?;
             let mut opts = Vec::new();
             for opt in fields {
                 match opt.split_once('=') {
-                    Some((k, v)) if !k.is_empty() && !v.is_empty() => {
-                        opts.push((k.to_owned(), v.to_owned()));
-                    }
+                    Some((k, v)) if !k.is_empty() && !v.is_empty() => opts.push((k, v)),
                     _ => {
-                        return err(Some(&tenant), format!("OPEN option {opt:?} is not key=value"));
+                        let message = format!("OPEN option {opt:?} is not key=value");
+                        return Err(ParseError::new(Some(tenant), message));
                     }
                 }
             }
-            Ok(Some(Request::Open { tenant, opts }))
+            Request::Open { tenant, opts }
         }
         "EV" => {
-            let tenant = named_tenant(&mut fields, "EV")?;
+            let tenant = named_tenant(&mut fields, verb)?;
             let Some(raw) = fields.next() else {
-                return err(Some(&tenant), "EV needs a block number".into());
+                return Err(ParseError::new(Some(tenant), "EV needs a block number".into()));
             };
             let Ok(block) = raw.parse::<u64>() else {
-                return err(Some(&tenant), format!("EV block {raw:?} is not a u64"));
+                return Err(ParseError::new(
+                    Some(tenant),
+                    format!("EV block {raw:?} is not a u64"),
+                ));
             };
-            ends(&mut fields, Some(&tenant), "exactly tenant and block")?;
-            Ok(Some(Request::Event { tenant, block }))
+            no_more(&mut fields, Some(tenant), verb, "exactly tenant and block")?;
+            Request::Event { tenant, block }
         }
-        "STATS" => Ok(Some(Request::Stats { tenant: only_tenant(&mut fields)? })),
-        "CLOSE" => Ok(Some(Request::Close { tenant: only_tenant(&mut fields)? })),
-        "PANIC" => Ok(Some(Request::Panic { tenant: only_tenant(&mut fields)? })),
-        "METRICS" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Metrics)),
-        "HEALTH" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Health)),
-        "SHUTDOWN" => ends(&mut fields, None, "no arguments").map(|()| Some(Request::Shutdown)),
-        other => err(None, format!("unknown verb {other:?}")),
+        "STATS" | "CLOSE" | "PANIC" => {
+            let tenant = named_tenant(&mut fields, verb)?;
+            no_more(&mut fields, Some(tenant), verb, "exactly a tenant")?;
+            match verb {
+                "STATS" => Request::Stats { tenant },
+                "CLOSE" => Request::Close { tenant },
+                _ => Request::Panic { tenant },
+            }
+        }
+        "METRICS" | "HEALTH" | "SHUTDOWN" => {
+            no_more(&mut fields, None, verb, "no arguments")?;
+            match verb {
+                "METRICS" => Request::Metrics,
+                "HEALTH" => Request::Health,
+                _ => Request::Shutdown,
+            }
+        }
+        other => return Err(ParseError::new(None, format!("unknown verb {other:?}"))),
+    };
+    Ok(Some(request))
+}
+
+/// Append one `\n`-terminated `ADV` line:
+/// `ADV <tenant> <seq> <h|p|m> stall=<ms> pf=<b,..|->`. Integers are
+/// written digit by digit; `stall=` is `f64`'s `Display`, written in place.
+pub(crate) fn render_adv(
+    out: &mut Vec<u8>,
+    tenant: &str,
+    seq: u64,
+    kind: u8,
+    stall_ms: f64,
+    prefetched: &[BlockId],
+) {
+    out.extend_from_slice(b"ADV ");
+    out.extend_from_slice(tenant.as_bytes());
+    out.push(b' ');
+    push_u64(out, seq);
+    out.extend_from_slice(&[b' ', kind]);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, " stall={stall_ms} pf=");
+    match prefetched.split_first() {
+        None => out.push(b'-'),
+        Some((first, rest)) => {
+            push_u64(out, first.0);
+            for b in rest {
+                out.push(b',');
+                push_u64(out, b.0);
+            }
+        }
     }
+    out.push(b'\n');
 }
 
 /// Why a request was refused. Every variant renders to a stable
@@ -283,27 +342,15 @@ mod tests {
     fn parses_every_verb() {
         assert_eq!(
             parse_line("OPEN t1 cache=64 policy=tree").unwrap().unwrap(),
-            Request::Open {
-                tenant: "t1".into(),
-                opts: vec![("cache".into(), "64".into()), ("policy".into(), "tree".into())],
-            }
+            Request::Open { tenant: "t1", opts: vec![("cache", "64"), ("policy", "tree")] }
         );
         assert_eq!(
             parse_line("EV t1 42").unwrap().unwrap(),
-            Request::Event { tenant: "t1".into(), block: 42 }
+            Request::Event { tenant: "t1", block: 42 }
         );
-        assert_eq!(
-            parse_line("STATS t1").unwrap().unwrap(),
-            Request::Stats { tenant: "t1".into() }
-        );
-        assert_eq!(
-            parse_line("CLOSE t1").unwrap().unwrap(),
-            Request::Close { tenant: "t1".into() }
-        );
-        assert_eq!(
-            parse_line("PANIC t1").unwrap().unwrap(),
-            Request::Panic { tenant: "t1".into() }
-        );
+        assert_eq!(parse_line("STATS t1").unwrap().unwrap(), Request::Stats { tenant: "t1" });
+        assert_eq!(parse_line("CLOSE t1").unwrap().unwrap(), Request::Close { tenant: "t1" });
+        assert_eq!(parse_line("PANIC t1").unwrap().unwrap(), Request::Panic { tenant: "t1" });
         assert_eq!(parse_line("METRICS").unwrap().unwrap(), Request::Metrics);
         assert_eq!(parse_line("HEALTH").unwrap().unwrap(), Request::Health);
         assert_eq!(parse_line("SHUTDOWN").unwrap().unwrap(), Request::Shutdown);
@@ -399,5 +446,76 @@ mod tests {
             RejectReason::BadConfig("cache=0".into()).render("t"),
             "REJECT t bad-config cache=0"
         );
+    }
+
+    /// The `format!` expression `render_adv` replaced, kept as its oracle.
+    fn adv_by_format(name: &str, seq: u64, kind: u8, stall_ms: f64, pf: &[BlockId]) -> String {
+        let mut line = format!("ADV {} {} {} stall={} pf=", name, seq, kind as char, stall_ms);
+        if pf.is_empty() {
+            line.push('-');
+        } else {
+            for (i, b) in pf.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                line.push_str(&b.0.to_string());
+            }
+        }
+        line + "\n"
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn adv_renders_the_bytes_the_format_expression_did(
+            seq in proptest::prelude::any::<u64>(),
+            kind in 0usize..3,
+            stall_pick in 0usize..8,
+            stall_bits in proptest::prelude::any::<u64>(),
+            blocks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..12),
+            shape in 0usize..4,
+        ) {
+            let stall_ms = match stall_pick {
+                0 => 0.0,
+                1 => (stall_bits % 100_000) as f64,
+                2 => 1e-7,
+                3 => 1e21,
+                // Subnormal.
+                4 => f64::from_bits(stall_bits % (1 << 52)),
+                5 => (stall_bits % 10_000_000) as f64 / 1024.0,
+                6 => f64::from_bits(stall_bits),
+                _ => -((stall_bits % 1000) as f64) / 7.0,
+            };
+            let pf: Vec<BlockId> = match shape {
+                0 => Vec::new(),
+                1 => blocks.iter().take(1).map(|&b| BlockId(b)).collect(),
+                2 => blocks.iter().map(|&b| BlockId(b % 1000)).collect(),
+                _ => blocks.iter().map(|&b| BlockId(b)).chain([BlockId(u64::MAX)]).collect(),
+            };
+            let name = ["t", "t00042", "a.b-c_d"][seq as usize % 3];
+            let kind = [b'h', b'p', b'm'][kind];
+            let mut out = b"earlier line\n".to_vec();
+            render_adv(&mut out, name, seq, kind, stall_ms, &pf);
+            let want = adv_by_format(name, seq, kind, stall_ms, &pf);
+            proptest::prop_assert_eq!(
+                String::from_utf8_lossy(&out[13..]).into_owned(),
+                want
+            );
+            proptest::prop_assert_eq!(&out[..13], b"earlier line\n");
+        }
+    }
+
+    #[test]
+    fn adv_renders_named_stalls_and_prefetch_lists() {
+        let sub = f64::from_bits(1);
+        assert!(sub > 0.0 && !sub.is_normal());
+        for stall in [0.0, 15.0, 1e-7, 1e21, sub, 15.58, f64::MAX] {
+            for pf in [&[][..], &[BlockId(7)], &[BlockId(1), BlockId(0), BlockId(u64::MAX)]] {
+                let mut out = Vec::new();
+                render_adv(&mut out, "alice", 17, b'm', stall, pf);
+                assert_eq!(out, adv_by_format("alice", 17, b'm', stall, pf).into_bytes());
+            }
+        }
     }
 }

@@ -181,9 +181,9 @@ impl Service {
                 }
             }
         }
-        let mut replayed = 0u64;
+        let (mut replayed, mut scratch) = (0u64, Vec::new());
         for (i, record) in records.iter().enumerate() {
-            match prefetch_pool::catch_quiet(|| apply_record(&mut state, record)) {
+            match prefetch_pool::catch_quiet(|| apply_record(&mut state, record, &mut scratch)) {
                 Ok(applied) => replayed += u64::from(applied),
                 Err(payload) => {
                     let message = prefetch_pool::panic_message(&*payload);

@@ -10,6 +10,7 @@
 //! it at every snapshot or exposition, and when a closing or dying
 //! tenant's state is dropped.
 
+use crate::lines::LineBuf;
 use crate::protocol::{render_reject_tally, N_REJECT_REASONS};
 use crate::service::{lock_slot, ConnId, Service, Slot};
 use crate::tenant::PendingMetrics;
@@ -155,15 +156,17 @@ impl Service {
     /// The `METRICS` response: the registry as Prometheus-style `METRIC`
     /// lines plus an `OK metrics` trailer. The caller has already applied
     /// every queued event.
-    pub(crate) fn render_metrics(&mut self, conn: ConnId, out: &mut Vec<(ConnId, String)>) {
+    pub(crate) fn render_metrics(&mut self, conn: ConnId, out: &mut LineBuf) {
         self.refresh_gauges();
         let Some(reg) = &self.registry else {
-            return out.push((conn, "OK metrics lines=0 enabled=false".to_string()));
+            return out.push(conn, b"OK metrics lines=0 enabled=false");
         };
         let text = reg.snapshot().render_prometheus();
         let before = out.len();
-        out.extend(text.lines().map(|line| (conn, format!("METRIC {line}"))));
-        out.push((conn, format!("OK metrics lines={}", out.len() - before)));
+        for line in text.lines() {
+            out.push(conn, format!("METRIC {line}").as_bytes());
+        }
+        out.push(conn, format!("OK metrics lines={}", out.len() - before).as_bytes());
     }
 
     /// The drain boundary: publish every live tenant's pending deltas and

@@ -47,13 +47,13 @@
 //! and the `serve-chaos` CI job).
 
 use crate::admission::{Admission, AdmissionConfig};
+use crate::lines::LineBuf;
 use crate::protocol::{parse_line, RejectReason, Request, N_REJECT_REASONS};
 use crate::report::report_suffix;
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
 use crate::wal::{Durability, RecoveryReport, WalOpts, WalRecord};
 use prefetch_hash::FxHashMap;
 use prefetch_telemetry::{log as tlog, MetricsRegistry};
-use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -199,23 +199,47 @@ pub struct ServiceStats {
 /// One tenant's share of the batch being routed.
 #[derive(Default)]
 struct Queued {
-    /// Accepted events awaiting the flush, in arrival order.
+    /// Accepted events awaiting the flush, in arrival order. The vector
+    /// comes back after each flush and is reused.
     events: Vec<(ConnId, u64)>,
+    /// Whether an event was accepted for the tenant this batch, which
+    /// puts it in [`Batch::order`].
+    queued: bool,
     /// The tenant's liveness as read under its slot lock; cleared when an
     /// inline `CLOSE` or panic retires the state, so the next event reads
     /// it again.
     live: bool,
 }
 
-/// Routing state of the batch in progress.
+/// Routing state of the batch in progress. The service keeps it from
+/// batch to batch, so its vectors keep their capacity.
 #[derive(Default)]
 struct Batch {
-    /// Every tenant that has had an event accepted in this batch.
-    queues: FxHashMap<usize, Queued>,
-    /// The keys of `queues` in first-appearance order: the flush order,
-    /// whatever the worker count.
+    /// Every tenant's share of the batch, by registry index.
+    queues: Vec<Queued>,
+    /// The tenants with an event accepted this batch, in first-appearance
+    /// order: the flush order, whatever the worker count.
     order: Vec<usize>,
-    out: Vec<(ConnId, String)>,
+    /// The batch's responses, in the order they leave.
+    out: LineBuf,
+}
+
+impl Batch {
+    /// Return a flushed tenant's event vector, emptied, for reuse.
+    fn give_back(&mut self, i: usize, mut events: Vec<(ConnId, u64)>) {
+        events.clear();
+        self.queues[i].events = events;
+    }
+
+    /// Forget the batch's routing (every queue was flushed empty).
+    fn reset(&mut self) {
+        for &i in &self.order {
+            let queue = &mut self.queues[i];
+            debug_assert!(queue.events.is_empty(), "a batch ends flushed");
+            (queue.queued, queue.live) = (false, false);
+        }
+        self.order.clear();
+    }
 }
 
 /// One tenant's share of a pool flush: its registry index, its slot,
@@ -226,10 +250,11 @@ struct Flushing {
     events: Vec<(ConnId, u64)>,
 }
 
-/// What one tenant's batch flush produced.
+/// What one tenant's batch flush produced, besides the `ADV` lines it
+/// left in the tenant's `responses` buffer.
 struct TenantFlush {
-    /// One `ADV` line per event served, in order.
-    responses: Vec<(ConnId, String)>,
+    /// Events served.
+    served: usize,
     /// The tenant's re-priced reservation, `(old, new)` bytes, measured
     /// under the lock the flush held. `(0, 0)` — nothing to apply — when
     /// the flush panicked: quarantine releases the whole reservation.
@@ -269,6 +294,8 @@ pub struct Service {
     pub(crate) metrics_last_events: u64,
     /// Metric snapshots written so far (the snapshot header counter).
     pub(crate) metrics_snapshots: u64,
+    /// The routing state, kept between batches for its capacity.
+    batch: Batch,
 }
 
 impl Service {
@@ -314,6 +341,7 @@ impl Service {
             reject_global: [0; N_REJECT_REASONS],
             metrics_last_events: 0,
             metrics_snapshots: 0,
+            batch: Batch::default(),
         })
     }
 
@@ -323,23 +351,43 @@ impl Service {
         self.shutdown
     }
 
-    /// Process one batch of request lines and return the responses.
-    ///
-    /// Responses preserve per-tenant request order. Control requests are
-    /// answered in line order; event advice for a tenant is grouped at
-    /// the point its queue is flushed (inline when a control request for
-    /// the same tenant needs the events applied first, otherwise at the
-    /// end of the batch).
+    /// Process one batch of request lines and return the responses: the
+    /// `process_lines` core behind owned strings, for callers
+    /// that hold their lines that way. Every response is byte for byte
+    /// the core's.
     pub fn process_batch(&mut self, lines: &[(ConnId, String)]) -> Vec<(ConnId, String)> {
+        let mut input = LineBuf::new();
+        for (conn, line) in lines {
+            input.push(*conn, line.as_bytes());
+        }
+        let mut out = LineBuf::new();
+        self.process_lines(&input, &mut out);
+        out.iter().map(|(conn, line)| (conn, String::from_utf8_lossy(line).into_owned())).collect()
+    }
+
+    /// Process one batch of request lines, appending the responses to
+    /// `out`. This is the one line path: both listeners call it, and
+    /// [`Service::process_batch`] adapts it.
+    ///
+    /// A line is parsed where it lies when it is UTF-8; only a line that
+    /// is not is decoded lossily, and it draws the `ERR parse` it always
+    /// did. Responses preserve per-tenant request order. Control requests
+    /// are answered in line order; event advice for a tenant is grouped
+    /// at the point its queue is flushed (inline when a control request
+    /// for the same tenant needs the events applied first, otherwise at
+    /// the end of the batch).
+    pub(crate) fn process_lines(&mut self, lines: &LineBuf, out: &mut LineBuf) {
         self.stats.batches += 1;
-        let mut batch = Batch::default();
-        for (conn, raw) in lines {
-            match parse_line(raw) {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.out = std::mem::take(out);
+        for (conn, raw) in lines.iter() {
+            let line = String::from_utf8_lossy(raw);
+            match parse_line(&line) {
                 Ok(None) => {}
-                Ok(Some(req)) => self.route(&mut batch, *conn, req),
+                Ok(Some(req)) => self.route(&mut batch, conn, req),
                 Err(e) => {
                     self.stats.parse_errors += 1;
-                    if let Some(&i) = e.tenant.as_ref().and_then(|t| self.index.get(t)) {
+                    if let Some(&i) = e.tenant.as_deref().and_then(|t| self.index.get(t)) {
                         let charged = lock_slot(&self.tenants[i].slot).live().is_ok_and(|state| {
                             state.skipped += 1;
                             true
@@ -348,7 +396,7 @@ impl Service {
                             self.wal_append(i, &WalRecord::Skip);
                         }
                     }
-                    batch.out.push((*conn, format!("ERR parse {}", e.message)));
+                    batch.out.push(conn, format!("ERR parse {}", e.message).as_bytes());
                 }
             }
         }
@@ -357,34 +405,36 @@ impl Service {
         // `--fsync always` every acknowledged line is durable.
         self.wal_commit_pass();
         self.maybe_write_metrics();
-        batch.out
+        *out = std::mem::take(&mut batch.out);
+        batch.reset();
+        self.batch = batch;
     }
 
     /// Answer one request, or queue it (events).
-    fn route(&mut self, batch: &mut Batch, conn: ConnId, req: Request) {
+    fn route(&mut self, batch: &mut Batch, conn: ConnId, req: Request<'_>) {
         match req {
-            Request::Event { tenant, block } => self.route_event(batch, conn, &tenant, block),
+            Request::Event { tenant, block } => self.route_event(batch, conn, tenant, block),
             Request::Open { tenant, opts } => {
-                let opened = self.open_tenant(&tenant, &opts);
-                self.respond(batch, conn, &tenant, opened);
+                let opened = self.open_tenant(tenant, &opts);
+                self.respond(batch, conn, tenant, opened);
             }
             Request::Stats { tenant } => {
-                let line = self.settle(batch, &tenant).and_then(|i| {
+                let line = self.settle(batch, tenant).and_then(|i| {
                     let t = &self.tenants[i];
                     let mut slot = lock_slot(&t.slot);
                     let state = slot.live()?;
                     Ok(state.stats_line() + &report_suffix(state.queue_hwm, &t.rejects))
                 });
-                self.respond(batch, conn, &tenant, line);
+                self.respond(batch, conn, tenant, line);
             }
             Request::Close { tenant } => {
-                let closed = self.close_tenant(batch, &tenant);
-                self.respond(batch, conn, &tenant, closed);
+                let closed = self.close_tenant(batch, tenant);
+                self.respond(batch, conn, tenant, closed);
             }
             Request::Panic { tenant } => {
                 // Events earlier in the batch keep sequential semantics:
                 // `settle` applies them before the hook is armed.
-                let armed = self.settle(batch, &tenant).and_then(|i| {
+                let armed = self.settle(batch, tenant).and_then(|i| {
                     lock_slot(&self.tenants[i].slot).live()?.panic_armed = true;
                     Ok(i)
                 });
@@ -394,7 +444,7 @@ impl Service {
                 self.respond(
                     batch,
                     conn,
-                    &tenant,
+                    tenant,
                     armed.map(|_| format!("OK panic-armed {tenant}")),
                 );
             }
@@ -403,12 +453,12 @@ impl Service {
                 self.flush_queued(batch);
                 self.render_metrics(conn, &mut batch.out);
             }
-            Request::Health => batch.out.push((conn, self.health_line())),
+            Request::Health => batch.out.push(conn, self.health_line().as_bytes()),
             Request::Shutdown => {
                 // Apply everything queued so far, then flag the drain.
                 self.flush_queued(batch);
                 self.shutdown = true;
-                batch.out.push((conn, "OK shutdown".to_string()));
+                batch.out.push(conn, b"OK shutdown");
             }
         }
     }
@@ -418,29 +468,28 @@ impl Service {
         let Some(&i) = self.index.get(tenant) else {
             return self.reject(batch, conn, tenant, RejectReason::UnknownTenant);
         };
-        let queue = match batch.queues.entry(i) {
-            Entry::Occupied(e) if e.get().live => e.into_mut(),
-            entry => {
-                // The one liveness read of the batch, which also stamps
-                // the tenant's first enqueue into its flight ring.
-                let first = matches!(entry, Entry::Vacant(_));
-                let number = self.stats.batches;
-                let seen = lock_slot(&self.tenants[i].slot).live().map(|state| {
-                    if let (true, Some(fr)) = (first, state.flight_mut()) {
-                        fr.record_kv("queue", "batch", number);
-                    }
-                });
-                if let Err(reason) = seen {
-                    return self.reject(batch, conn, tenant, reason);
+        if batch.queues.len() <= i {
+            batch.queues.resize_with(i + 1, Queued::default);
+        }
+        if !batch.queues[i].live {
+            // The one liveness read of the batch, which also stamps the
+            // tenant's first enqueue into its flight ring.
+            let first = !batch.queues[i].queued;
+            let number = self.stats.batches;
+            let seen = lock_slot(&self.tenants[i].slot).live().map(|state| {
+                if let (true, Some(fr)) = (first, state.flight_mut()) {
+                    fr.record_kv("queue", "batch", number);
                 }
-                if first {
-                    batch.order.push(i);
-                }
-                let queue = entry.or_default();
-                queue.live = true;
-                queue
+            });
+            if let Err(reason) = seen {
+                return self.reject(batch, conn, tenant, reason);
             }
-        };
+            if first {
+                batch.order.push(i);
+            }
+            (batch.queues[i].queued, batch.queues[i].live) = (true, true);
+        }
+        let queue = &mut batch.queues[i];
         if queue.events.len() >= self.opts.queue_cap {
             self.stats.sheds += 1;
             if let Ok(state) = lock_slot(&self.tenants[i].slot).live() {
@@ -448,7 +497,7 @@ impl Service {
             }
             self.wal_append(i, &WalRecord::Shed);
             let cap = self.opts.queue_cap;
-            batch.out.push((conn, format!("SHED {tenant} queue-full cap={cap}")));
+            batch.out.push(conn, format!("SHED {tenant} queue-full cap={cap}").as_bytes());
         } else {
             queue.events.push((conn, block));
             // Logged at accept time (staged; the flush that applies the
@@ -484,7 +533,7 @@ impl Service {
         answer: Result<String, RejectReason>,
     ) {
         match answer {
-            Ok(line) => batch.out.push((conn, line)),
+            Ok(line) => batch.out.push(conn, line.as_bytes()),
             Err(reason) => self.reject(batch, conn, tenant, reason),
         }
     }
@@ -495,7 +544,7 @@ impl Service {
         if let Some(&i) = self.index.get(tenant) {
             self.tenants[i].rejects[reason.index()] += 1;
         }
-        batch.out.push((conn, reason.render(tenant)));
+        batch.out.push(conn, reason.render(tenant).as_bytes());
     }
 
     /// Install `slot` under `name`: in place when the name already has
@@ -533,11 +582,7 @@ impl Service {
     }
 
     /// Admit a tenant; the `OK` line, or why not.
-    fn open_tenant(
-        &mut self,
-        tenant: &str,
-        opts: &[(String, String)],
-    ) -> Result<String, RejectReason> {
+    fn open_tenant(&mut self, tenant: &str, opts: &[(&str, &str)]) -> Result<String, RejectReason> {
         if let Some(&i) = self.index.get(tenant) {
             match *lock_slot(&self.tenants[i].slot) {
                 Slot::Live(_) => return Err(RejectReason::Duplicate),
@@ -663,7 +708,7 @@ impl Service {
     fn close_tenant(&mut self, batch: &mut Batch, tenant: &str) -> Result<String, RejectReason> {
         let i = self.settle(batch, tenant)?;
         let mut state = lock_slot(&self.tenants[i].slot).take()?;
-        if let Some(queue) = batch.queues.get_mut(&i) {
+        if let Some(queue) = batch.queues.get_mut(i) {
             queue.live = false;
         }
         // Closing drops the state: drain its last batch's metric deltas
@@ -684,11 +729,11 @@ impl Service {
     /// one work item; results come back in first-appearance order, so
     /// the response stream is independent of the worker count.
     fn flush_queued(&mut self, batch: &mut Batch) {
-        let active: Arc<[Flushing]> = batch
+        let mut active: Arc<[Flushing]> = batch
             .order
             .iter()
             .filter_map(|&i| {
-                let events = std::mem::take(&mut batch.queues.get_mut(&i)?.events);
+                let events = std::mem::take(&mut batch.queues[i].events);
                 let slot = &self.tenants[i].slot;
                 (!events.is_empty()).then(|| Flushing { i, slot: Arc::clone(slot), events })
             })
@@ -710,11 +755,18 @@ impl Service {
         for (a, flush) in active.iter().zip(flushes) {
             self.absorb_flush(batch, a.i, &a.events, flush);
         }
+        // The pool has let go of the list (its closure is dropped before
+        // `run_indexed` returns): hand each event vector back for reuse.
+        if let Some(active) = Arc::get_mut(&mut active) {
+            for a in active {
+                batch.give_back(a.i, std::mem::take(&mut a.events));
+            }
+        }
     }
 
     /// Flush one tenant's queued events inline (tenant-verb path).
     fn flush_inline(&mut self, batch: &mut Batch, i: usize) {
-        let Some(queue) = batch.queues.get_mut(&i) else { return };
+        let Some(queue) = batch.queues.get_mut(i) else { return };
         if queue.events.is_empty() {
             return;
         }
@@ -722,6 +774,7 @@ impl Service {
         self.wal_flush(i);
         let flush = flush_tenant(&self.tenants[i].slot, &events, self.registry.is_some());
         self.absorb_flush(batch, i, &events, flush);
+        batch.give_back(i, events);
     }
 
     /// Fold one tenant's flush results into service state and responses.
@@ -732,28 +785,28 @@ impl Service {
         events: &[(ConnId, u64)],
         flush: TenantFlush,
     ) {
-        self.stats.events += flush.responses.len() as u64;
+        self.stats.events += flush.served as u64;
         self.recharge(flush.repriced);
-        if self.opts.echo_advice {
-            batch.out.extend(flush.responses);
+        let mut slot = lock_slot(&self.tenants[i].slot);
+        if let (true, Ok(state)) = (self.opts.echo_advice, slot.live()) {
+            batch.out.append(&state.responses);
         }
         let Some((at, message)) = flush.panicked else { return };
-        if let Some(queue) = batch.queues.get_mut(&i) {
-            queue.live = false;
-        }
+        let state = slot.take().ok();
+        drop(slot);
+        batch.queues[i].live = false;
         let name = Arc::clone(&self.tenants[i].name);
-        let state = lock_slot(&self.tenants[i].slot).take().ok();
         let trace = self.quarantine(&name, state, &message);
         tlog::warn("serve_tenant_quarantined")
             .str("tenant", name.to_string())
             .str("err", message.as_str())
             .emit();
         let conn = events.get(at).map_or(0, |(c, _)| *c);
-        batch.out.push((conn, format!("PANIC {name} quarantined err={message:?}")));
+        batch.out.push(conn, format!("PANIC {name} quarantined err={message:?}").as_bytes());
         // The flight-recorder dump rides along with the PANIC line: the
         // last moments of the request lifecycle, already ordered.
         for line in &trace {
-            batch.out.push((conn, format!("TRACE {name} {line}")));
+            batch.out.push(conn, format!("TRACE {name} {line}").as_bytes());
         }
         // Events behind the panic are refused explicitly, never silently
         // dropped.
@@ -828,11 +881,13 @@ impl Service {
     }
 }
 
-/// Apply one tenant's queued events in order, under `catch_unwind`.
+/// Apply one tenant's queued events in order, under `catch_unwind`,
+/// rendering each `ADV` line in place into the tenant's `responses`
+/// buffer, which the dispatch thread appends to the batch's responses.
 ///
-/// Responses produced before a panic are preserved: the flush-local
-/// vector lives outside the unwinding closure, and a panic fires inside
-/// `process_event_full`, before that event pushes anything — so a tenant
+/// Responses produced before a panic are preserved: the buffer lives
+/// outside the unwinding closure, and a panic fires inside
+/// `process_event_into`, before that event appends anything — so a tenant
 /// that dies mid-batch still delivers the advice it computed.
 /// Registry-bound measurements fold into the tenant's own
 /// `PendingMetrics` under the slot lock the flush holds — the registry is
@@ -842,11 +897,7 @@ impl Service {
 /// Runs on a pool worker; touches only the one slot it was given, and
 /// holds its lock from the first event to the last.
 fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) -> TenantFlush {
-    let mut flush = TenantFlush {
-        responses: Vec::with_capacity(events.len()),
-        repriced: (0, 0),
-        panicked: None,
-    };
+    let mut flush = TenantFlush { served: 0, repriced: (0, 0), panicked: None };
     let mut guard = lock_slot(slot);
     let Ok(state) = guard.live() else { return flush };
     // Batch composition is listener-formed, so the high-water mark is
@@ -855,15 +906,18 @@ fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) 
     if let Some(fr) = state.flight_mut() {
         fr.record_kv("dispatch", "events", events.len() as u64);
     }
+    let mut responses = std::mem::take(&mut state.responses);
+    responses.clear();
     let served = prefetch_pool::catch_quiet(|| {
-        for (conn, block) in events {
-            let outcome = state.process_event_full(*block);
+        for &(conn, block) in events {
+            let outcome = responses.push_with(conn, |out| state.process_event_into(block, out));
             if metrics_on {
                 state.pending_metrics.get_or_insert_with(Default::default).fold(&outcome);
             }
-            flush.responses.push((*conn, outcome.line));
         }
     });
+    flush.served = responses.len();
+    state.responses = responses;
     match served {
         Ok(()) => {
             // A panicking flush records no response — the quarantine
@@ -875,7 +929,7 @@ fn flush_tenant(slot: &Mutex<Slot>, events: &[(ConnId, u64)], metrics_on: bool) 
         }
         Err(payload) => {
             let message = prefetch_pool::panic_message(&*payload);
-            flush.panicked = Some((flush.responses.len(), message));
+            flush.panicked = Some((flush.served, message));
         }
     }
     flush

@@ -9,7 +9,8 @@
 //! its own event sequence, which is what makes per-tenant advice streams
 //! byte-identical at any worker count.
 
-use crate::protocol::RejectReason;
+use crate::lines::LineBuf;
+use crate::protocol::{render_adv, RejectReason};
 use prefetch_core::policy::RefKind;
 use prefetch_core::CalibrationTracker;
 use prefetch_sim::{PolicySpec, SimConfig, SimEvent, SimMetrics, SimObserver, Simulator};
@@ -62,7 +63,7 @@ impl TenantSpec {
     /// malformed option is a typed [`RejectReason::BadConfig`] — admission
     /// never panics on hostile input.
     pub fn from_opts(
-        opts: &[(String, String)],
+        opts: &[(&str, &str)],
         defaults: &TenantDefaults,
     ) -> Result<Self, RejectReason> {
         let mut spec = TenantSpec {
@@ -75,8 +76,8 @@ impl TenantSpec {
             fault_seed: 0,
         };
         let bad = |msg: String| Err(RejectReason::BadConfig(msg));
-        for (k, v) in opts {
-            match k.as_str() {
+        for &(k, v) in opts {
+            match k {
                 "cache" => match v.parse::<usize>() {
                     Ok(n) if n > 0 => spec.cache_blocks = n,
                     _ => return bad(format!("cache={v} must be a positive integer")),
@@ -91,7 +92,7 @@ impl TenantSpec {
                     Ok(n) if n > 0 => spec.node_limit = n,
                     _ => return bad(format!("nodes={v} must be a positive integer")),
                 },
-                "overflow" => match v.as_str() {
+                "overflow" => match v {
                     "evict" => spec.freeze = false,
                     "freeze" => spec.freeze = true,
                     _ => return bad(format!("overflow={v} must be evict or freeze")),
@@ -161,12 +162,21 @@ const FIXED_BYTES: u64 = 8 * 1024;
 
 /// Captures one event's advice from the simulator event stream: how the
 /// reference was served, the stall it absorbed, and the blocks the policy
-/// chose to prefetch this period.
+/// chose to prefetch this period. A tenant keeps one and clears it per
+/// event, so the prefetch list reuses its allocation.
 #[derive(Default)]
 struct AdviceCapture {
     kind: Option<RefKind>,
     stall_ms: f64,
     prefetched: Vec<BlockId>,
+}
+
+impl AdviceCapture {
+    fn clear(&mut self) {
+        self.kind = None;
+        self.stall_ms = 0.0;
+        self.prefetched.clear();
+    }
 }
 
 impl SimObserver for AdviceCapture {
@@ -263,17 +273,20 @@ pub struct TenantState {
     /// [`PendingMetrics`]): `None` until an event folds in after a drain,
     /// and always when metrics are off.
     pub pending_metrics: Option<Box<PendingMetrics>>,
+    /// The `ADV` lines of the tenant's last flush, each tagged with the
+    /// connection its event came from; kept so the buffer is reused.
+    pub(crate) responses: LineBuf,
     /// Flight recorder, when `--trace-ring` enabled tracing at admission.
     flight: Option<FlightRecorder>,
     advice_file: Option<BufWriter<File>>,
+    /// The current event's advice, reused from event to event.
+    capture: AdviceCapture,
 }
 
-/// What one processed event produced: the `ADV` response line plus the
-/// measurements observability consumers record (metrics registry,
-/// flight recorder).
+/// What one processed event measured, besides its `ADV` line: what the
+/// metrics registry records.
+#[derive(Clone, Copy, Debug)]
 pub struct EventOutcome {
-    /// The rendered `ADV` response line.
-    pub line: String,
     /// How the reference was served.
     pub kind: RefKind,
     /// Virtual stall charged to the reference (ms).
@@ -309,8 +322,10 @@ impl TenantState {
             wal_state: "off",
             queue_hwm: 0,
             pending_metrics: None,
+            responses: LineBuf::new(),
             flight: None,
             advice_file,
+            capture: AdviceCapture::default(),
         })
     }
 
@@ -370,64 +385,57 @@ impl TenantState {
         (std::mem::replace(&mut self.charged_bytes, resident), resident)
     }
 
-    /// Process one access event and return the `ADV` response line.
+    /// Process one access event and return its `ADV` response line: the
+    /// [`TenantState::process_event_into`] rendering, as a `String`.
+    ///
+    /// # Panics
+    /// Same contract as [`TenantState::process_event_into`].
+    pub fn process_event(&mut self, block: u64) -> String {
+        let mut line = Vec::new();
+        self.process_event_into(block, &mut line);
+        line.pop();
+        String::from_utf8(line).expect("an ADV line is UTF-8")
+    }
+
+    /// Process one access event: append its `\n`-terminated `ADV` line to
+    /// `out` (and to the advice file, when one is open), record the
+    /// `decision` flight stage, and return what the metrics registry
+    /// records. Nothing is allocated once the tenant's prefetch list has
+    /// grown to a period's worth.
     ///
     /// # Panics
     /// Panics when the chaos hook armed by a `PANIC` request fires, or if
     /// the underlying policy has a bug — the service catches either,
-    /// quarantines the tenant, and keeps every other tenant running.
-    pub fn process_event(&mut self, block: u64) -> String {
-        self.process_event_full(block).line
-    }
-
-    /// [`TenantState::process_event`] returning the full [`EventOutcome`]
-    /// (how the reference was served, its stall, and the prefetch count)
-    /// for metrics recording; also records the `decision` flight stage.
-    ///
-    /// # Panics
-    /// Same contract as [`TenantState::process_event`].
-    pub fn process_event_full(&mut self, block: u64) -> EventOutcome {
+    /// quarantines the tenant, and keeps every other tenant running. Either
+    /// panic comes before anything is appended to `out`.
+    pub fn process_event_into(&mut self, block: u64, out: &mut Vec<u8>) -> EventOutcome {
         if self.panic_armed {
             panic!("injected tenant panic (chaos hook)");
         }
-        let mut capture = AdviceCapture::default();
-        self.sim.step(TraceRecord::read(block), None, &mut (&mut self.metrics, &mut capture));
+        let capture = &mut self.capture;
+        capture.clear();
+        self.sim.step(TraceRecord::read(block), None, &mut (&mut self.metrics, &mut *capture));
         let seq = self.seq;
         self.seq += 1;
         let kind = capture.kind.unwrap_or(RefKind::Miss);
         let kind_ch = match kind {
-            RefKind::DemandHit => 'h',
-            RefKind::PrefetchHit => 'p',
-            RefKind::Miss => 'm',
+            RefKind::DemandHit => b'h',
+            RefKind::PrefetchHit => b'p',
+            RefKind::Miss => b'm',
         };
-        let mut line =
-            format!("ADV {} {} {} stall={} pf=", self.name, seq, kind_ch, capture.stall_ms);
-        if capture.prefetched.is_empty() {
-            line.push('-');
-        } else {
-            for (i, b) in capture.prefetched.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&b.0.to_string());
-            }
-        }
+        let start = out.len();
+        render_adv(out, &self.name, seq, kind_ch, capture.stall_ms, &capture.prefetched);
         if let Some(f) = &mut self.advice_file {
-            let _ = writeln!(f, "{line}");
+            let _ = f.write_all(&out[start..]);
         }
         if let Some(fr) = self.flight.as_mut() {
             // Per-event hot path: the decision is stored in binary form
             // (virtual stall as whole microseconds) and only rendered if
             // a dump is requested — a record is a few word writes.
             let stall_us = (capture.stall_ms * 1000.0).round() as u64;
-            fr.record_decision(seq, kind_ch, stall_us, capture.prefetched.len() as u64);
+            fr.record_decision(seq, kind_ch as char, stall_us, capture.prefetched.len() as u64);
         }
-        EventOutcome {
-            line,
-            kind,
-            stall_ms: capture.stall_ms,
-            prefetched: capture.prefetched.len(),
-        }
+        EventOutcome { kind, stall_ms: capture.stall_ms, prefetched: capture.prefetched.len() }
     }
 
     /// Render the live `STATS` response line. The durability field is
@@ -504,10 +512,6 @@ mod tests {
         TenantDefaults::default()
     }
 
-    fn opts(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
-    }
-
     #[test]
     fn spec_applies_defaults_and_overrides() {
         let spec = TenantSpec::from_opts(&[], &defaults()).unwrap();
@@ -516,7 +520,7 @@ mod tests {
         assert!(!spec.freeze);
 
         let spec = TenantSpec::from_opts(
-            &opts(&[
+            &[
                 ("cache", "128"),
                 ("policy", "tree"),
                 ("nodes", "512"),
@@ -524,7 +528,7 @@ mod tests {
                 ("disks", "2"),
                 ("fault_rate", "0.1"),
                 ("fault_seed", "9"),
-            ]),
+            ],
             &defaults(),
         )
         .unwrap();
@@ -554,12 +558,12 @@ mod tests {
             ("fault_seed", "-1"),
             ("frobnicate", "1"),
         ] {
-            let err = TenantSpec::from_opts(&opts(&[(k, v)]), &defaults())
+            let err = TenantSpec::from_opts(&[(k, v)], &defaults())
                 .expect_err(&format!("{k}={v} must be rejected"));
             assert!(matches!(err, RejectReason::BadConfig(_)), "{k}={v}");
         }
         // Cross-field validation: faults need a disk array to inject into.
-        let err = TenantSpec::from_opts(&opts(&[("fault_rate", "0.2")]), &defaults()).unwrap_err();
+        let err = TenantSpec::from_opts(&[("fault_rate", "0.2")], &defaults()).unwrap_err();
         assert!(matches!(err, RejectReason::BadConfig(_)));
     }
 
@@ -584,7 +588,7 @@ mod tests {
             "",
         ] {
             let pfsim = PolicySpec::parse(name, "all, ", |_| true);
-            let open = TenantSpec::from_opts(&opts(&[("policy", name)]), &defaults());
+            let open = TenantSpec::from_opts(&[("policy", name)], &defaults());
             match (pfsim, open) {
                 (Ok(p), Ok(spec)) => assert_eq!(spec.policy, p, "{name}"),
                 // The one serve-only refusal: no lookahead on a live stream.
@@ -597,7 +601,7 @@ mod tests {
 
     #[test]
     fn events_produce_deterministic_advice() {
-        let spec = TenantSpec::from_opts(&opts(&[("cache", "32")]), &defaults()).unwrap();
+        let spec = TenantSpec::from_opts(&[("cache", "32")], &defaults()).unwrap();
         let mut a = TenantState::new("a", spec.clone(), None).unwrap();
         let mut b = TenantState::new("b", spec, None).unwrap();
         let blocks = [1u64, 2, 3, 1, 2, 3, 1, 2, 3, 4];
@@ -610,7 +614,7 @@ mod tests {
         // A loop over more blocks than the cache holds forces evictions,
         // so once the tree has learned the cycle the policy must start
         // advising prefetches for the predicted successors.
-        let spec = TenantSpec::from_opts(&opts(&[("cache", "16")]), &defaults()).unwrap();
+        let spec = TenantSpec::from_opts(&[("cache", "16")], &defaults()).unwrap();
         let mut c = TenantState::new("c", spec, None).unwrap();
         let mut saw_prefetch = false;
         for i in 0..400u64 {
@@ -651,8 +655,27 @@ mod tests {
 
     #[test]
     fn memory_estimate_scales_with_budgets() {
-        let small = TenantSpec::from_opts(&opts(&[("nodes", "64")]), &defaults()).unwrap();
-        let large = TenantSpec::from_opts(&opts(&[("nodes", "65536")]), &defaults()).unwrap();
+        let small = TenantSpec::from_opts(&[("nodes", "64")], &defaults()).unwrap();
+        let large = TenantSpec::from_opts(&[("nodes", "65536")], &defaults()).unwrap();
         assert!(small.estimated_bytes() < large.estimated_bytes());
+    }
+
+    #[test]
+    fn process_event_into_appends_the_process_event_line() {
+        let spec = TenantSpec::from_opts(&[("cache", "16")], &defaults()).unwrap();
+        let mut a = TenantState::new("a", spec.clone(), None).unwrap();
+        let mut b = TenantState::new("a", spec, None).unwrap();
+        let mut out = Vec::new();
+        for i in 0..300u64 {
+            let start = out.len();
+            let outcome = a.process_event_into(i % 40, &mut out);
+            let line = b.process_event(i % 40);
+            assert_eq!(&out[start..], format!("{line}\n").as_bytes());
+            assert_eq!(
+                outcome.prefetched,
+                line.rsplit_once("pf=").unwrap().1.split(',').count()
+                    - usize::from(line.ends_with("pf=-"))
+            );
+        }
     }
 }

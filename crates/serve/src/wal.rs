@@ -32,6 +32,7 @@
 //! the log resumes; corruption quarantines that one tenant with a typed
 //! [`RecoveryError`] while every sibling recovers normally.
 
+use crate::lines::push_u64;
 use crate::service::{lock_slot, Service};
 use crate::tenant::{TenantDefaults, TenantSpec, TenantState};
 use prefetch_telemetry::log as tlog;
@@ -130,19 +131,8 @@ impl WalRecord {
             }
             // One per event: rendered digit by digit, not through `fmt`.
             WalRecord::Event(block) => {
-                let mut digits = [0u8; 20];
-                let mut at = digits.len();
-                let mut rest = *block;
-                loop {
-                    at -= 1;
-                    digits[at] = b'0' + (rest % 10) as u8;
-                    rest /= 10;
-                    if rest == 0 {
-                        break;
-                    }
-                }
                 out.extend_from_slice(b"E ");
-                out.extend_from_slice(&digits[at..]);
+                push_u64(out, *block);
             }
             WalRecord::Skip => out.push(b'S'),
             WalRecord::Shed => out.push(b'H'),
@@ -158,7 +148,7 @@ impl WalRecord {
         match fields.next() {
             Some("O") => {
                 let mut base = false;
-                let mut opts: Vec<(String, String)> = Vec::new();
+                let mut opts: Vec<(&str, &str)> = Vec::new();
                 for opt in fields {
                     let Some((k, v)) = opt.split_once('=') else {
                         return Err(format!("O option {opt:?} is not key=value"));
@@ -166,7 +156,7 @@ impl WalRecord {
                     if k == "base" {
                         base = v == "1";
                     } else {
-                        opts.push((k.to_owned(), v.to_owned()));
+                        opts.push((k, v));
                     }
                 }
                 // Every field is explicit in the record, so the defaults
@@ -539,12 +529,19 @@ pub(crate) fn decode_log(records: &[Vec<u8>]) -> Result<Vec<WalRecord>, Recovery
 
 /// Replay a decoded event history into a fresh tenant (no `catch_unwind`
 /// here — the caller wraps each event so a reproduced panic quarantines
-/// exactly like the live run). Returns events applied.
-pub(crate) fn apply_record(state: &mut TenantState, record: &WalRecord) -> bool {
+/// exactly like the live run). An event's `ADV` line is rendered into
+/// `scratch`, which the caller reuses, and dropped. Returns whether the
+/// record was an event.
+pub(crate) fn apply_record(
+    state: &mut TenantState,
+    record: &WalRecord,
+    scratch: &mut Vec<u8>,
+) -> bool {
     match record {
         WalRecord::Open { .. } | WalRecord::Close => false,
         WalRecord::Event(block) => {
-            state.process_event(*block);
+            scratch.clear();
+            state.process_event_into(*block, scratch);
             true
         }
         WalRecord::Skip => {
@@ -682,9 +679,7 @@ mod tests {
     use super::*;
 
     fn spec(pairs: &[(&str, &str)]) -> TenantSpec {
-        let opts: Vec<(String, String)> =
-            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        TenantSpec::from_opts(&opts, &TenantDefaults::default()).unwrap()
+        TenantSpec::from_opts(pairs, &TenantDefaults::default()).unwrap()
     }
 
     #[test]

@@ -400,3 +400,143 @@ fn pfserve_binary_answers_a_non_utf8_line_with_a_typed_error() {
         check("socket", &received);
     }
 }
+
+/// Two clients stream over one unix socket at once, each a 2 000-line
+/// `OPEN`/`EV`/`CLOSE` script for its own tenant, and half-close. Each
+/// must receive exactly its own responses, byte for byte what a stdin run
+/// of its script answers before the drain. `--batch 1` on both sides
+/// keeps `FINAL`'s `queue_hwm=` independent of how the two streams
+/// interleave.
+#[cfg(unix)]
+#[test]
+fn concurrent_socket_clients_each_get_their_stdin_transcript() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+
+    let script = |tenant: &str, stride: u64| {
+        let mut s = format!("OPEN {tenant} cache=16 nodes=256\n");
+        for k in 0..1998u64 {
+            s.push_str(&format!("EV {tenant} {}\n", (k * stride) % 53 + k % 7));
+        }
+        s.push_str(&format!("CLOSE {tenant}\n"));
+        s.into_bytes()
+    };
+    let scripts = [script("alpha", 3), script("beta", 5)];
+    let pfserve = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pfserve"));
+        cmd.args(["--quiet", "--batch", "1"]).stderr(Stdio::null());
+        cmd
+    };
+
+    // What each script gets on stdin, less the drain (its BYE line).
+    let expected: Vec<Vec<u8>> = scripts
+        .iter()
+        .map(|script| {
+            let mut child =
+                pfserve().stdin(Stdio::piped()).stdout(Stdio::piped()).spawn().expect("spawn");
+            child.stdin.take().unwrap().write_all(script).unwrap();
+            let out = child.wait_with_output().unwrap();
+            assert!(out.status.success());
+            let text = String::from_utf8(out.stdout).unwrap();
+            let (kept, bye) = text.trim_end().rsplit_once('\n').unwrap();
+            assert!(bye.starts_with("BYE tenants=1 events=1998 "), "{bye}");
+            format!("{kept}\n").into_bytes()
+        })
+        .collect();
+
+    let dir = tmp_dir("two-clients");
+    let path = dir.join("pfserve.sock");
+    let mut server = pfserve()
+        .arg("--socket")
+        .arg(&path)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn pfserve");
+    let connect = || {
+        (0..500)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                UnixStream::connect(&path).ok()
+            })
+            .expect("pfserve never bound its socket")
+    };
+    let clients: Vec<_> = scripts
+        .iter()
+        .map(|script| {
+            let mut stream = connect();
+            let mut writer = stream.try_clone().unwrap();
+            let script = script.clone();
+            std::thread::spawn(move || {
+                let sender = std::thread::spawn(move || {
+                    writer.write_all(&script).unwrap();
+                    writer.shutdown(std::net::Shutdown::Write).unwrap();
+                });
+                let mut received = Vec::new();
+                stream.read_to_end(&mut received).unwrap();
+                sender.join().unwrap();
+                received
+            })
+        })
+        .collect();
+    let received: Vec<Vec<u8>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+
+    let mut closer = connect();
+    closer.write_all(b"SHUTDOWN\n").unwrap();
+    let mut drain = String::new();
+    closer.read_to_string(&mut drain).unwrap();
+    assert!(server.wait().unwrap().success(), "socket: pfserve failed");
+    assert!(drain.contains("BYE tenants=2 events=3996 "), "{drain}");
+
+    for ((got, want), tenant) in received.iter().zip(&expected).zip(["alpha", "beta"]) {
+        let text = String::from_utf8_lossy(got);
+        assert_eq!(text.lines().count(), 2000, "{tenant}");
+        assert!(text.lines().all(|l| l.contains(tenant)), "{tenant} got another client's line");
+        assert!(got == want, "{tenant}: socket responses differ from its stdin run");
+    }
+}
+
+/// A client that sends a few lines and hangs up at once still gets every
+/// answer: its hangup reaches the dispatch loop while its lines wait in
+/// the batch, and the batch is answered before the client is dropped.
+#[cfg(unix)]
+#[test]
+fn a_socket_client_that_hangs_up_still_gets_its_answers() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+
+    let dir = tmp_dir("hangup");
+    let path = dir.join("pfserve.sock");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_pfserve"))
+        .args(["--quiet", "--socket", path.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pfserve");
+    let connect = || {
+        (0..500)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                UnixStream::connect(&path).ok()
+            })
+            .expect("pfserve never bound its socket")
+    };
+    let mut client = connect();
+    client.write_all(b"OPEN h\nEV h 1\nEV h 2\nCLOSE h\n").unwrap();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut got = String::new();
+    client.read_to_string(&mut got).unwrap();
+    let lines: Vec<&str> = got.lines().collect();
+    assert_eq!(lines.len(), 4, "{got}");
+    assert_eq!(lines[0], "OK open h");
+    assert!(lines[1].starts_with("ADV h 0 ") && lines[2].starts_with("ADV h 1 "), "{got}");
+    assert!(lines[3].starts_with("FINAL h events=2 "), "{got}");
+
+    let mut closer = connect();
+    closer.write_all(b"SHUTDOWN\n").unwrap();
+    closer.read_to_end(&mut Vec::new()).unwrap();
+    assert!(server.wait().unwrap().success(), "socket: pfserve failed");
+}
