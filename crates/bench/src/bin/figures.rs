@@ -9,8 +9,8 @@
 //!         [--save-tree DIR] [--load-tree DIR]
 //! ```
 //!
-//! The `snapshot` experiment measures `pftree-snap/v1`: exact bytes/node
-//! of the trained trees, snapshot payload vs encoded size, and a
+//! The `snapshot` experiment measures `pftree-snap/v2`: exact bytes/node
+//! of the trained trees, snapshot size, and a
 //! train → snapshot → restore → continue identity check. `--save-tree DIR`
 //! persists the four trained trees as `DIR/<trace>.pftree`; `--load-tree
 //! DIR` warm-starts training from those files (the flags compose across

@@ -42,8 +42,8 @@ impl FenwickTree {
         }
     }
 
-    /// Sum of slots `0..=i` (inclusive). Returns 0 for an empty range via
-    /// [`FenwickTree::sum_range`].
+    /// Sum of slots `0..=i` (inclusive); an `i` past the end sums every
+    /// slot, and an empty tree sums to 0.
     #[inline]
     pub fn prefix_sum(&self, i: usize) -> u64 {
         let mut i = (i + 1).min(self.tree.len() - 1);
@@ -53,30 +53,6 @@ impl FenwickTree {
             i -= i & i.wrapping_neg();
         }
         s
-    }
-
-    /// Sum over the half-open range `lo..hi`.
-    #[inline]
-    pub fn sum_range(&self, lo: usize, hi: usize) -> u64 {
-        if hi <= lo {
-            return 0;
-        }
-        let upper = self.prefix_sum(hi - 1);
-        if lo == 0 {
-            upper
-        } else {
-            upper - self.prefix_sum(lo - 1)
-        }
-    }
-
-    /// Total of all slots.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            self.prefix_sum(self.len() - 1)
-        }
     }
 }
 
@@ -94,7 +70,7 @@ mod tests {
         assert_eq!(f.prefix_sum(3), 1);
         assert_eq!(f.prefix_sum(4), 3);
         assert_eq!(f.prefix_sum(9), 6);
-        assert_eq!(f.total(), 6);
+        assert_eq!(f.prefix_sum(usize::MAX - 1), 6, "past the end sums every slot");
     }
 
     #[test]
@@ -104,7 +80,7 @@ mod tests {
         f.add(2, -3);
         assert_eq!(f.prefix_sum(2), 2);
         f.add(2, -2);
-        assert_eq!(f.total(), 0);
+        assert_eq!(f.prefix_sum(3), 0);
     }
 
     #[test]
@@ -113,11 +89,10 @@ mod tests {
         for i in 0..8 {
             f.add(i, (i + 1) as i32); // 1,2,...,8
         }
-        assert_eq!(f.sum_range(0, 8), 36);
-        assert_eq!(f.sum_range(2, 5), 3 + 4 + 5);
-        assert_eq!(f.sum_range(5, 5), 0);
-        assert_eq!(f.sum_range(7, 3), 0);
-        assert_eq!(f.sum_range(0, 1), 1);
+        // A range sum is the difference of two prefix sums.
+        assert_eq!(f.prefix_sum(7), 36);
+        assert_eq!(f.prefix_sum(4) - f.prefix_sum(1), 3 + 4 + 5);
+        assert_eq!(f.prefix_sum(0), 1);
     }
 
     #[test]
@@ -143,7 +118,7 @@ mod tests {
     fn empty_tree() {
         let f = FenwickTree::new(0);
         assert!(f.is_empty());
-        assert_eq!(f.total(), 0);
+        assert_eq!(f.prefix_sum(0), 0);
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl CostBenefitEngine {
     }
 
     /// Warm-start: replace the engine's tree with one restored from a
-    /// `pftree-snap/v1` snapshot. The restored tree carries its own node
+    /// `pftree-snap/v2` snapshot. The restored tree carries its own node
     /// budget, overflow policy, parse position and statistics (complete
     /// training state), so continued training is bit-identical to the
     /// snapshotted tree's future; the engine keeps its own model and

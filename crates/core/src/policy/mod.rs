@@ -165,7 +165,7 @@ pub trait PrefetchPolicy: Send {
     }
 
     /// The prefetch tree this policy trains, if it keeps one — snapshot
-    /// support (`pftree-snap/v1`): `pfserve` persists it on drain and
+    /// support (`pftree-snap/v2`): `pfserve` persists it on drain and
     /// `pfsim --save-tree` at end of run. Default: stateless policies
     /// have no tree.
     fn tree(&self) -> Option<&prefetch_tree::PrefetchTree> {

@@ -58,7 +58,7 @@ fn usage() -> String {
      N-1 pool helpers that start once and park between batches; output is\n\
      byte-identical at any N. 0 (the default) means one per core, read\n\
      once at start-up.\n\
-     --snapshot-dir persists each tenant's prefetch tree (pftree-snap/v1)\n\
+     --snapshot-dir persists each tenant's prefetch tree (pftree-snap/v2)\n\
      at CLOSE/drain and warm-starts same-named tenants on OPEN.\n\
      --wal-dir logs every accepted event to a per-tenant write-ahead log\n\
      (one write per tenant per batch, group-committed; --fsync picks the\n\

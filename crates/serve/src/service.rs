@@ -77,7 +77,7 @@ pub struct ServeOpts {
     /// Echo `ADV` lines to the requesting connection (disable for load
     /// tests that only want the advice files and final reports).
     pub echo_advice: bool,
-    /// Persist per-tenant prefetch trees as `pftree-snap/v1` snapshots
+    /// Persist per-tenant prefetch trees as `pftree-snap/v2` snapshots
     /// under this directory: written at `CLOSE` and drain, restored
     /// (warm start) when a tenant of the same name `OPEN`s. A corrupt or
     /// unreadable snapshot is logged and ignored — the tenant opens cold.
@@ -687,12 +687,11 @@ impl Service {
         let Some(tree) = state.tree() else { return };
         let path = dir.join(format!("{}.pftree", state.name));
         match tree.save_snapshot(&path) {
-            Ok(info) => {
+            Ok(bytes) => {
                 tlog::info("serve_snapshot_saved")
                     .str("tenant", state.name.to_string())
                     .u64("nodes", tree.node_count() as u64)
-                    .u64("encoded_bytes", info.encoded_bytes as u64)
-                    .bool("entropy_coded", info.entropy_coded)
+                    .u64("bytes", bytes as u64)
                     .emit();
             }
             Err(e) => {

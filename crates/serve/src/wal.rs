@@ -24,7 +24,7 @@
 //! uninterrupted run. Periodic checkpoints (`<name>.ckpt.pftree`, with
 //! one `.prev` generation; tmp-write + rename, synced only as the
 //! `--fsync` policy syncs — under `never` not at all, and a snapshot that
-//! fails its fingerprint falls back a generation) exist to bound
+//! does not scan clean falls back a generation) exist to bound
 //! *degraded* recovery: a log longer than `--recover-cap-events` is not
 //! replayed but warm-started from the freshest readable checkpoint,
 //! trading the simulator's cache state for O(1) restart. Damage is
@@ -412,7 +412,7 @@ impl Durability {
     }
 
     /// Write one checkpoint generation of `tree`: rotate the previous one
-    /// aside, then tmp-write + rename a fresh `pftree-snap/v1`. The
+    /// aside, then tmp-write + rename a fresh `pftree-snap/v2`. The
     /// directory is the caller's to sync, once per commit pass.
     fn write_checkpoint(&mut self, name: &str, tree: &PrefetchTree) -> Result<(), TreeIoError> {
         self.snapshot.clear();

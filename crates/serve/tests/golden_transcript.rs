@@ -33,9 +33,9 @@ const GOLDEN: [(&str, usize, u64); 6] = [
     ("plain", 1, 0x1d4e7c3309f1bf5f),
     ("plain", 7, 0xf801922c4bbb8d15),
     ("plain", 256, 0xafdeaf0038568abe),
-    ("instrumented", 1, 0x1ad8a4aca14862b0),
-    ("instrumented", 7, 0x499fc28a14864738),
-    ("instrumented", 256, 0x4abc4c486440f8c6),
+    ("instrumented", 1, 0xd60f2e34ec8780bc),
+    ("instrumented", 7, 0x949204bef2de2c98),
+    ("instrumented", 256, 0xb90b7e18916d8d0e),
 ];
 
 /// Each tenant walks a short cycle at its own stride, so the trees learn

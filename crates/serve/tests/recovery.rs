@@ -564,10 +564,9 @@ fn over_cap_recovery_degrades_from_checkpoint() {
 
 /// Under `--fsync never` a checkpoint is written and renamed but never
 /// synced, so a machine crash can leave the name on an empty or partial
-/// file. Such a snapshot fails its header or fingerprint check and the
-/// degraded path falls back a generation: to `.prev`, and cold when that
-/// is damaged too — told apart here by the advice the restored tenant
-/// goes on to give.
+/// file. Such a snapshot does not scan clean and the degraded path falls
+/// back a generation: to `.prev`, and cold when that is damaged too — told
+/// apart here by the advice the restored tenant goes on to give.
 #[test]
 fn damaged_checkpoints_under_fsync_never_fall_back_a_generation() {
     let root = tmp_dir("ckpt-never");
@@ -619,6 +618,49 @@ fn damaged_checkpoints_under_fsync_never_fall_back_a_generation() {
     assert_eq!(advice_after("zero-length", Some(&[]), Some(&previous)), from_prev);
     assert_eq!(advice_after("half-written", Some(half), Some(&previous)), from_prev);
     assert_eq!(advice_after("both-damaged", Some(half), Some(&[])), cold);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// One framing, one scanner: with the WAL, periodic checkpoints and a
+/// snapshot directory all on, every file the service leaves in either
+/// directory — logs, `.base.pftree` captures, both checkpoint generations,
+/// drained snapshots — is a PFWL image that `prefetch_wal::scan` reads
+/// clean.
+#[test]
+fn every_file_the_service_leaves_scans_clean() {
+    let root = tmp_dir("one-scanner");
+    let (wal, snaps) = (root.join("wal"), root.join("snapshots"));
+    fs::create_dir_all(&snaps).unwrap();
+    let mut o = opts(&root.join("advice"), &wal);
+    o.snapshot_dir = Some(snaps.clone());
+    o.wal.checkpoint_every = 8;
+    // First life, drained: every tenant's tree lands in `snapshots/`.
+    {
+        let mut s = Service::new(o.clone()).unwrap();
+        feed(&mut s, &script(3, 40), 16);
+        let _ = s.drain();
+    }
+    // Second life: the tenants warm-start (capturing `.base.pftree`),
+    // checkpoint, one closes, and the service crashes with the rest open.
+    {
+        let mut s = Service::new(o).unwrap();
+        let mut lines = script(3, 40);
+        lines.push("CLOSE t0".to_string());
+        feed(&mut s, &lines, 16);
+    }
+    let mut kinds = std::collections::BTreeSet::new();
+    for dir in [&wal, &snaps] {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let scan = prefetch_wal::scan(&path).unwrap();
+            assert_eq!(scan.tail, prefetch_wal::Tail::Clean, "{}", path.display());
+            assert!(!scan.records.is_empty(), "{} holds no record", path.display());
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            kinds.insert(name.split_once('.').unwrap().1.to_string());
+        }
+    }
+    let want = ["base.pftree", "ckpt.pftree", "ckpt.pftree.prev", "pftree", "wal"];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), want);
     let _ = fs::remove_dir_all(&root);
 }
 

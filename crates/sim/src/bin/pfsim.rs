@@ -17,7 +17,7 @@
 //! `--log-json PATH` mirrors the structured run log to a JSONL file.
 //!
 //! Snapshot flags: `--save-tree PATH` writes the trained prefetch tree as
-//! a `pftree-snap/v1` snapshot at end of run (one `--policy` required);
+//! a `pftree-snap/v2` snapshot at end of run (one `--policy` required);
 //! `--load-tree PATH` warm-starts every policy run from a snapshot, and
 //! continued training is bit-identical to the run that produced it.
 //!
@@ -452,13 +452,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(EXIT_USAGE);
             };
             match tree.save_snapshot(path) {
-                Ok(info) => {
+                Ok(bytes) => {
                     tlog::info("tree_saved")
                         .str("path", path.display().to_string())
                         .u64("nodes", tree.node_count() as u64)
-                        .u64("payload_bytes", info.payload_bytes as u64)
-                        .u64("encoded_bytes", info.encoded_bytes as u64)
-                        .bool("entropy_coded", info.entropy_coded)
+                        .u64("bytes", bytes as u64)
                         .emit();
                 }
                 Err(e) => {

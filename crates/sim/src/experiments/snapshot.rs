@@ -1,8 +1,14 @@
-//! Snapshot extension: `pftree-snap/v1` measurements per trace — exact
-//! arena bytes/node against the paper's 40-byte estimate, snapshot payload
-//! vs encoded size (entropy-coding ratio), and a split-run check that
-//! train → snapshot → restore → continue reproduces the uninterrupted
-//! run's advice and final tree state bit-for-bit.
+//! Snapshot extension: `pftree-snap/v2` measurements per trace — exact
+//! arena bytes/node against the paper's 40-byte estimate, the snapshot's
+//! size on disk, and a split-run check that train → snapshot → restore →
+//! continue reproduces the uninterrupted run's advice and final tree state
+//! bit-for-bit.
+//!
+//! A snapshot is the tree's varint state stream framed as a PFWL record
+//! image; there is no entropy coder. The tree is an LZ78 parse, so its
+//! state is already an LZ match encoding of the trace, and the entropy
+//! coder the `v1` format stacked on top saved about a quarter of the bytes
+//! at more than twice the cost of writing them (EXPERIMENTS.md §snapshot).
 //!
 //! With [`ExperimentOpts::save_tree`] the trained trees are persisted as
 //! `<dir>/<trace>.pftree`; with [`ExperimentOpts::load_tree`] training
@@ -19,10 +25,10 @@ const PAPER_BYTES_PER_NODE: usize = 40;
 
 /// Serialize to memory, panicking only on the unreachable in-memory I/O
 /// error path.
-fn snap_bytes(tree: &PrefetchTree) -> (Vec<u8>, prefetch_tree::SnapshotInfo) {
+fn snap_bytes(tree: &PrefetchTree) -> Vec<u8> {
     let mut buf = Vec::new();
-    let info = tree.write_snapshot(&mut buf).expect("in-memory snapshot cannot fail");
-    (buf, info)
+    tree.write_snapshot(&mut buf).expect("in-memory snapshot cannot fail");
+    buf
 }
 
 /// First predicted child (highest-weight child of the prediction anchor)
@@ -55,22 +61,21 @@ fn resume_is_identical(trace: &Trace) -> bool {
 
     let mut half = PrefetchTree::new();
     train(&mut half, &blocks[..mid]);
-    let (bytes, _) = snap_bytes(&half);
+    let bytes = snap_bytes(&half);
     let mut restored = PrefetchTree::read_snapshot(&mut bytes.as_slice())
         .expect("snapshot of a live tree must restore");
     restored.check_invariants();
     let resumed_advice = train(&mut restored, &blocks[mid..]);
 
-    resumed_advice == control_advice && snap_bytes(&restored).0 == snap_bytes(&control).0
+    resumed_advice == control_advice && snap_bytes(&restored) == snap_bytes(&control)
 }
 
 /// Report: per trace, trained-tree size (nodes, exact bytes, bytes/node vs
-/// the paper's 40 B), snapshot sizes (payload, encoded, ratio, codec), and
-/// the resume-identity check.
+/// the paper's 40 B), snapshot bytes, and the resume-identity check.
 pub fn snapshot(traces: &TraceSet, opts: &ExperimentOpts) -> Report {
     let mut r = Report::new(
         "snapshot",
-        "pftree-snap/v1: exact tree memory and snapshot sizes per trace",
+        "pftree-snap/v2: exact tree memory and snapshot sizes per trace",
         &[
             "trace",
             "refs",
@@ -78,10 +83,7 @@ pub fn snapshot(traces: &TraceSet, opts: &ExperimentOpts) -> Report {
             "exact_bytes",
             "bytes_per_node",
             "paper_bytes",
-            "payload_bytes",
-            "encoded_bytes",
-            "ratio",
-            "codec",
+            "snapshot_bytes",
             "resume_identical",
         ],
     );
@@ -106,7 +108,7 @@ pub fn snapshot(traces: &TraceSet, opts: &ExperimentOpts) -> Report {
         train(&mut tree, &blocks);
         let nodes = tree.node_count();
         let exact = tree.bytes_in_use();
-        let (_, info) = snap_bytes(&tree);
+        let snapshot_bytes = snap_bytes(&tree).len();
         if let Some(dir) = &opts.save_tree {
             std::fs::create_dir_all(dir).expect("--save-tree: cannot create directory");
             let path = dir.join(format!("{}.pftree", kind.name()));
@@ -121,18 +123,15 @@ pub fn snapshot(traces: &TraceSet, opts: &ExperimentOpts) -> Report {
             exact.to_string(),
             f3(exact as f64 / nodes.max(1) as f64),
             (nodes * PAPER_BYTES_PER_NODE).to_string(),
-            info.payload_bytes.to_string(),
-            info.encoded_bytes.to_string(),
-            f3(info.encoded_bytes as f64 / info.payload_bytes.max(1) as f64),
-            if info.entropy_coded { "huffman" } else { "raw" }.to_string(),
+            snapshot_bytes.to_string(),
             resume_is_identical(trace).to_string(),
         ]);
     }
     r.note(
         "exact_bytes is PrefetchTree::bytes_in_use (40 B nodes + positions + child slab + the \
          wide-node index, each charged at its capacity); \
-         paper_bytes is the 40 B/node estimate of Section 9.3. ratio < 1 means the canonical \
-         Huffman frame paid for itself; tiny trees fall back to the raw codec.",
+         paper_bytes is the 40 B/node estimate of Section 9.3. snapshot_bytes is the \
+         pftree-snap/v2 image: the varint state stream in PFWL records, not entropy-coded.",
     );
     r
 }
@@ -150,8 +149,8 @@ mod tests {
         for row in &r.rows {
             assert_eq!(row.last().unwrap(), "true", "resume mismatch for {}", row[0]);
             let exact: f64 = row[3].parse().unwrap();
-            let encoded: f64 = row[7].parse().unwrap();
-            assert!(exact > 0.0 && encoded > 0.0);
+            let snapshot: f64 = row[6].parse().unwrap();
+            assert!(exact > 0.0 && snapshot > 0.0);
         }
     }
 

@@ -412,7 +412,7 @@ impl SimObserver for DeadlineGuard {
 /// `extra` is spliced into the event stream after metrics and the
 /// deadline guard, so front ends can attach histograms or an event sink
 /// without giving up the guard rails. `warm_tree` (restored by the caller
-/// from a `pftree-snap/v1` snapshot) is installed into the policy before
+/// from a `pftree-snap/v2` snapshot) is installed into the policy before
 /// the first reference, and with `want_tree` the policy's trained tree is
 /// returned beside the result so the caller can persist it. A warm tree
 /// handed to a treeless policy (e.g. `no-prefetch`) is dropped; the run

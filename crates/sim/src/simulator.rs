@@ -77,7 +77,7 @@ impl Simulator {
         self.policy.tree()
     }
 
-    /// Warm-start the policy from a restored `pftree-snap/v1` tree before
+    /// Warm-start the policy from a restored `pftree-snap/v2` tree before
     /// the first step. Returns `false` (dropping the tree) when the
     /// configured policy keeps no tree.
     pub fn install_tree(&mut self, tree: prefetch_tree::PrefetchTree) -> bool {

@@ -37,7 +37,7 @@
 //!
 //! Node ids are reused through [`Arena::free`] (LIFO) so
 //! `OverflowPolicy::Evict` churn cannot grow the arena without bound. A
-//! freed node keeps its stale scalars: `pftree-snap/v1` serializes every
+//! freed node keeps its stale scalars: `pftree-snap/v2` serializes every
 //! slot, so what a freed slot holds is part of the snapshot bytes.
 
 use crate::node::{NIL, PAPER_BYTES};

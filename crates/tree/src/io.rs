@@ -1,5 +1,5 @@
 //! Shared pieces of prefetch-tree persistence and inspection: the typed
-//! [`TreeIoError`] and varint helpers the `pftree-snap/v1` codec
+//! [`TreeIoError`] and varint helpers the `pftree-snap/v2` payload
 //! ([`crate::snap`]) is built on, and Graphviz export ([`to_dot`]) for
 //! inspecting what the tree learned.
 
@@ -12,20 +12,8 @@ use std::fmt::Write as _;
 pub enum TreeIoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Bad magic or version.
-    BadHeader,
-    /// A `pftree-snap` header with a version this reader does not speak
-    /// (version negotiation: refuse loudly rather than misparse).
-    UnsupportedVersion(u16),
-    /// The decompressed payload does not hash to the header's FNV-1a
-    /// fingerprint.
-    FingerprintMismatch {
-        /// Fingerprint recorded in the header.
-        expected: u64,
-        /// Fingerprint of the payload actually read.
-        actual: u64,
-    },
-    /// The stream ended early or contained invalid structure.
+    /// The image did not scan clean, is not a snapshot, or its payload
+    /// ended early or contained invalid structure.
     Corrupt(&'static str),
 }
 
@@ -33,14 +21,6 @@ impl std::fmt::Display for TreeIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TreeIoError::Io(e) => write!(f, "tree i/o error: {e}"),
-            TreeIoError::BadHeader => write!(f, "not a prefetch-tree snapshot (bad magic/version)"),
-            TreeIoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported pftree-snap version {v} (this reader speaks v1)")
-            }
-            TreeIoError::FingerprintMismatch { expected, actual } => write!(
-                f,
-                "snapshot fingerprint mismatch: header {expected:#018x}, payload {actual:#018x}"
-            ),
             TreeIoError::Corrupt(what) => write!(f, "corrupt tree snapshot: {what}"),
         }
     }

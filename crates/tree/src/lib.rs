@@ -54,6 +54,5 @@ pub mod tree;
 pub use candidates::{Candidate, CandidateBatch};
 pub use io::{to_dot, TreeIoError};
 pub use node::NodeId;
-pub use snap::SnapshotInfo;
 pub use stats::TreeStats;
 pub use tree::{AccessOutcome, OverflowPolicy, PrefetchTree};

@@ -1,63 +1,50 @@
-//! `pftree-snap/v1`: versioned, compressed, fingerprinted tree snapshots.
+//! `pftree-snap/v2`: tree snapshots as PFWL record images.
 //!
 //! This module persists the *complete* training state — arena arrays, the
 //! free list, the parse cursor, LRU recency, statistics, and the node
 //! budget — so a restored tree's future is **bit-identical** to the
 //! snapshotted tree's future. That is what `pfserve --snapshot-dir`
 //! warm-starts from and what lets a drained tenant resume exactly where
-//! it stopped (the same guarantee the PR 3 checkpoint journal gives
-//! sweeps, achieved the same way: raw state, never re-derived state).
+//! it stopped (the same guarantee the checkpoint journal gives sweeps,
+//! achieved the same way: raw state, never re-derived state).
 //!
-//! ## On-disk format (see DESIGN.md §12)
+//! ## On-disk format (see DESIGN.md §12.2)
+//!
+//! A snapshot is framed exactly like a write-ahead log or the sweep
+//! journal ([`prefetch_wal::record`]):
 //!
 //! ```text
-//! offset  size  field
-//! 0       4     magic "PFSN"
-//! 4       2     version (u16 LE) — readers reject versions they don't know
-//! 6       2     codec  (u16 LE) — 0 = raw, 1 = canonical-Huffman
-//! 8       8     FNV-1a fingerprint of the uncompressed payload (u64 LE)
-//! 16      8     uncompressed payload length (u64 LE)
-//! 24      ..    frame body
+//! file header   "PFWL" u16(1) u16(0)                       8 bytes
+//! record 0      the tag "pftree-snap/v2"
+//! records 1..n  the payload, in consecutive slices of at most
+//!               MAX_RECORD_LEN (1 MiB) bytes
 //! ```
 //!
+//! Every record carries its length and the FNV-1a fingerprint of its
+//! bytes, so damage is classified by [`prefetch_wal::scan_bytes`], the
+//! one scanner: the reader accepts only a clean scan whose first record
+//! is the tag, then decodes the concatenation of the rest.
+//!
 //! The payload is a varint stream of the tree's raw state. The tree *is*
-//! an LZ parse, so the payload is already an LZ match encoding of the
-//! trace it learned; the codec layer entropy-codes its bytes with a
-//! canonical Huffman table (256 code lengths, then an MSB-first
-//! bit stream). When the coded form wouldn't pay — tiny trees, high-entropy
-//! varints — the writer stores the payload raw, so a snapshot is never
-//! bigger than raw + 24 bytes of header.
+//! an LZ78 parse, so the payload is already an LZ match encoding of the
+//! trace it learned; it is stored as is, with no entropy coder on top.
 //!
 //! Restoration validates every structural invariant (see
 //! [`crate::PrefetchTree`]'s `from_raw`) so corrupt or adversarial bytes
-//! yield a typed [`TreeIoError`], never a panic.
+//! yield a typed [`TreeIoError`], never a panic. A payload cut short or
+//! run long — a record dropped at a boundary, say — fails to decode.
 
 use crate::io::{get_varint, put_varint, TreeIoError};
 use crate::stats::TreeStats;
 use crate::tree::PrefetchTree;
-use prefetch_hash::Fnv64;
+use prefetch_wal::record::{self, FILE_HEADER_LEN, MAX_RECORD_LEN, RECORD_HEADER_LEN};
+use prefetch_wal::Tail;
 use std::io::{Read, Write};
 use std::path::Path;
 
-pub(crate) const MAGIC: [u8; 4] = *b"PFSN";
-pub(crate) const VERSION: u16 = 1;
-const CODEC_RAW: u16 = 0;
-const CODEC_HUFFMAN: u16 = 1;
-/// Bit-at-a-time canonical decoding accumulates into a u64; depths beyond
-/// this would need a payload larger than 2^56 bytes to arise.
-const MAX_CODE_LEN: u32 = 56;
-
-/// What a snapshot write produced — sizes for benchmarks and the
-/// compression-ratio tables in EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug)]
-pub struct SnapshotInfo {
-    /// Uncompressed payload bytes (the varint state stream).
-    pub payload_bytes: usize,
-    /// Bytes written, including the 24-byte header.
-    pub encoded_bytes: usize,
-    /// Whether the Huffman codec paid for itself (false = stored raw).
-    pub entropy_coded: bool,
-}
+/// Record 0 of every snapshot image: what the file is and which payload
+/// grammar follows.
+const TAG: &[u8] = b"pftree-snap/v2";
 
 /// Complete decoded tree state: the bridge between the byte format and
 /// `PrefetchTree::{to_raw, from_raw}`. Parents, positions, child-slot
@@ -79,239 +66,6 @@ pub(crate) struct RawTree {
     pub lru_next: Vec<u32>,
     pub children: Vec<Vec<u32>>,
     pub free: Vec<u32>,
-}
-
-// ---------------------------------------------------------------------------
-// Bit-level I/O
-// ---------------------------------------------------------------------------
-
-/// MSB-first bit accumulator flushed byte-at-a-time into a `Vec<u8>`.
-struct BitWriter {
-    out: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl BitWriter {
-    fn new() -> Self {
-        BitWriter { out: Vec::new(), acc: 0, nbits: 0 }
-    }
-
-    fn write_bits(&mut self, code: u64, len: u32) {
-        debug_assert!((1..=MAX_CODE_LEN).contains(&len));
-        self.acc = (self.acc << len) | (code & ((1u64 << len) - 1));
-        self.nbits += len;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.out.push((self.acc >> self.nbits) as u8);
-        }
-    }
-
-    /// Flush, zero-padding the final partial byte.
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.acc <<= pad;
-            self.out.push(self.acc as u8);
-            self.nbits = 0;
-        }
-        self.out
-    }
-}
-
-/// MSB-first bit reader with typed exhaustion errors.
-struct BitReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    acc: u64,
-    nbits: u32,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0, acc: 0, nbits: 0 }
-    }
-
-    fn read_bit(&mut self) -> Result<u64, TreeIoError> {
-        if self.nbits == 0 {
-            let byte =
-                *self.buf.get(self.pos).ok_or(TreeIoError::Corrupt("bit stream exhausted"))?;
-            self.pos += 1;
-            self.acc = u64::from(byte);
-            self.nbits = 8;
-        }
-        self.nbits -= 1;
-        Ok((self.acc >> self.nbits) & 1)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Canonical Huffman over payload bytes
-// ---------------------------------------------------------------------------
-
-/// Deterministic Huffman code lengths for the byte histogram: ties in the
-/// merge heap break on first-created order, so the same payload always
-/// yields the same table. Returns `None` when a code would exceed
-/// [`MAX_CODE_LEN`] (callers fall back to the raw codec).
-fn code_lengths(freq: &[u64; 256]) -> Option<[u8; 256]> {
-    #[derive(PartialEq, Eq)]
-    struct Item {
-        freq: u64,
-        order: u32,
-        node: u32,
-    }
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse: BinaryHeap is a max-heap, we want min-first.
-            other.freq.cmp(&self.freq).then_with(|| other.order.cmp(&self.order))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap = std::collections::BinaryHeap::new();
-    // Tree nodes: 0..256 are symbol leaves, internals appended after.
-    let mut kids: Vec<(u32, u32)> = Vec::new();
-    let mut order = 0u32;
-    for (sym, &f) in freq.iter().enumerate() {
-        if f > 0 {
-            heap.push(Item { freq: f, order, node: sym as u32 });
-            order += 1;
-        }
-    }
-    match heap.len() {
-        0 => return Some([0; 256]),
-        1 => {
-            // A single distinct symbol still needs one bit per occurrence.
-            let mut lens = [0u8; 256];
-            lens[heap.pop().expect("len 1").node as usize] = 1;
-            return Some(lens);
-        }
-        _ => {}
-    }
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        let node = 256 + kids.len() as u32;
-        kids.push((a.node, b.node));
-        heap.push(Item { freq: a.freq.saturating_add(b.freq), order, node });
-        order += 1;
-    }
-    // Walk depths down from the final merge.
-    let root = heap.pop().expect("one root").node;
-    let mut lens = [0u8; 256];
-    let mut stack = vec![(root, 0u32)];
-    while let Some((node, depth)) = stack.pop() {
-        if node < 256 {
-            if depth > MAX_CODE_LEN {
-                return None;
-            }
-            lens[node as usize] = depth as u8;
-        } else {
-            let (a, b) = kids[(node - 256) as usize];
-            stack.push((a, depth + 1));
-            stack.push((b, depth + 1));
-        }
-    }
-    Some(lens)
-}
-
-/// Canonical code assignment: symbols sorted by (length, value) get
-/// consecutive codes — the table on the wire is just the 256 lengths.
-fn canonical_codes(lens: &[u8; 256]) -> Result<[(u64, u8); 256], TreeIoError> {
-    let mut by_len: Vec<(u8, u8)> = Vec::new(); // (len, symbol)
-    for (sym, &l) in lens.iter().enumerate() {
-        if l > 0 {
-            if u32::from(l) > MAX_CODE_LEN {
-                return Err(TreeIoError::Corrupt("huffman code too long"));
-            }
-            by_len.push((l, sym as u8));
-        }
-    }
-    by_len.sort_unstable();
-    let mut codes = [(0u64, 0u8); 256];
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for &(l, sym) in &by_len {
-        code <<= l - prev_len;
-        prev_len = l;
-        codes[sym as usize] = (code, l);
-        code = code.checked_add(1).ok_or(TreeIoError::Corrupt("huffman table overflows"))?;
-        // Kraft check: the last code of length l must fit in l bits.
-        if code > (1u64 << l) {
-            return Err(TreeIoError::Corrupt("huffman lengths violate kraft inequality"));
-        }
-    }
-    Ok(codes)
-}
-
-fn huffman_encode(payload: &[u8]) -> Option<Vec<u8>> {
-    let mut freq = [0u64; 256];
-    for &b in payload {
-        freq[b as usize] += 1;
-    }
-    let lens = code_lengths(&freq)?;
-    let codes = canonical_codes(&lens).ok()?;
-    let mut w = BitWriter::new();
-    w.out.extend_from_slice(&lens);
-    for &b in payload {
-        let (code, len) = codes[b as usize];
-        w.write_bits(code, u32::from(len));
-    }
-    Some(w.finish())
-}
-
-fn huffman_decode(body: &[u8], payload_len: usize) -> Result<Vec<u8>, TreeIoError> {
-    if body.len() < 256 {
-        return Err(TreeIoError::Corrupt("huffman table truncated"));
-    }
-    let mut lens = [0u8; 256];
-    lens.copy_from_slice(&body[..256]);
-    let codes = canonical_codes(&lens)?;
-    // Invert canonically: per length, the first code and the symbol list.
-    let mut first_code = [0u64; (MAX_CODE_LEN + 2) as usize];
-    let mut count = [0u32; (MAX_CODE_LEN + 2) as usize];
-    let mut syms_by_len: Vec<Vec<u8>> = vec![Vec::new(); (MAX_CODE_LEN + 2) as usize];
-    let mut by_len: Vec<(u8, u8)> = Vec::new();
-    for (sym, &l) in lens.iter().enumerate() {
-        if l > 0 {
-            by_len.push((l, sym as u8));
-        }
-    }
-    if by_len.is_empty() && payload_len > 0 {
-        return Err(TreeIoError::Corrupt("empty huffman table for nonempty payload"));
-    }
-    by_len.sort_unstable();
-    for &(l, sym) in &by_len {
-        let li = l as usize;
-        if count[li] == 0 {
-            first_code[li] = codes[sym as usize].0;
-        }
-        count[li] += 1;
-        syms_by_len[li].push(sym);
-    }
-    let mut r = BitReader::new(&body[256..]);
-    let mut out = Vec::with_capacity(payload_len);
-    while out.len() < payload_len {
-        let mut code = 0u64;
-        let mut len = 0usize;
-        loop {
-            code = (code << 1) | r.read_bit()?;
-            len += 1;
-            if len > MAX_CODE_LEN as usize {
-                return Err(TreeIoError::Corrupt("huffman code exceeds max length"));
-            }
-            let offset = code.wrapping_sub(first_code[len]);
-            if count[len] > 0 && offset < u64::from(count[len]) {
-                out.push(syms_by_len[len][offset as usize]);
-                break;
-            }
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -461,92 +215,64 @@ fn decode_payload(buf: &[u8]) -> Result<RawTree, TreeIoError> {
 // Public API
 // ---------------------------------------------------------------------------
 
-fn fingerprint(payload: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.bytes(payload);
-    h.finish()
-}
-
 impl PrefetchTree {
-    /// Write a `pftree-snap/v1` snapshot of the complete training state.
-    /// The restored tree continues bit-identically (see module docs).
-    pub fn write_snapshot<W: Write>(&self, w: &mut W) -> Result<SnapshotInfo, TreeIoError> {
+    /// Write a `pftree-snap/v2` image of the complete training state and
+    /// return its length in bytes. The restored tree continues
+    /// bit-identically (see module docs).
+    pub fn write_snapshot<W: Write>(&self, w: &mut W) -> Result<usize, TreeIoError> {
         let payload = encode_payload(&self.to_raw());
-        let coded = huffman_encode(&payload).filter(|c| c.len() < payload.len());
-        let (codec, body): (u16, &[u8]) = match &coded {
-            Some(c) => (CODEC_HUFFMAN, c),
-            None => (CODEC_RAW, &payload),
-        };
-        let mut header = Vec::with_capacity(24);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&codec.to_le_bytes());
-        header.extend_from_slice(&fingerprint(&payload).to_le_bytes());
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(body)?;
+        let records = 1 + payload.len().div_ceil(MAX_RECORD_LEN);
+        let mut image = Vec::with_capacity(
+            FILE_HEADER_LEN + records * RECORD_HEADER_LEN + TAG.len() + payload.len(),
+        );
+        image.extend_from_slice(&record::file_header());
+        record::push_record(&mut image, TAG);
+        for slice in payload.chunks(MAX_RECORD_LEN) {
+            record::push_record(&mut image, slice);
+        }
+        w.write_all(&image)?;
         w.flush()?;
-        Ok(SnapshotInfo {
-            payload_bytes: payload.len(),
-            encoded_bytes: 24 + body.len(),
-            entropy_coded: codec == CODEC_HUFFMAN,
-        })
+        Ok(image.len())
     }
 
-    /// Read a snapshot written by [`PrefetchTree::write_snapshot`],
-    /// validating the header, fingerprint, and every structural invariant.
+    /// Read a snapshot written by [`PrefetchTree::write_snapshot`]: the
+    /// image must scan clean and carry the tag, and the payload must pass
+    /// every structural invariant.
     pub fn read_snapshot<R: Read>(r: &mut R) -> Result<PrefetchTree, TreeIoError> {
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)?;
-        if buf.len() < 24 || buf[..4] != MAGIC {
-            return Err(TreeIoError::BadHeader);
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != VERSION {
-            return Err(TreeIoError::UnsupportedVersion(version));
-        }
-        let codec = u16::from_le_bytes([buf[6], buf[7]]);
-        let want_print = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        let payload_len = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-        let body = &buf[24..];
-        let payload: Vec<u8> = match codec {
-            CODEC_RAW => {
-                if body.len() as u64 != payload_len {
-                    return Err(TreeIoError::Corrupt("raw body length mismatch"));
-                }
-                body.to_vec()
+        let scan = prefetch_wal::scan_bytes(&buf);
+        match scan.tail {
+            Tail::Clean => {}
+            Tail::Torn { .. } => {
+                return Err(TreeIoError::Corrupt("torn image: the file ends inside a record"))
             }
-            CODEC_HUFFMAN => {
-                // Each payload byte needs ≥1 coded bit: bounds allocation.
-                if payload_len > (body.len().saturating_sub(256) as u64).saturating_mul(8) {
-                    return Err(TreeIoError::Corrupt("implausible payload length"));
-                }
-                huffman_decode(body, payload_len as usize)?
+            Tail::Corrupt { at: 0, .. } => {
+                return Err(TreeIoError::Corrupt("not a prefetch-tree snapshot (no PFWL header)"))
             }
-            _ => return Err(TreeIoError::Corrupt("unknown codec")),
-        };
-        let got_print = fingerprint(&payload);
-        if got_print != want_print {
-            return Err(TreeIoError::FingerprintMismatch {
-                expected: want_print,
-                actual: got_print,
-            });
+            Tail::Corrupt { .. } => {
+                return Err(TreeIoError::Corrupt("a record fails its length or fingerprint check"))
+            }
         }
-        let raw = decode_payload(&payload)?;
-        PrefetchTree::from_raw(raw).map_err(TreeIoError::Corrupt)
+        match scan.records.split_first() {
+            Some((tag, payload)) if tag == TAG => {
+                let raw = decode_payload(&payload.concat())?;
+                PrefetchTree::from_raw(raw).map_err(TreeIoError::Corrupt)
+            }
+            _ => Err(TreeIoError::Corrupt("not a prefetch-tree snapshot (no pftree-snap/v2 tag)")),
+        }
     }
 
-    /// Snapshot to a file (atomic: tmp + fsync + rename via
-    /// [`prefetch_wal::atomic::replace_file`], the write-then-rename
-    /// discipline shared with the checkpoint journal, so a crash mid-write
-    /// never leaves a torn snapshot under the final name).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<SnapshotInfo, TreeIoError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("pftree.tmp");
-        let mut buf = Vec::new();
-        let info = self.write_snapshot(&mut buf)?;
-        prefetch_wal::atomic::replace_file(&tmp, path, &buf)?;
-        Ok(info)
+    /// Snapshot to a file and return its length in bytes. Atomic: written
+    /// to `<path>.tmp`, synced and renamed over `path` by
+    /// [`prefetch_wal::atomic::replace_file_auto`], the discipline the
+    /// checkpoint journal uses, so a crash mid-write never leaves a torn
+    /// snapshot under the final name.
+    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<usize, TreeIoError> {
+        let mut image = Vec::new();
+        let bytes = self.write_snapshot(&mut image)?;
+        prefetch_wal::atomic::replace_file_auto(path.as_ref(), &image)?;
+        Ok(bytes)
     }
 
     /// Load a snapshot file written by [`PrefetchTree::save_snapshot`].
@@ -626,37 +352,52 @@ mod tests {
         }
     }
 
+    /// A tree whose payload outgrows one record is framed as several
+    /// consecutive slices and restores from their concatenation.
     #[test]
-    fn entropy_coding_pays_on_real_trees_and_is_skipped_on_tiny_ones() {
-        let big = trained(200_000, 60, 3);
-        let mut buf = Vec::new();
-        let info = big.write_snapshot(&mut buf).unwrap();
-        assert!(info.entropy_coded, "a large low-entropy tree should compress");
-        assert!(info.encoded_bytes < info.payload_bytes, "compression must pay");
-
-        let tiny = trained(4, 4, 1);
-        let mut buf = Vec::new();
-        let info = tiny.write_snapshot(&mut buf).unwrap();
-        assert!(info.encoded_bytes <= info.payload_bytes + 24, "never worse than raw plus header");
+    fn a_payload_over_one_record_round_trips_through_several() {
+        let big = trained(120_000, 1 << 30, 5);
+        let bytes = snap_bytes(&big);
+        let scan = prefetch_wal::scan_bytes(&bytes);
+        assert_eq!(scan.tail, Tail::Clean);
+        assert_eq!(scan.records[0], TAG);
+        assert!(scan.records.len() >= 3, "{} records", scan.records.len());
+        assert!(scan.records[1..].iter().all(|r| r.len() <= MAX_RECORD_LEN));
+        assert_eq!(scan.records[1].len(), MAX_RECORD_LEN, "slices are filled before the next");
+        let back = PrefetchTree::read_snapshot(&mut &bytes[..]).unwrap();
+        back.check_invariants();
+        assert_eq!(snap_bytes(&back), bytes);
     }
 
+    /// A clean PFWL image that is not a snapshot — no records, a foreign
+    /// tag, the payload without its tag — is refused.
     #[test]
-    fn version_negotiation_rejects_unknown_versions() {
-        let t = trained(100, 10, 2);
-        let mut bytes = snap_bytes(&t);
-        bytes[4] = 9; // version 9
-        match PrefetchTree::read_snapshot(&mut &bytes[..]) {
-            Err(TreeIoError::UnsupportedVersion(9)) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
+    fn a_pfwl_file_that_is_not_a_snapshot_is_refused() {
+        let image = |records: &[&[u8]]| {
+            let mut buf = record::file_header().to_vec();
+            for r in records {
+                record::push_record(&mut buf, r);
+            }
+            buf
+        };
+        let payload = encode_payload(&trained(100, 10, 2).to_raw());
+        for bytes in
+            [Vec::new(), image(&[]), image(&[b"pftree-snap/v1", &payload]), image(&[&payload])]
+        {
+            match PrefetchTree::read_snapshot(&mut &bytes[..]) {
+                Err(TreeIoError::Corrupt(what)) => assert!(what.contains("tag"), "{what}"),
+                other => panic!("expected a refused tag, got {other:?}"),
+            }
         }
+        let good = image(&[TAG, &payload]);
+        assert!(PrefetchTree::read_snapshot(&mut &good[..]).is_ok());
     }
 
     #[test]
     fn fingerprint_catches_payload_tampering() {
         let t = trained(100, 10, 2);
         let mut bytes = snap_bytes(&t);
-        // Find a byte past the header whose flip is caught by the
-        // fingerprint (not merely by the entropy decoder).
+        // The last payload byte: only its record's fingerprint sees it.
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert!(PrefetchTree::read_snapshot(&mut &bytes[..]).is_err());
@@ -670,8 +411,14 @@ mod tests {
             let shorter = &bytes[..cut];
             assert!(PrefetchTree::read_snapshot(&mut &shorter[..]).is_err(), "cut {cut}");
         }
-        assert!(PrefetchTree::read_snapshot(&mut &b"PFSNnonsense"[..]).is_err());
+        assert!(PrefetchTree::read_snapshot(&mut &b"PFWL\x01\0\0\0nonsense"[..]).is_err());
+        assert!(PrefetchTree::read_snapshot(&mut &b"nonsense"[..]).is_err());
         assert!(PrefetchTree::read_snapshot(&mut &[][..]).is_err());
+        // Whole records followed by anything else do not scan clean.
+        for tail in [&b"\0"[..], b"junk", &[0; 12], &bytes[8..]] {
+            let longer = [&bytes[..], tail].concat();
+            assert!(PrefetchTree::read_snapshot(&mut &longer[..]).is_err(), "{} extra", tail.len());
+        }
     }
 
     #[test]
@@ -684,6 +431,22 @@ mod tests {
         let back = PrefetchTree::load_snapshot(&path).unwrap();
         assert_eq!(snap_bytes(&back), snap_bytes(&t));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The temp file is `<path>.tmp`, so saves to names that differ only
+    /// in their extension never share one.
+    #[test]
+    fn save_appends_tmp_to_the_whole_name() {
+        let dir = std::env::temp_dir().join(format!("pftree-snap-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("t.pftree.tmp")).unwrap();
+        let t = trained(500, 20, 9);
+        t.save_snapshot(dir.join("t.a")).unwrap();
+        t.save_snapshot(dir.join("t.b")).unwrap();
+        assert_eq!(std::fs::read(dir.join("t.a")).unwrap(), snap_bytes(&t));
+        assert_eq!(std::fs::read(dir.join("t.b")).unwrap(), snap_bytes(&t));
+        assert!(!dir.join("t.a.tmp").exists() && !dir.join("t.b.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

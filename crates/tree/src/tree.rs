@@ -474,7 +474,7 @@ impl PrefetchTree {
     }
 
     /// Dump complete tree state (arena arrays, free list, parse position,
-    /// LRU order, stats, budget) for the `pftree-snap/v1` writer. The dump
+    /// LRU order, stats, budget) for the `pftree-snap/v2` writer. The dump
     /// is everything needed to continue training bit-identically.
     pub(crate) fn to_raw(&self) -> RawTree {
         let n = self.arena.len();

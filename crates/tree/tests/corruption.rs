@@ -1,11 +1,14 @@
 //! Corruption robustness: any byte-level damage to a serialized tree —
 //! truncation, bit flips, random byte rewrites — must surface as a typed
-//! `TreeIoError`, never a panic (`read_snapshot`, `pftree-snap/v1`). When
+//! `TreeIoError`, never a panic (`read_snapshot`, `pftree-snap/v2`). When
 //! a mutation happens to still parse, the decoded tree must satisfy every
 //! structural invariant: the reader admits nothing it cannot vouch for.
+//! A snapshot is a PFWL record image, so one flipped bit anywhere and a
+//! cut at any record boundary are always refused.
 
 use prefetch_trace::BlockId;
-use prefetch_tree::PrefetchTree;
+use prefetch_tree::{PrefetchTree, TreeIoError};
+use prefetch_wal::{FILE_HEADER_LEN, MAX_RECORD_LEN, RECORD_HEADER_LEN};
 use proptest::prelude::*;
 
 fn trained(blocks: &[u64]) -> PrefetchTree {
@@ -66,23 +69,91 @@ proptest! {
         }
     }
 
-    /// Payload damage behind an intact header must be caught by the
-    /// FNV-1a fingerprint — a flipped payload byte can never restore
-    /// silently.
+    /// One flipped bit anywhere — file header, a record's length or
+    /// fingerprint, the tag, the payload — can never restore silently: the
+    /// scan calls it corrupt or torn, and the reader wants it clean.
     #[test]
-    fn snapshot_payload_flips_are_always_detected(
+    fn snapshot_bit_flips_anywhere_are_always_detected(
         blocks in blocks(),
         pos in 0usize..1 << 20,
         bit in 0u8..8,
     ) {
         let mut buf = snap_bytes(&trained(&blocks));
-        // Header: magic(4) + version(2) + codec(2) + fingerprint(8) + len(8).
-        const HEADER: usize = 24;
-        prop_assert!(buf.len() > HEADER, "snapshots always carry a payload");
-        let at = HEADER + pos % (buf.len() - HEADER);
+        let at = pos % buf.len();
         buf[at] ^= 1 << bit;
-        prop_assert!(PrefetchTree::read_snapshot(&mut &buf[..]).is_err());
+        prop_assert!(PrefetchTree::read_snapshot(&mut &buf[..]).is_err(), "flip at {}", at);
     }
+
+    /// A cut at a record boundary leaves a clean scan of fewer records; the
+    /// payload decoder still refuses what is left.
+    #[test]
+    fn snapshot_cut_at_a_record_boundary_is_rejected(blocks in blocks()) {
+        let buf = snap_bytes(&trained(&blocks));
+        for cut in record_boundaries(&buf) {
+            prop_assert!(PrefetchTree::read_snapshot(&mut &buf[..cut]).is_err(), "cut at {}", cut);
+        }
+    }
+}
+
+/// Every offset at which a proper prefix of `image` ends on a record
+/// boundary: 0, the end of the file header, and the end of each record
+/// but the last.
+fn record_boundaries(image: &[u8]) -> Vec<usize> {
+    let mut cuts = vec![0, FILE_HEADER_LEN];
+    let mut at = FILE_HEADER_LEN;
+    loop {
+        let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        at += RECORD_HEADER_LEN + len;
+        if at == image.len() {
+            return cuts;
+        }
+        cuts.push(at);
+    }
+}
+
+/// The image of a tree whose payload is over 1 MiB: every access is a
+/// novel block, so each one adds a node.
+fn over_one_record() -> Vec<u8> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+    let mut t = PrefetchTree::new();
+    for _ in 0..120_000 {
+        t.record_access(BlockId(rng.gen_range(0..1u64 << 40)));
+    }
+    snap_bytes(&t)
+}
+
+#[test]
+fn a_cut_between_payload_slices_is_rejected() {
+    let buf = over_one_record();
+    let cuts = record_boundaries(&buf);
+    // 0, the file header, the tag, then at least one cut between slices.
+    assert!(cuts.len() >= 4, "{} boundaries in {} bytes", cuts.len(), buf.len());
+    assert!(buf.len() > MAX_RECORD_LEN + 2 * RECORD_HEADER_LEN);
+    assert!(PrefetchTree::read_snapshot(&mut &buf[..]).is_ok());
+    for cut in cuts {
+        assert!(PrefetchTree::read_snapshot(&mut &buf[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
+/// A write-ahead log is a clean PFWL file too, but its first record is
+/// not the snapshot tag: refused with a typed error.
+#[test]
+fn a_write_ahead_log_is_not_a_snapshot() {
+    let dir = std::env::temp_dir().join(format!("pftree-corruption-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t0.wal");
+    let mut log = prefetch_wal::AppendLog::create(&path).unwrap();
+    for record in [&b"O cache=8 policy=tree nodes=128"[..], b"E 3", b"E 4", b"C"] {
+        log.append(record).unwrap();
+    }
+    log.sync().unwrap();
+    assert_eq!(prefetch_wal::scan(&path).unwrap().tail, prefetch_wal::Tail::Clean);
+    match PrefetchTree::load_snapshot(&path) {
+        Err(TreeIoError::Corrupt(what)) => assert!(what.contains("tag"), "{what}"),
+        other => panic!("a log restored as a tree: {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Acceptance property for `pftree-snap/v1`: training interrupted by a
+//! Acceptance property for `pftree-snap/v2`: training interrupted by a
 //! snapshot/restore cycle is indistinguishable from uninterrupted
 //! training, across all four synthetic trace generators. "Indistinguishable"
 //! is checked three ways — the advice stream over the continuation (the

@@ -31,9 +31,10 @@ fn main() {
         100.0 * tree.stats().prediction_accuracy(),
     );
 
-    // Snapshot.
+    // Snapshot: a `pftree-snap/v2` file, the tree's varint state framed in
+    // the same fingerprinted PFWL records as the write-ahead log.
     let snap_path = out_dir.join("cad.pftree");
-    let bytes = tree.save_snapshot(&snap_path).expect("write snapshot").encoded_bytes;
+    let bytes = tree.save_snapshot(&snap_path).expect("write snapshot");
     println!(
         "snapshot: {} ({} KB on disk — {:.1} bytes/node)",
         snap_path.display(),

