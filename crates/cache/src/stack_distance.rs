@@ -15,17 +15,27 @@
 //! timeline fills.
 //!
 //! The state is bounded by the horizon, not by the run: only the
-//! `MAX_TRACKED + 1` most recently referenced distinct blocks are
-//! remembered. A block that has aged past that many successors could only
-//! ever come back at a distance beyond the last histogram bin, so it is
-//! forgotten when the `MAX_TRACKED + 2`-th distinct block arrives and its
-//! next reference counts as **cold** — "cold" means first-ever *or aged
-//! past the horizon*. Every distance `≤ MAX_TRACKED` is exact, so
-//! [`StackDistanceEstimator::hit_rate`] at `n ≤ MAX_TRACKED` and
+//! `horizon + 1` most recently referenced distinct blocks are remembered.
+//! A block that has aged past that many successors could only ever come
+//! back at a distance beyond the last histogram bin, so it is forgotten
+//! when the `horizon + 2`-th distinct block arrives and its next reference
+//! counts as **cold** — "cold" means first-ever *or aged past the
+//! horizon*. Every distance `≤ horizon` is exact, so
+//! [`StackDistanceEstimator::hit_rate`] at `n ≤ horizon` and
 //! [`StackDistanceEstimator::marginal_hit_rate`] wherever its smoothing
-//! window ends below bin `MAX_TRACKED` (`n + n/16 ≤ MAX_TRACKED`, four
-//! times the paper's largest cache) are what an unbounded stack would
-//! report, bit for bit.
+//! window ends below bin `horizon` (`n + n/16 ≤ horizon`) are what an
+//! unbounded stack would report, bit for bit.
+//!
+//! **The horizon rule.** [`StackDistanceEstimator::new`] tracks
+//! [`StackDistanceEstimator::MAX_TRACKED`] (64 Ki) bins, four times the
+//! paper's largest cache. [`StackDistanceEstimator::for_cache`] sizes the
+//! horizon by the cache it prices: Eq. 13 reads `marginal_hit_rate(n)` only
+//! for `n ≤ cache`, and every estimator starts with 256 bins, so when
+//! `cache + max(1, cache/16) ≤ 255` (caches of at most 240 blocks) no
+//! window reaches past bin 254 and a horizon of 255 gives the very bits
+//! the 64 Ki-bin estimator would — with ≤ 256 blocks tracked and a
+//! timeline a quarter the size, where `pfserve`'s 64-block tenants carried
+//! up to 64 Ki. Larger caches keep the full horizon.
 //!
 //! Because workloads shift phase, the histogram supports exponential
 //! decay so the marginal hit rate tracks the *recent* stream (the paper
@@ -50,7 +60,8 @@ pub struct StackDistanceEstimator {
     time: u32,
     /// no live slot lies below this one
     oldest: u32,
-    /// largest distance tracked; `MAX_TRACKED` outside tests
+    /// largest distance tracked: `MAX_TRACKED`, or `SMALL_HORIZON` for a
+    /// small cache (others in tests)
     horizon: usize,
     /// decayed histogram over stack distances `0..=horizon`
     hist: Vec<f64>,
@@ -71,6 +82,10 @@ impl StackDistanceEstimator {
     /// covers the paper's largest cache (16 Ki blocks) with a 4× margin.
     pub const MAX_TRACKED: usize = 1 << 16;
 
+    /// The horizon [`Self::for_cache`] gives a small cache: the last bin
+    /// of the initial histogram.
+    const SMALL_HORIZON: usize = 255;
+
     const INITIAL_TIMELINE: usize = 1 << 12;
 
     /// A fresh estimator. `decay` is the per-reference weight decay in
@@ -84,15 +99,33 @@ impl StackDistanceEstimator {
         Self::with_horizon(decay, Self::MAX_TRACKED)
     }
 
+    /// An estimator whose [`Self::marginal_hit_rate`] at every
+    /// `n ≤ cache_blocks` is bit-equal to [`Self::new`]'s, tracking no
+    /// more than the horizon that takes (see the module docs): 255 when
+    /// the widest window, `cache + max(1, cache/16)`, ends at or below
+    /// bin 255 (caches of at most 240 blocks), `MAX_TRACKED` otherwise.
+    ///
+    /// # Panics
+    /// Panics unless `0 < decay <= 1`.
+    pub fn for_cache(decay: f64, cache_blocks: usize) -> Self {
+        let widest = cache_blocks.saturating_add((cache_blocks / 16).max(1));
+        if widest <= Self::SMALL_HORIZON {
+            Self::with_horizon(decay, Self::SMALL_HORIZON)
+        } else {
+            Self::new(decay)
+        }
+    }
+
     /// [`Self::new`] with the horizon as a parameter, so tests can age
     /// blocks out with streams of hundreds rather than 64 Ki blocks.
     fn with_horizon(decay: f64, horizon: usize) -> Self {
         assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0,1], got {decay}");
+        let timeline = Self::timeline_floor(horizon);
         StackDistanceEstimator {
             last_access: FxHashMap::default(),
-            live: FenwickTree::new(Self::INITIAL_TIMELINE),
-            slot_block: vec![0; Self::INITIAL_TIMELINE],
-            live_bits: vec![0; Self::INITIAL_TIMELINE.div_ceil(64)],
+            live: FenwickTree::new(timeline),
+            slot_block: vec![0; timeline],
+            live_bits: vec![0; timeline.div_ceil(64)],
             time: 0,
             oldest: 0,
             horizon,
@@ -102,6 +135,13 @@ impl StackDistanceEstimator {
             sample_weight: 1.0,
             decay,
         }
+    }
+
+    /// The timeline an estimator starts with and never compacts below:
+    /// four slots per tracked block, capped at the 4 Ki slots
+    /// `MAX_TRACKED` starts with.
+    fn timeline_floor(horizon: usize) -> usize {
+        (4 * (horizon + 1)).next_power_of_two().min(Self::INITIAL_TIMELINE)
     }
 
     /// Record a reference to `block`; returns its stack distance (`None`
@@ -192,7 +232,7 @@ impl StackDistanceEstimator {
     }
 
     /// Number of distinct blocks currently tracked (at most
-    /// `MAX_TRACKED + 1`).
+    /// `horizon + 1`).
     pub fn tracked_blocks(&self) -> usize {
         self.last_access.len()
     }
@@ -236,7 +276,7 @@ impl StackDistanceEstimator {
                 kept += 1;
             }
         }
-        let needed = (kept as usize * 2).max(Self::INITIAL_TIMELINE);
+        let needed = (kept as usize * 2).max(Self::timeline_floor(self.horizon));
         self.slot_block.resize(needed, 0);
         self.live = FenwickTree::new(needed);
         self.live_bits.clear();
@@ -425,6 +465,90 @@ mod tests {
             }
             proptest::prop_assert!(unbounded.mru_first.len() > 2 * horizon);
         }
+    }
+
+    /// A stream for the `for_cache` differentials: a working set that
+    /// fits the small horizon, with excursions over 2 000 blocks so that
+    /// returns from beyond bin 255 (and past a 64-block cache) are common.
+    fn small_and_far(draws: &[(u64, u64, u64)]) -> impl Iterator<Item = u64> + '_ {
+        draws.iter().map(|&(which, near, far)| if which < 5 { near } else { 1000 + far })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// `for_cache(d, c)` prices every demand-cache length Eq. 13 can
+        /// ask for, `n ≤ c`, with the bits of the 64 Ki-bin estimator —
+        /// through compactions, rescales, and returns from beyond its
+        /// horizon — while tracking at most 256 blocks when `c ≤ 240`.
+        #[test]
+        fn for_cache_prices_every_length_like_the_full_horizon(
+            cache in 1usize..300,
+            decay in 0usize..3,
+            draws in proptest::collection::vec((0u64..8, 0u64..300, 0u64..2000), 3000..6000),
+        ) {
+            let decay = [1.0, 0.9995, 0.9][decay];
+            let mut sized = StackDistanceEstimator::for_cache(decay, cache);
+            let mut full = StackDistanceEstimator::new(decay);
+            for (i, block) in small_and_far(&draws).enumerate() {
+                sized.record(block);
+                full.record(block);
+                if cache <= 240 {
+                    proptest::prop_assert!(sized.tracked_blocks() <= 256);
+                }
+                if i % 89 == 0 {
+                    for n in 0..=cache {
+                        proptest::prop_assert!(
+                            sized.marginal_hit_rate(n).to_bits()
+                                == full.marginal_hit_rate(n).to_bits(),
+                            "marginal({}) at cache {} after {} references", n, cache, i
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert!(full.tracked_blocks() > 256, "no return from beyond 255");
+        }
+    }
+
+    /// The size rule's edge: at 240 blocks the widest window ends at bin
+    /// 254 and the horizon shrinks; at 241 it would reach bin 255 and the
+    /// full horizon is kept. A horizon-255 estimator does drift from the
+    /// full one once a window reaches past its last bin (n = 242).
+    #[test]
+    fn for_cache_shrinks_the_horizon_up_to_240_blocks() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let draws: Vec<(u64, u64, u64)> = (0..20_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 8, (x >> 8) % 300, (x >> 24) % 2000)
+            })
+            .collect();
+        let mut at_240 = StackDistanceEstimator::for_cache(1.0, 240);
+        let mut at_241 = StackDistanceEstimator::for_cache(1.0, 241);
+        let mut horizon_255 = StackDistanceEstimator::with_horizon(1.0, 255);
+        let mut full = StackDistanceEstimator::new(1.0);
+        for block in small_and_far(&draws) {
+            for e in [&mut at_240, &mut at_241, &mut horizon_255, &mut full] {
+                e.record(block);
+            }
+        }
+        assert_eq!((at_240.horizon, at_241.horizon), (255, StackDistanceEstimator::MAX_TRACKED));
+        assert!(at_240.tracked_blocks() <= 256 && at_241.tracked_blocks() > 256);
+        assert_eq!(at_240.slot_block.len(), 1024, "a timeline a quarter of the full one");
+        for n in 0..=241 {
+            let want = full.marginal_hit_rate(n).to_bits();
+            assert_eq!(at_241.marginal_hit_rate(n).to_bits(), want, "n = {n}");
+            if n <= 240 {
+                assert_eq!(at_240.marginal_hit_rate(n).to_bits(), want, "n = {n}");
+            }
+        }
+        assert_ne!(
+            horizon_255.marginal_hit_rate(242).to_bits(),
+            full.marginal_hit_rate(242).to_bits(),
+            "a window past bin 255 is clamped"
+        );
     }
 
     #[test]

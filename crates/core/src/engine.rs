@@ -177,8 +177,17 @@ pub struct CostBenefitEngine {
 }
 
 impl CostBenefitEngine {
-    /// Build an engine.
+    /// Build an engine, its H(n) estimator at the full horizon.
     pub fn new(params: SystemParams, cfg: EngineConfig) -> Self {
+        Self::for_cache(params, cfg, usize::MAX)
+    }
+
+    /// Build an engine that prices a cache of `cache_blocks` blocks, its
+    /// H(n) estimator sized by it ([`StackDistanceEstimator::for_cache`]):
+    /// Eq. 13 reads the estimator only at demand lengths `≤ cache_blocks`,
+    /// where the sized one reports the full one's bits, so no decision
+    /// changes.
+    pub fn for_cache(params: SystemParams, cfg: EngineConfig, cache_blocks: usize) -> Self {
         let tree = if cfg.node_limit == usize::MAX {
             PrefetchTree::new()
         } else {
@@ -194,7 +203,7 @@ impl CostBenefitEngine {
         CostBenefitEngine {
             tree,
             model,
-            stack: StackDistanceEstimator::new(cfg.stack_decay),
+            stack: StackDistanceEstimator::for_cache(cfg.stack_decay, cache_blocks),
             cfg,
             period: 0,
             batch: CandidateBatch::new(),
@@ -231,6 +240,11 @@ impl CostBenefitEngine {
     /// Accumulated per-phase times (all zero unless profiling is on).
     pub fn phase_times(&self) -> PhaseTimes {
         self.timer.times()
+    }
+
+    /// The configuration the engine was built with.
+    pub fn config(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     /// The underlying tree (read access for policies and diagnostics).
@@ -809,8 +823,10 @@ mod tests {
         // `tree-next-limit`: every demand-miss victim, and the replacement
         // cost at every full-cache period, priced both ways.
         for kind in [TraceKind::Cad, TraceKind::Cello] {
-            let mut policy =
-                EnginePolicy::tree_next_limit(SystemParams::patterson(), EngineConfig::default());
+            let mut policy = EnginePolicy::tree_next_limit(CostBenefitEngine::new(
+                SystemParams::patterson(),
+                EngineConfig::default(),
+            ));
             let mut cache = BufferCache::new(128);
             let (mut skipped, mut priced) = (0u32, 0u32);
             let mut tally = |cost: f64, prefetch: bool| match prefetch && cost == 0.0 {

@@ -29,11 +29,12 @@
 //!
 //! ```
 //! use prefetch_core::policy::{PrefetchPolicy, RefContext, RefKind, PeriodActivity, EnginePolicy};
+//! use prefetch_core::{CostBenefitEngine, SystemParams};
 //! use prefetch_cache::BufferCache;
 //! use prefetch_trace::BlockId;
 //!
-//! let mut policy =
-//!     EnginePolicy::tree(prefetch_core::SystemParams::patterson(), Default::default());
+//! let engine = CostBenefitEngine::new(SystemParams::patterson(), Default::default());
+//! let mut policy = EnginePolicy::tree(engine);
 //! let mut cache = BufferCache::new(64);
 //! // Train on a repeating pattern; the tree learns 1 → 2 → 3.
 //! for _ in 0..20 {

@@ -14,8 +14,9 @@
 //!   plain `tree` because ≥85% of last-visited children are already
 //!   cached (Figure 16); it exists to reproduce that negative result.
 
-use crate::engine::{CostBenefitEngine, EngineConfig};
-use crate::params::SystemParams;
+use crate::engine::CostBenefitEngine;
+#[cfg(doc)]
+use crate::engine::EngineConfig;
 use crate::policy::{NextLimit, PeriodActivity, PrefetchPolicy, RefContext, RefKind, Victim};
 use prefetch_cache::{BufferCache, PrefetchMeta};
 use prefetch_trace::BlockId;
@@ -39,30 +40,22 @@ pub struct EnginePolicy {
 }
 
 impl EnginePolicy {
-    /// The `tree` policy (`tree-reanchor` when
+    /// The `tree` policy over `engine` (`tree-reanchor` when
     /// [`EngineConfig::reanchor_after_reset`] is set).
-    pub fn tree(params: SystemParams, cfg: EngineConfig) -> Self {
-        let name = if cfg.reanchor_after_reset { "tree-reanchor" } else { "tree" };
-        Self::with_extra(params, cfg, name, Extra::None)
+    pub fn tree(engine: CostBenefitEngine) -> Self {
+        let name = if engine.config().reanchor_after_reset { "tree-reanchor" } else { "tree" };
+        EnginePolicy { engine, name, extra: Extra::None }
     }
 
-    /// The `tree-next-limit` policy, with the standard 10% sequential cap.
-    pub fn tree_next_limit(params: SystemParams, cfg: EngineConfig) -> Self {
-        Self::with_extra(params, cfg, "tree-next-limit", Extra::NextLimit(NextLimit::new()))
+    /// The `tree-next-limit` policy over `engine`, with the standard 10%
+    /// sequential cap.
+    pub fn tree_next_limit(engine: CostBenefitEngine) -> Self {
+        EnginePolicy { engine, name: "tree-next-limit", extra: Extra::NextLimit(NextLimit::new()) }
     }
 
-    /// The `tree-lvc` policy.
-    pub fn tree_lvc(params: SystemParams, cfg: EngineConfig) -> Self {
-        Self::with_extra(params, cfg, "tree-lvc", Extra::Lvc)
-    }
-
-    fn with_extra(
-        params: SystemParams,
-        cfg: EngineConfig,
-        name: &'static str,
-        extra: Extra,
-    ) -> Self {
-        EnginePolicy { engine: CostBenefitEngine::new(params, cfg), name, extra }
+    /// The `tree-lvc` policy over `engine`.
+    pub fn tree_lvc(engine: CostBenefitEngine) -> Self {
+        EnginePolicy { engine, name: "tree-lvc", extra: Extra::Lvc }
     }
 
     /// Read access to the engine (tree statistics, model state).
@@ -176,9 +169,14 @@ impl PrefetchPolicy for EnginePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use crate::params::SystemParams;
 
     fn tree() -> EnginePolicy {
-        EnginePolicy::tree(SystemParams::patterson(), EngineConfig::default())
+        EnginePolicy::tree(CostBenefitEngine::new(
+            SystemParams::patterson(),
+            EngineConfig::default(),
+        ))
     }
 
     fn drive(policy: &mut EnginePolicy, cache: &mut BufferCache, block: u64) -> PeriodActivity {
@@ -261,13 +259,18 @@ mod tests {
     #[test]
     fn reanchor_flag_names_the_policy() {
         let cfg = EngineConfig { reanchor_after_reset: true, ..EngineConfig::default() };
-        assert_eq!(EnginePolicy::tree(SystemParams::patterson(), cfg).name(), "tree-reanchor");
+        assert_eq!(
+            EnginePolicy::tree(CostBenefitEngine::new(SystemParams::patterson(), cfg)).name(),
+            "tree-reanchor"
+        );
     }
 
     #[test]
     fn next_limit_combines_sequential_and_tree_prefetching() {
-        let mut p =
-            EnginePolicy::tree_next_limit(SystemParams::patterson(), EngineConfig::default());
+        let mut p = EnginePolicy::tree_next_limit(CostBenefitEngine::new(
+            SystemParams::patterson(),
+            EngineConfig::default(),
+        ));
         let mut cache = BufferCache::new(40);
         // A miss on block 100 must trigger one-block lookahead of 101.
         cache.insert_demand(BlockId(100));
@@ -325,7 +328,10 @@ mod tests {
 
     #[test]
     fn lvc_prefetches_last_visited_child() {
-        let mut p = EnginePolicy::tree_lvc(SystemParams::patterson(), EngineConfig::default());
+        let mut p = EnginePolicy::tree_lvc(CostBenefitEngine::new(
+            SystemParams::patterson(),
+            EngineConfig::default(),
+        ));
         let mut cache = BufferCache::new(16);
         // Train: 1 followed by 2, twice, so node(1) has lvc = node(2).
         for _ in 0..3 {

@@ -55,7 +55,8 @@ fn usage() -> String {
      Serves the pfserve line protocol on stdin (default) or a unix socket.\n\
      SHUTDOWN or stdin EOF drains every tenant and exits 0.\n\
      --threads N applies each batch's tenants on the dispatch thread plus\n\
-     N-1 pool helpers that start once and park between batches; output is\n\
+     N-1 pool helpers that start once and park between batches, and\n\
+     replays --recover's logs on the same workers; output is\n\
      byte-identical at any N. 0 (the default) means one per core, read\n\
      once at start-up.\n\
      --snapshot-dir persists each tenant's prefetch tree (pftree-snap/v2)\n\

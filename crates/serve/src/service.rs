@@ -615,7 +615,7 @@ impl Service {
         let mut tenant_log = None;
         if let Some(w) = self.wal.as_mut() {
             let base = match &warm_from {
-                Some(snap) => std::fs::copy(snap, w.base_path(tenant)).is_ok(),
+                Some(snap) => std::fs::copy(snap, w.files.base(tenant)).is_ok(),
                 None => false,
             };
             match w.create_log(tenant, &spec, base) {

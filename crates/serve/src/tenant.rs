@@ -19,7 +19,7 @@ use prefetch_trace::{BlockId, TraceRecord};
 use prefetch_tree::PrefetchTree;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Server-side defaults applied when an `OPEN` omits an option.
@@ -152,6 +152,11 @@ impl TenantSpec {
         let nodes = self.node_limit.min(1 << 32) as u64;
         FIXED_BYTES + nodes * NODE_BYTES + self.cache_blocks as u64 * CACHE_BLOCK_BYTES
     }
+}
+
+/// Where a tenant's advice stream goes under `--advice-dir`.
+pub(crate) fn advice_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.advice"))
 }
 
 /// Per-cache-block overhead (LRU + prefetch metadata) used by both the
@@ -299,11 +304,20 @@ impl TenantState {
     /// Admit a tenant. When `advice_dir` is set, the tenant's advice
     /// stream is also appended to `<dir>/<name>.advice`.
     pub fn new(name: &str, spec: TenantSpec, advice_dir: Option<&Path>) -> std::io::Result<Self> {
-        let advice_file = match advice_dir {
-            Some(dir) => {
-                let file = File::create(dir.join(format!("{name}.advice")))?;
-                Some(BufWriter::new(file))
-            }
+        let path = advice_dir.map(|dir| advice_path(dir, name));
+        Self::with_advice_file(name, spec, path.as_deref())
+    }
+
+    /// [`TenantState::new`] with the advice stream appended to the file at
+    /// `advice_file` (created, or truncated): recovery replays into a
+    /// temporary name and renames it into place on admission.
+    pub(crate) fn with_advice_file(
+        name: &str,
+        spec: TenantSpec,
+        advice_file: Option<&Path>,
+    ) -> std::io::Result<Self> {
+        let advice_file = match advice_file {
+            Some(path) => Some(BufWriter::new(File::create(path)?)),
             None => None,
         };
         let config = spec.to_sim_config();

@@ -18,7 +18,8 @@
 //! writes, never a byte of a log.
 //!
 //! Recovery (`Service::recover`) replays each live log **in full**
-//! through a fresh tenant: a tenant's advice stream is a pure function
+//! through a fresh tenant, the logs side by side on the worker pool: a
+//! tenant's advice stream is a pure function
 //! of its own ordered events (the crate's determinism contract), so the
 //! replayed advice — file and counters — is bit-identical to the
 //! uninterrupted run. Periodic checkpoints (`<name>.ckpt.pftree`, with
@@ -190,11 +191,52 @@ pub(crate) struct TenantLog {
     pub(crate) since_ckpt: u64,
 }
 
+/// The WAL directory and the names of the files a tenant keeps in it.
+/// Cloned into recovery's replay jobs, which read a tenant's snapshots
+/// off the dispatch thread.
+#[derive(Clone, Debug)]
+pub(crate) struct LogDir(PathBuf);
+
+impl LogDir {
+    /// The directory itself.
+    pub(crate) fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// A tenant's WAL file.
+    pub(crate) fn wal(&self, name: &str) -> PathBuf {
+        self.0.join(format!("{name}.wal"))
+    }
+
+    /// A tenant's warm-start base snapshot (captured at open so replay
+    /// starts from the same tree the live tenant did, even after later
+    /// checkpoints overwrite the main snapshot).
+    pub(crate) fn base(&self, name: &str) -> PathBuf {
+        self.0.join(format!("{name}.base.pftree"))
+    }
+
+    /// A tenant's freshest checkpoint snapshot.
+    pub(crate) fn ckpt(&self, name: &str) -> PathBuf {
+        self.0.join(format!("{name}.ckpt.pftree"))
+    }
+
+    /// The previous checkpoint generation.
+    pub(crate) fn ckpt_prev(&self, name: &str) -> PathBuf {
+        self.0.join(format!("{name}.ckpt.pftree.prev"))
+    }
+
+    /// The checkpoint being written, renamed over [`LogDir::ckpt`] when
+    /// complete.
+    fn ckpt_tmp(&self, name: &str) -> PathBuf {
+        self.0.join(format!("{name}.ckpt.pftree.tmp"))
+    }
+}
+
 /// The service's durability state: the WAL directory, every open
 /// tenant log (at its tenant's slot index), the group-commit tracker, and
 /// the counters surfaced in `BYE`.
 pub(crate) struct Durability {
-    dir: PathBuf,
+    pub(crate) files: LogDir,
     pub(crate) commit: GroupCommit,
     pub(crate) checkpoint_every: u64,
     logs: Vec<Option<TenantLog>>,
@@ -217,7 +259,7 @@ impl Durability {
     pub(crate) fn new(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(Durability {
-            dir: dir.to_path_buf(),
+            files: LogDir(dir.to_path_buf()),
             commit: GroupCommit::new(fsync),
             checkpoint_every,
             logs: Vec::new(),
@@ -230,39 +272,6 @@ impl Durability {
         })
     }
 
-    /// The WAL directory.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of a tenant's WAL file.
-    pub(crate) fn wal_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.wal"))
-    }
-
-    /// Path of a tenant's warm-start base snapshot (captured at open so
-    /// replay starts from the same tree the live tenant did, even after
-    /// later checkpoints overwrite the main snapshot).
-    pub(crate) fn base_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.base.pftree"))
-    }
-
-    /// Path of a tenant's freshest checkpoint snapshot.
-    pub(crate) fn ckpt_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.ckpt.pftree"))
-    }
-
-    /// Path of the previous checkpoint generation.
-    pub(crate) fn ckpt_prev_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.ckpt.pftree.prev"))
-    }
-
-    /// Path of the checkpoint being written, renamed over
-    /// [`Durability::ckpt_path`] when complete.
-    fn ckpt_tmp_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.ckpt.pftree.tmp"))
-    }
-
     /// Create a fresh log for a newly admitted tenant and stage its
     /// `O` record.
     pub(crate) fn create_log(
@@ -271,7 +280,7 @@ impl Durability {
         spec: &TenantSpec,
         base: bool,
     ) -> io::Result<TenantLog> {
-        let mut log = AppendLog::create(&self.wal_path(name))?;
+        let mut log = AppendLog::create(&self.files.wal(name))?;
         let open = WalRecord::Open { spec: spec.clone(), base };
         log.append_with(|buf| open.encode_into(buf))?;
         self.appends += 1;
@@ -324,10 +333,10 @@ impl Durability {
     pub(crate) fn retire(&mut self, idx: usize, name: &str) {
         self.drop_log(idx);
         for path in [
-            self.wal_path(name),
-            self.base_path(name),
-            self.ckpt_path(name),
-            self.ckpt_prev_path(name),
+            self.files.wal(name),
+            self.files.base(name),
+            self.files.ckpt(name),
+            self.files.ckpt_prev(name),
         ] {
             let _ = std::fs::remove_file(path);
         }
@@ -417,10 +426,10 @@ impl Durability {
     fn write_checkpoint(&mut self, name: &str, tree: &PrefetchTree) -> Result<(), TreeIoError> {
         self.snapshot.clear();
         tree.write_snapshot(&mut self.snapshot)?;
-        let ckpt = self.ckpt_path(name);
+        let ckpt = self.files.ckpt(name);
         // Fails when there is no generation to rotate yet.
-        let _ = std::fs::rename(&ckpt, self.ckpt_prev_path(name));
-        let tmp = self.ckpt_tmp_path(name);
+        let _ = std::fs::rename(&ckpt, self.files.ckpt_prev(name));
+        let tmp = self.files.ckpt_tmp(name);
         atomic::write_then_rename(&tmp, &ckpt, &self.snapshot, self.syncs())?;
         self.checkpoints += 1;
         Ok(())
@@ -644,7 +653,7 @@ impl Service {
         }
         // One directory sync covers every rename of the pass.
         if let Some(w) = self.wal.as_ref().filter(|w| renamed && w.syncs()) {
-            atomic::sync_dir(w.dir());
+            atomic::sync_dir(w.files.path());
         }
     }
 

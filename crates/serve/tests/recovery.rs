@@ -708,3 +708,150 @@ fn fsync_policy_changes_syncs_not_appends_and_the_log_replays() {
     assert_eq!(bye_field(&bye, "replayed_events"), 90, "{bye}");
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Every file under `dir` and its subdirectories, as `(relative path,
+/// bytes)` in name order.
+fn tree_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let name = path.strip_prefix(dir).unwrap().to_string_lossy().into_owned();
+                out.push((name, fs::read(&path).unwrap()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    for (name, bytes) in tree_bytes(from) {
+        let dst = to.join(name);
+        fs::create_dir_all(dst.parent().unwrap()).unwrap();
+        fs::write(dst, bytes).unwrap();
+    }
+}
+
+/// One WAL directory holding every outcome recovery knows — clean, torn,
+/// corrupt, closed and empty logs, a `base` warm start, an over-cap
+/// degraded tenant, a reproduced panic and an admission refusal — recovers
+/// to the same report, the same `STATS`/`FINAL`/`BYE` lines, and the same
+/// advice, snapshot and WAL bytes at one worker and at four: the logs
+/// replay on the pool, every side effect is applied in name order after.
+#[test]
+fn recovery_is_identical_at_one_and_four_threads() {
+    const NAMES: [&str; 9] =
+        ["boom", "clean", "closed", "corrupt", "empty", "long", "torn", "warm", "zbig"];
+    let root = tmp_dir("threads");
+    let crashed = root.join("crashed");
+    let (advice, wal, snaps) = (crashed.join("advice"), crashed.join("wal"), crashed.join("snap"));
+    let mut o = opts(&advice, &wal);
+    o.snapshot_dir = Some(snaps.clone());
+    o.wal.checkpoint_every = 8;
+    // A first life, drained, leaves `warm`'s tree for the second to start
+    // from (its own logs go elsewhere).
+    {
+        let first = ServeOpts {
+            wal: WalOpts { dir: Some(root.join("wal-first")), ..o.wal.clone() },
+            ..o.clone()
+        };
+        let mut s = Service::new(first).unwrap();
+        let lines: Vec<String> = std::iter::once("OPEN warm cache=8 nodes=128".to_string())
+            .chain((0..40u64).map(|i| format!("EV warm {}", i * 7 % 23)))
+            .collect();
+        feed(&mut s, &lines, 16);
+        let _ = s.drain();
+    }
+    // The second life crashes with every tenant open.
+    {
+        let mut s = Service::new(o.clone()).unwrap();
+        let mut lines: Vec<String> = ["boom", "clean", "corrupt", "long", "torn", "warm"]
+            .iter()
+            .map(|t| format!("OPEN {t} cache=8 nodes=128"))
+            .collect();
+        lines.push("OPEN zbig cache=8 nodes=100000".to_string());
+        for e in 0..60u64 {
+            for (k, t) in
+                ["boom", "clean", "corrupt", "long", "torn", "warm", "zbig"].iter().enumerate()
+            {
+                if e < 30 || *t == "long" {
+                    lines.push(format!("EV {t} {}", (e * 2654435761 + k as u64 * 97) % 48));
+                }
+            }
+        }
+        lines.push("PANIC boom".to_string());
+        lines.push("EV boom 5".to_string());
+        feed(&mut s, &lines, 16);
+    }
+    // Damage and hand-made logs.
+    let torn = fs::read(wal.join("torn.wal")).unwrap();
+    fs::write(wal.join("torn.wal"), &torn[..torn.len() - 3]).unwrap();
+    let mut corrupt = fs::read(wal.join("corrupt.wal")).unwrap();
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0x40;
+    fs::write(wal.join("corrupt.wal"), &corrupt).unwrap();
+    let spec = TenantSpec::from_opts(&[], &TenantDefaults::default()).unwrap();
+    let mut log = AppendLog::create(&wal.join("closed.wal")).unwrap();
+    for r in [WalRecord::Open { spec, base: false }, WalRecord::Event(3), WalRecord::Close] {
+        log.append(&r.encode()).unwrap();
+    }
+    log.sync().unwrap();
+    AppendLog::create(&wal.join("empty.wal")).unwrap().sync().unwrap();
+    let zbig_advice = fs::read(advice.join("zbig.advice")).unwrap();
+    assert!(!zbig_advice.is_empty());
+
+    let recover_at = |threads: usize| {
+        let copy = root.join(format!("t{threads}"));
+        copy_tree(&crashed, &copy);
+        let mut ropts = opts(&copy.join("advice"), &copy.join("wal"));
+        ropts.snapshot_dir = Some(copy.join("snap"));
+        ropts.wal.recover = true;
+        ropts.wal.recover_cap_events = 40;
+        // Room for every small tenant, not for `zbig`'s 100 000 nodes.
+        ropts.admission.memory_budget_bytes = Some(4 << 20);
+        prefetch_pool::set_threads(threads);
+        let mut s = Service::new(ropts).unwrap();
+        let mut report = s.recover();
+        prefetch_pool::set_threads(0);
+        report.elapsed_ms = 0;
+        let stats: Vec<(u64, String)> = NAMES.iter().map(|t| (0, format!("STATS {t}"))).collect();
+        let mut lines: Vec<String> = s.process_batch(&stats).into_iter().map(|(_, l)| l).collect();
+        lines.extend(s.drain());
+        (format!("{report:?}"), report, lines, tree_bytes(&copy))
+    };
+    let one = recover_at(1);
+    let four = recover_at(4);
+    assert_eq!(one.0, four.0, "recovery report");
+    assert_eq!(one.2, four.2, "STATS/FINAL/BYE lines");
+    assert_eq!(one.3.len(), four.3.len(), "file count");
+    for (a, b) in one.3.iter().zip(&four.3) {
+        assert!(a == b, "{} differs from {}", a.0, b.0);
+    }
+
+    // Every outcome was exercised.
+    let r = &one.1;
+    assert_eq!((r.replayed, r.degraded, r.closed), (3, 1, 1), "{r:?}");
+    assert_eq!((r.quarantined, r.torn_truncated), (3, 1), "{r:?}");
+    let error = |t: &str| r.errors.iter().find(|(n, _)| n == t).map(|(_, e)| e.as_str());
+    assert!(error("boom").is_some_and(|e| e.starts_with("panic reproduced")), "{r:?}");
+    assert!(error("corrupt").is_some_and(|e| e.starts_with("corrupt wal")), "{r:?}");
+    assert!(error("zbig").is_some_and(|e| e.starts_with("admission refused")), "{r:?}");
+    let finals = &one.2;
+    let final_of = |t: &str| finals.iter().find(|l| l.starts_with(&format!("FINAL {t} "))).unwrap();
+    assert!(final_of("warm").contains(" recovered=replayed "), "{finals:?}");
+    assert!(final_of("long").contains(" recovered=degraded "), "{finals:?}");
+    // A refused tenant keeps its old advice; no temporary name survives;
+    // the empty and closed logs are gone.
+    let files: Vec<&str> = one.3.iter().map(|(n, _)| n.as_str()).collect();
+    let advice_of =
+        |t: &str| &one.3.iter().find(|(n, _)| *n == format!("advice/{t}.advice")).unwrap().1;
+    assert_eq!(advice_of("zbig"), &zbig_advice);
+    assert!(files.iter().all(|n| !n.ends_with(".tmp")), "{files:?}");
+    assert!(!files.contains(&"wal/empty.wal") && !files.contains(&"wal/closed.wal"), "{files:?}");
+    let _ = fs::remove_dir_all(&root);
+}

@@ -5,7 +5,7 @@ use prefetch_core::policy::{
     ChildPolicy, EnginePolicy, NextLimit, NoPrefetch, PerfectSelector, PeriodActivity,
     PrefetchPolicy, RefContext, Victim,
 };
-use prefetch_core::{EngineConfig, RetryPolicy, SystemParams};
+use prefetch_core::{CostBenefitEngine, EngineConfig, RetryPolicy, SystemParams};
 use prefetch_disk::FaultPlan;
 
 /// Which prefetching policy to simulate (paper Section 9 terminology).
@@ -121,20 +121,33 @@ impl PolicySpec {
         })
     }
 
-    /// Instantiate the policy.
+    /// Instantiate the policy, its H(n) estimator at the full horizon.
     pub fn build(&self, params: SystemParams, engine: EngineConfig) -> Box<dyn PrefetchPolicy> {
+        self.build_for_cache(params, engine, usize::MAX)
+    }
+
+    /// Instantiate the policy to price a cache of `cache_blocks` blocks:
+    /// engine policies size their H(n) estimator by it
+    /// ([`CostBenefitEngine::for_cache`]), which changes no decision.
+    pub fn build_for_cache(
+        &self,
+        params: SystemParams,
+        engine: EngineConfig,
+        cache_blocks: usize,
+    ) -> Box<dyn PrefetchPolicy> {
+        let sized = |cfg| CostBenefitEngine::for_cache(params, cfg, cache_blocks);
         match *self {
             PolicySpec::NoPrefetch => Box::new(NoPrefetch),
             PolicySpec::NextLimit => Box::new(NextLimit::new()),
-            PolicySpec::Tree => Box::new(EnginePolicy::tree(params, engine)),
-            PolicySpec::TreeNextLimit => Box::new(EnginePolicy::tree_next_limit(params, engine)),
-            PolicySpec::TreeLvc => Box::new(EnginePolicy::tree_lvc(params, engine)),
+            PolicySpec::Tree => Box::new(EnginePolicy::tree(sized(engine))),
+            PolicySpec::TreeNextLimit => Box::new(EnginePolicy::tree_next_limit(sized(engine))),
+            PolicySpec::TreeLvc => Box::new(EnginePolicy::tree_lvc(sized(engine))),
             PolicySpec::TreeThreshold(t) => Box::new(ChildPolicy::tree_threshold(t)),
             PolicySpec::TreeChildren(k) => Box::new(ChildPolicy::tree_children(k)),
             PolicySpec::PerfectSelector => Box::new(PerfectSelector::new()),
             PolicySpec::TreeReanchor => {
                 let cfg = prefetch_core::EngineConfig { reanchor_after_reset: true, ..engine };
-                Box::new(EnginePolicy::tree(params, cfg))
+                Box::new(EnginePolicy::tree(sized(cfg)))
             }
             PolicySpec::PanicProbe { after } => Box::new(PanicProbePolicy { after, seen: 0 }),
         }

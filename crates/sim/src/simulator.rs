@@ -44,7 +44,8 @@ impl Simulator {
     /// Panics on an invalid configuration; front ends must run
     /// [`SimConfig::validate`] first.
     pub fn new(config: &SimConfig) -> Self {
-        let mut policy = config.policy.build(config.params, config.engine);
+        let mut policy =
+            config.policy.build_for_cache(config.params, config.engine, config.cache_blocks);
         if config.profile {
             policy.enable_profiling();
         }

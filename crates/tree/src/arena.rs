@@ -24,16 +24,24 @@
 //! per `record_access` on cello where this one measures 96–99 and
 //! 150–180; EXPERIMENTS.md (PR 23) has the pairs.
 //!
-//! One field stays columnar: `pos_in_parent`. `child_remove_at` rewrites
-//! the position of every shifted sibling, and under `--node-limit` the
-//! root of a `pfserve` tenant has ≈ 4 000 children — with the position
-//! inside the node each eviction dirtied ≈ 4 000 nodes instead of 16 KB
-//! of positions, and `serve-mux` measured +4…+38 % slower in 6 of 6
-//! pairs.
+//! One field stays columnar: `pos_in_parent`, and it is an *upper bound*
+//! on a child's index in its parent's list, not the index itself.
+//! `child_remove_at` shifts the suffix left and writes no position, so
+//! every shifted sibling's bound stays true; [`Arena::position`] scans
+//! back from the bound to the child and writes the exact index back.
+//! Under `--node-limit` the root of a `pfserve` tenant has ≈ 4 000
+//! children, and refreshing the shifted suffix on every eviction cost
+//! 133–186 ns of a 1.2–1.5 µs tenant step where the shift itself costs
+//! 14–18 ns. In a tree that never removes a node every bound is exact and
+//! the scan ends at its first compare, on a word the weight-class search
+//! beside it reads anyway (`sim-cello` and `sim-cad` do not move:
+//! EXPERIMENTS.md). Kept beside the nodes rather than in them: with the
+//! position inside the node each eviction dirtied ≈ 4 000 nodes instead of
+//! 16 KB of positions (`serve-mux` +4…+38 % in 6 of 6 pairs).
 //!
 //! Child lists preserve *positional* semantics exactly: `child_push`
-//! appends, `child_remove_at` shifts the suffix left (refreshing the
-//! shifted nodes' `pos_in_parent`), `child_swap` exchanges two slots.
+//! appends, `child_remove_at` shifts the suffix left, `child_swap`
+//! exchanges two slots.
 //!
 //! Node ids are reused through [`Arena::free`] (LIFO) so
 //! `OverflowPolicy::Evict` churn cannot grow the arena without bound. A
@@ -308,14 +316,15 @@ impl Shard {
 /// always have identical lengths; a node id is live unless it appears in
 /// [`Arena::free`].
 ///
-/// Invariants: for every live node `c` with parent `p`,
-/// `children(p)[pos_in_parent[c]] == c`, so child removal stays O(1)
-/// lookup + O(suffix) shift; and `wide` holds exactly the edges of the
-/// nodes with more than [`WIDE_FANOUT`] children.
+/// Invariants: for every live node `c` with parent `p`, `c` sits in
+/// `children(p)` at an index `≤ pos_in_parent[c]`; `wide` holds exactly the
+/// edges of the nodes with more than [`WIDE_FANOUT`] children.
 #[derive(Clone, Debug)]
 pub(crate) struct Arena {
     pub(crate) nodes: Vec<Node>,
-    /// Each node's position in its parent's child list.
+    /// An upper bound on each node's position in its parent's child list,
+    /// exact until a removal shifts the list (tightened by
+    /// [`Arena::position`]).
     pub(crate) pos_in_parent: Vec<u32>,
     pool: ChildPool,
     /// Reusable node ids (LIFO).
@@ -431,9 +440,11 @@ impl Arena {
         }
     }
 
-    /// Shifting removal at `pos` — exactly `Vec::remove` semantics — with
-    /// the shifted suffix's `pos_in_parent` refreshed. A node that falls
-    /// back to [`WIDE_FANOUT`] children leaves the hash index.
+    /// Shifting removal at `pos` — exactly `Vec::remove` semantics. The
+    /// shifted suffix keeps its `pos_in_parent`, now one too high: a
+    /// bound that [`Arena::position`] tightens when it is next read. A
+    /// node that falls back to [`WIDE_FANOUT`] children leaves the hash
+    /// index.
     pub(crate) fn child_remove_at(&mut self, n: u32, pos: usize) {
         let node = &self.nodes[n as usize];
         let (start, class, len) = (node.ch_start as usize, node.ch_class(), node.ch_len());
@@ -448,14 +459,28 @@ impl Arena {
         }
         self.pool.slab.copy_within(start + pos + 1..start + len, start + pos);
         self.nodes[n as usize].set_child_slot(start as u32, class, len - 1);
-        for i in pos..len - 1 {
-            let moved = self.pool.slab[start + i] as usize;
-            self.pos_in_parent[moved] = i as u32;
-        }
+    }
+
+    /// The index of `child` in `parent`'s child list: the stored bound
+    /// scanned back to the child, and the exact index written back.
+    pub(crate) fn position(&mut self, parent: u32, child: u32) -> usize {
+        let pos = self.find_position(parent, child);
+        self.pos_in_parent[child as usize] = pos as u32;
+        pos
+    }
+
+    /// [`Arena::position`] without the write-back.
+    pub(crate) fn find_position(&self, parent: u32, child: u32) -> usize {
+        let kids = self.children(parent);
+        let bound = (self.pos_in_parent[child as usize] as usize).min(kids.len() - 1);
+        kids[..=bound]
+            .iter()
+            .rposition(|&c| c == child)
+            .expect("a child lies at or below its bound")
     }
 
     /// Swap two child positions (the weight-class swap in
-    /// `increment_child_weight`). Callers fix `pos_in_parent`.
+    /// `increment_child_weight`). Callers write both exact positions.
     pub(crate) fn child_swap(&mut self, n: u32, i: usize, j: usize) {
         let node = &self.nodes[n as usize];
         debug_assert!(i < node.ch_len() && j < node.ch_len());
@@ -547,13 +572,18 @@ mod tests {
     #[test]
     fn child_remove_shifts_and_refreshes_positions() {
         let (mut a, kids) = root_with(5);
+        a.child_remove_at(0, 4);
         a.child_remove_at(0, 1);
-        assert_eq!(a.children(0), &[kids[0], kids[2], kids[3], kids[4]]);
-        for (pos, &k) in a.children(0).iter().enumerate() {
-            assert_eq!(a.pos_in_parent[k as usize] as usize, pos);
+        assert_eq!(a.children(0), &[kids[0], kids[2], kids[3]]);
+        // The shifted suffix kept its old positions: bounds, one too high.
+        assert_eq!(a.pos_in_parent[kids[3] as usize], 3);
+        for (pos, &k) in a.children(0).to_vec().iter().enumerate() {
+            assert!(a.pos_in_parent[k as usize] as usize >= pos);
+            assert_eq!(a.position(0, k), pos);
+            assert_eq!(a.pos_in_parent[k as usize] as usize, pos, "position writes back");
         }
         assert_eq!(a.find_child(0, 1), None);
-        assert_eq!(a.find_child(0, 4), Some(kids[4]));
+        assert_eq!(a.find_child(0, 3), Some(kids[3]));
     }
 
     #[test]

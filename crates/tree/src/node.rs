@@ -4,9 +4,9 @@
 //! identifies a node and the paper's per-node memory constant.
 //!
 //! Children-index invariant (held by the arena for every live node `c`
-//! with parent `p`): `children(p)[pos_in_parent[c]] == c`, so child
-//! removal is O(1) lookup + O(shifted suffix); `pos_in_parent` is the one
-//! per-node field the arena keeps outside the node.
+//! with parent `p`): `c` sits in `children(p)` at or below
+//! `pos_in_parent[c]`; `pos_in_parent` is the one per-node field the
+//! arena keeps outside the node.
 
 /// Sentinel for "no node".
 pub(crate) const NIL: u32 = u32::MAX;

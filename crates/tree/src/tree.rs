@@ -302,7 +302,7 @@ impl PrefetchTree {
     /// The child swaps with the leftmost member of its old weight class:
     /// O(log k) via binary search, O(1) data movement.
     fn increment_child_weight(&mut self, parent: u32, child: u32) {
-        let pos = self.arena.pos_in_parent[child as usize] as usize;
+        let pos = self.arena.position(parent, child);
         let w = self.arena.nodes[child as usize].weight;
         // Leftmost index in 0..=pos whose weight equals w (the weight
         // class is contiguous because the list is sorted descending).
@@ -440,9 +440,9 @@ impl PrefetchTree {
         debug_assert!(self.arena.is_leaf(n));
         debug_assert_ne!(n, 0);
         let parent = self.arena.nodes[n as usize].parent;
-        let pos = self.arena.pos_in_parent[n as usize] as usize;
+        let pos = self.arena.position(parent, n);
         // Shifting removal keeps the children sorted by weight; the
-        // arena refreshes the shifted suffix's positions. Eviction only
+        // shifted suffix's positions become bounds. Eviction only
         // happens under a node limit, which also bounds the fan-out.
         debug_assert_eq!(self.arena.child_at(parent, pos), n);
         self.arena.child_remove_at(parent, pos);
@@ -697,10 +697,11 @@ impl PrefetchTree {
                     self.arena.nodes[c as usize].parent, i as u32,
                     "parent link broken at {c}"
                 );
-                assert_eq!(
-                    self.arena.pos_in_parent[c as usize] as usize, pos,
-                    "pos_in_parent broken at {c}"
+                assert!(
+                    self.arena.pos_in_parent[c as usize] as usize >= pos,
+                    "pos_in_parent below the position at {c}"
                 );
+                assert_eq!(self.arena.find_position(i as u32, c), pos, "position broken at {c}");
                 assert!(is_live[c as usize], "freed node {c} is still a child of {i}");
                 edges += 1;
                 let w = self.arena.nodes[c as usize].weight;
@@ -759,6 +760,79 @@ mod tests {
         assert_eq!(t.weight(root), 6);
         assert_eq!(t.node_count(), 6);
         t.check_invariants();
+    }
+
+    /// A wide node's child is incremented and evicted after removals to
+    /// its left have left its stored position a bound: the child list
+    /// must follow a `Vec` model exactly (`Vec::remove` for a removal,
+    /// the weight-class swap for an increment) through scripted and
+    /// pseudo-random churn.
+    #[test]
+    fn positions_stay_readable_after_removals_to_the_left() {
+        let mut t = PrefetchTree::new();
+        let mut model: Vec<u32> = Vec::new();
+        let mut next_block = 0u64;
+        let add = |t: &mut PrefetchTree, model: &mut Vec<u32>, block: &mut u64| {
+            model.push(t.create_child(0, BlockId(*block)));
+            *block += 1;
+        };
+        let increment = |t: &mut PrefetchTree, model: &mut Vec<u32>, c: u32| {
+            let weight = |k: u32| t.arena.nodes[k as usize].weight;
+            let pos = model.iter().position(|&k| k == c).unwrap();
+            let class_start = model.iter().position(|&k| weight(k) == weight(c)).unwrap();
+            model.swap(class_start, pos);
+            t.arena.nodes[0].weight += 1;
+            t.increment_child_weight(0, c);
+        };
+        let evict = |t: &mut PrefetchTree, model: &mut Vec<u32>, c: u32| {
+            model.retain(|&k| k != c);
+            t.remove_leaf(c);
+        };
+        for _ in 0..40 {
+            add(&mut t, &mut model, &mut next_block);
+        }
+        let target = model[30];
+        for pos in [10, 5, 0] {
+            let left = model[pos];
+            evict(&mut t, &mut model, left);
+        }
+        assert!(t.arena.pos_in_parent[target as usize] > 27, "the bound is stale");
+        increment(&mut t, &mut model, target);
+        assert_eq!(model[0], target, "the first increment moves it to the front");
+        assert_eq!(t.arena.children(0), &model[..]);
+        let left = model[3];
+        evict(&mut t, &mut model, left);
+        evict(&mut t, &mut model, target);
+        assert_eq!(t.arena.children(0), &model[..]);
+        t.check_invariants();
+
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pick = model[(x >> 8) as usize % model.len()];
+            match x % 5 {
+                0 if model.len() < 120 => add(&mut t, &mut model, &mut next_block),
+                1 | 2 => increment(&mut t, &mut model, pick),
+                _ if model.len() > WIDE_FANOUT / 2 => evict(&mut t, &mut model, pick),
+                _ => add(&mut t, &mut model, &mut next_block),
+            }
+            assert_eq!(t.arena.children(0), &model[..], "step {step}");
+            if step % 250 == 0 {
+                t.check_invariants();
+            }
+        }
+        t.check_invariants();
+    }
+
+    /// `pfserve` charges `bytes_in_use()`, which counts the struct itself,
+    /// against its memory budget: a field that grows `PrefetchTree` moves
+    /// which tenants a budget admits, a change no advice stream shows.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_tree_struct_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<PrefetchTree>(), 720);
     }
 
     #[test]
